@@ -1,21 +1,11 @@
-"""Build script: compiles the optional Cython search kernel.
+"""Build script: compiles the optional C search kernel ``_kernel_c.c``.
 
-The package works without the extension (a pure-Python kernel is used as a
-fallback), so any failure to cythonize or compile is non-fatal.
+The package works without the extension (the pure-Python twin
+``_kernel_py`` is used as a fallback), so a failure to compile it is
+non-fatal: ``optional=True`` turns it into a warning.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/ipfkit/_kernel_c.pyx"],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build environment dependent
-    print(f"ipfkit: skipping Cython kernel build ({exc!r}); "
-          "the pure-Python kernel will be used")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("ipfkit._kernel_c", ["src/ipfkit/_kernel_c.c"],
+                             optional=True)])

@@ -1,6 +1,6 @@
 """Pure-Python branch-and-bound kernel for minimum induced path factors.
 
-The compiled kernel in ``_kernel_c.pyx`` implements the identical algorithm;
+The compiled kernel in ``_kernel_c.c`` implements the identical algorithm;
 this module is the fallback used when the extension is not built.  Both
 kernels must visit states in the same order so that results (witness and
 node counts) are bit-identical.
@@ -28,6 +28,8 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
     """
     if n > 62:
         raise ValueError("kernel supports at most 62 vertices")
+    if n and L < 1:
+        raise ValueError("L must be at least 1")
     full = (1 << n) - 1
     best_count = n
     best_edges: list[tuple[int, int]] = []

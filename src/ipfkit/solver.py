@@ -6,9 +6,9 @@ Two independent methods:
   subsets that remain valid partial path systems (degree at most 2, acyclic,
   chordless after each merge) and maximising the number of chosen edges.
   Small graphs only; serves as the cross-validation oracle.
-* ``rho_exact``: branch-and-bound over covered-vertex states, delegated to a
-  compiled kernel when available (``_kernel_c``) with a pure-Python twin
-  (``_kernel_py``) selected at import time.
+* ``rho_exact``: branch-and-bound over covered-vertex states, delegated to
+  the compiled C kernel (``_kernel_c.c``) when it is built and imports,
+  and otherwise to its pure-Python twin (``_kernel_py``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ try:  # pragma: no cover - depends on whether the extension was built
 except ImportError:  # pragma: no cover
     from . import _kernel_py as _kernel
     KERNEL_BACKEND = "python"
-
-from . import _kernel_py
 
 DEFAULT_NODE_LIMIT = 10 ** 8
 DEFAULT_TIME_LIMIT = 60.0

@@ -1,12 +1,18 @@
-"""Shared fixtures: census file loading, random graph generators and the
-enumeration of hamiltonian {2,3}-graphs used by several suites."""
+"""Shared fixtures: census file loading, random graph generators, the
+enumeration of hamiltonian {2,3}-graphs used by several suites, and the
+compiled search kernel."""
 
+import importlib
+import importlib.util
 import random
 from pathlib import Path
+
+import pytest
 
 from ipfkit import Graph, parse_graph6
 
 DATA = Path(__file__).parent / "data"
+KERNEL_C_SOURCE = Path(__file__).parents[1] / "src" / "ipfkit" / "_kernel_c.c"
 
 # connected cubic graph counts by order, used to guard the fixtures
 CENSUS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
@@ -92,3 +98,41 @@ def hamiltonian_23_graphs(n: int) -> list:
 
     rec(0, frozenset(), [])
     return out
+
+
+@pytest.fixture(scope="session")
+def kernel_c(tmp_path_factory):
+    """The compiled kernel: ``ipfkit._kernel_c`` when it is built, else
+    ``_kernel_c.c`` compiled into a temporary directory.  Skips only when
+    no C compiler works."""
+    try:
+        return importlib.import_module("ipfkit._kernel_c")
+    except ImportError:
+        pass
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import CCompilerError, PlatformError
+
+    out = tmp_path_factory.mktemp("kernel_c")
+    ext = Extension("ipfkit._kernel_c", [str(KERNEL_C_SOURCE)])
+    cmd = build_ext(Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = cmd.build_temp = str(out)
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except PlatformError as exc:
+        pytest.skip(f"no C compiler: {exc}")
+    except CCompilerError:
+        # a compiler that builds a trivial file puts the fault in the kernel
+        probe = out / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        try:
+            cmd.compiler.compile([str(probe)], output_dir=str(out))
+        except CCompilerError as exc:
+            pytest.skip(f"no working C compiler: {exc}")
+        raise
+    spec = importlib.util.spec_from_file_location(
+        "ipfkit._kernel_c", cmd.get_ext_fullpath("ipfkit._kernel_c"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -167,8 +167,27 @@ def test_empty_input_is_usage_error(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    """The [project.scripts] target runs as a console script would, also
+    in an uninstalled checkout; an installed ``ipfkit`` runs too."""
+    import os
+    import shutil
     import subprocess
-    res = subprocess.run(["ipfkit", "bounds", "--ck", "3"],
-                         capture_output=True, text=True)
-    assert res.returncode == 0
-    assert res.stdout.strip() == "5/18"
+    import sys
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ipfkit"]
+    module, func = target.split(":")
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    commands = [[sys.executable, "-c", script]]
+    if shutil.which("ipfkit"):
+        commands.append(["ipfkit"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
+    for cmd in commands:
+        res = subprocess.run(cmd + ["bounds", "--ck", "3"], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "5/18"

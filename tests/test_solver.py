@@ -2,14 +2,16 @@
 backend parity, and budget handling."""
 
 import random
+import time
 
 import pytest
 
-from ipfkit import Graph, rho_exact, rho_exhaustive, verify_ipf
+from ipfkit import Graph, Ipf, rho_exact, rho_exhaustive, verify_ipf
 from ipfkit.solver import longest_induced_path_order
 from ipfkit import _kernel_py
 
-from conftest import census_graphs, random_connected_subcubic
+from conftest import (census_graphs, random_connected_cubic,
+                      random_connected_subcubic)
 
 
 def cycle(n):
@@ -74,20 +76,23 @@ def test_budget_truncation_reports_upper_bound():
     verify_ipf(g, res.witness.edges)
 
 
-def test_kernel_backends_bit_identical():
+@pytest.fixture(params=["c", "python"])
+def kernel(request):
+    if request.param == "c":
+        return request.getfixturevalue("kernel_c")
+    return _kernel_py
+
+
+def test_kernel_backends_bit_identical(kernel_c):
     """The compiled and pure-Python kernels must agree on the result, the
     witness edge set, and the explored node count (same branching order)."""
-    try:
-        from ipfkit import _kernel_c
-    except ImportError:
-        pytest.skip("compiled kernel not built")
     rng = random.Random(23)
-    hosts = census_graphs(8) + census_graphs(10)[:6]
+    hosts = census_graphs(8) + census_graphs(10)[:6] + census_graphs(12)
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
               for _ in range(25)]
     for g in hosts:
         L = longest_induced_path_order(g)
-        got_c = _kernel_c.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
+        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
         got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
         assert got_c[0] == got_py[0]
         assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
@@ -95,16 +100,32 @@ def test_kernel_backends_bit_identical():
         assert got_c[3] == got_py[3]
 
 
-def test_kernel_backends_identical_under_budget():
-    try:
-        from ipfkit import _kernel_c
-    except ImportError:
-        pytest.skip("compiled kernel not built")
+def test_kernel_backends_identical_under_budget(kernel_c):
     g = census_graphs(12)[3]
     L = longest_induced_path_order(g)
     for limit in (1, 5, 50, 500):
-        got_c = _kernel_c.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
+        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
         got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
         assert got_c[0] == got_py[0] and got_c[2] == got_py[2]
         assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
         assert got_c[3] == got_py[3]
+
+
+def test_kernel_time_budget(kernel_c):
+    """n=48 is beyond what the search proves in 0.3 s: the compiled kernel
+    stops at the deadline and still returns a valid IPF."""
+    g = random_connected_cubic(random.Random(48), 48)
+    L = longest_induced_path_order(g)
+    t0 = time.monotonic()
+    count, edges, _nodes, truncated = kernel_c.solve_min_ipf(
+        g.n, g.adj_mask, L, 0, 0.3)
+    assert truncated
+    assert time.monotonic() - t0 < 2.0
+    assert Ipf.from_edges(g, edges).path_count == count
+
+
+def test_kernel_input_guard(kernel):
+    with pytest.raises(ValueError):
+        kernel.solve_min_ipf(63, (0,) * 63, 1)
+    with pytest.raises(ValueError):
+        kernel.solve_min_ipf(2, (2, 1), 0)

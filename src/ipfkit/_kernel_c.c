@@ -3,7 +3,8 @@
  * Mirrors _kernel_py.solve_min_ipf exactly: same branching order, same
  * bound, same budget handling.  Results (count, witness edges, node count,
  * truncated) must be identical to the pure-Python kernel on every input;
- * that module describes the search.
+ * that module describes the search, the last-path closure (close_last)
+ * and the budget checks on counted nodes and on growth steps.
  *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
@@ -30,7 +31,7 @@ typedef struct {
     u64 adj[MAXN];
     u64 full;
     int L, best_count, best_len, truncated;
-    long long node_limit, nodes;
+    long long node_limit, nodes, steps;
     PyObject *monotonic;  /* time.monotonic, or NULL without a time limit */
     double deadline;
     int eu[MAXN], ev[MAXN];    /* edges of the partial IPF being built */
@@ -58,6 +59,49 @@ static double now(Solver *s)
     d = PyFloat_AsDouble(t);
     Py_DECREF(t);
     return d;
+}
+
+/* The budget check of a growth step: with a time limit, read the clock on
+ * every 4096th step; once the budget is out, stop growing. */
+static int out_of_time(Solver *s)
+{
+    if (!s->monotonic)
+        return 0;
+    if (s->truncated || (++s->steps % 4096 == 0
+                         && (now(s) > s->deadline || PyErr_Occurred())))
+        s->truncated = 1;
+    return s->truncated;
+}
+
+/* One path must cover avail: record count + 1 when G[avail] is a path,
+ * walking it from an end vertex onto eu/ev at depth. */
+static void close_last(Solver *s, u64 avail, int count, int depth)
+{
+    u64 bits = avail, seen, nxt;
+    int end = -1, tip, d;
+    while (bits) {
+        int w = CTZ(bits);
+        bits &= bits - 1;
+        d = POPCNT(s->adj[w] & avail);
+        if (d > 2)
+            return;
+        if (d < 2 && end < 0)
+            end = w;
+    }
+    if (end < 0)
+        return;  /* a cycle, or cycles only */
+    seen = 1ULL << end;
+    tip = end;
+    nxt = s->adj[tip] & avail;
+    while (nxt) {
+        int w = CTZ(nxt);
+        push_edge(s, depth++, tip, w);
+        seen |= nxt;
+        tip = w;
+        nxt = s->adj[tip] & avail & ~seen;
+    }
+    if (seen == avail)
+        solve(s, s->full, count + 1, depth);  /* records the cover */
 }
 
 /* Start the right arm at v; lfirst is the first vertex of the left arm,
@@ -89,8 +133,11 @@ static void grow_right(Solver *s, u64 covered, int count, u64 avail, int v,
 static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
                  u64 path, int tip, int lfirst, int left_done, int depth)
 {
-    u64 cands = s->adj[tip] & avail & ~path;
-    u64 blocked = path & ~(1ULL << tip);
+    u64 cands, blocked;
+    if (out_of_time(s))
+        return;
+    cands = s->adj[tip] & avail & ~path;
+    blocked = path & ~(1ULL << tip);
     while (cands) {
         u64 wbit = cands & (0 - cands);
         int w = CTZ(wbit);
@@ -133,6 +180,10 @@ static void solve(Solver *s, u64 covered, int count, int depth)
         return;
     }
     avail = s->full ^ covered;
+    if (count + 2 == s->best_count) {
+        close_last(s, avail, count, depth);
+        return;
+    }
     v = CTZ(avail);
     /* left arm rooted at v; its first vertex caps the right arm's first
      * vertex so each path is enumerated once */

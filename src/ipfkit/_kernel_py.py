@@ -11,6 +11,20 @@ contains v and uses only uncovered vertices (v may be interior), recursing
 on each.  Paths are grown edge by edge, longest extensions explored first,
 with the "close the path here" choice taken last.  The bound is
 count + ceil(uncovered / L) where L is the order of a longest induced path.
+
+Last-path closure: at a counted node with count + 2 == best, the only
+improvement left is one path covering every uncovered vertex, and every
+other path through v yields a child the bound prunes without counting it.
+Such a path exists exactly when G[uncovered] is itself a path: every vertex
+has degree at most 2 there and a walk from a degree-<=1 vertex reaches them
+all.  ``close_last`` checks that in O(n) instead of enumerating, so node
+counts, node-limit truncation and the witness edge set are those of the
+full enumeration.
+
+Budget: the clock is read on every 4096th counted node and, when a time
+limit is set, on every 4096th growth step; once a time limit is set and
+the budget is out, no path grows further.  Without a time limit growth
+steps are not counted.
 """
 
 from __future__ import annotations
@@ -35,8 +49,39 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
     best_edges: list[tuple[int, int]] = []
     edges_acc: list[tuple[int, int]] = []
     nodes = 0
+    steps = 0
     truncated = False
     deadline = time.monotonic() + time_limit if time_limit else 0.0
+
+    def close_last(avail: int, count: int) -> None:
+        # one path must cover avail: G[avail] has to be a path
+        nonlocal best_count, best_edges
+        end = -1
+        bits = avail
+        while bits:
+            wbit = bits & -bits
+            bits ^= wbit
+            w = wbit.bit_length() - 1
+            d = (adj[w] & avail).bit_count()
+            if d > 2:
+                return
+            if d < 2 and end < 0:
+                end = w
+        if end < 0:
+            return  # a cycle, or cycles only
+        walk = []
+        seen = 1 << end
+        tip = end
+        nxt = adj[tip] & avail
+        while nxt:
+            w = nxt.bit_length() - 1
+            walk.append((tip, w) if tip < w else (w, tip))
+            seen |= nxt
+            tip = w
+            nxt = adj[tip] & avail & ~seen
+        if seen == avail:
+            best_count = count + 1
+            best_edges = edges_acc + walk
 
     def solve(covered: int, count: int) -> None:
         nonlocal nodes, best_count, best_edges, truncated
@@ -58,10 +103,20 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
             truncated = True
             return
         avail = full ^ covered
+        if count + 2 == best_count:
+            close_last(avail, count)
+            return
         v = (avail & -avail).bit_length() - 1
 
         def grow(pathmask: int, tip: int, lfirst: int, left_done: bool) -> None:
             # extend the current arm at `tip`
+            nonlocal steps, truncated
+            if deadline:
+                steps += 1
+                if truncated or (steps % 4096 == 0
+                                 and time.monotonic() > deadline):
+                    truncated = True
+                    return
             cands = adj[tip] & avail & ~pathmask
             blocked = pathmask & ~(1 << tip)
             while cands:

@@ -56,7 +56,9 @@ class SolveResult:
 
 def longest_induced_path_order(g: Graph, exact_cap: int = 20) -> int:
     """Number of vertices in a longest induced path; falls back to the
-    trivial upper bound n when g is larger than exact_cap."""
+    trivial upper bound n when g is larger than exact_cap (n > 20 by
+    default), so for such hosts rho_exact's bound is only count + 1 and its
+    ``stats["longest_induced_path"]`` reads n."""
     if g.n == 0:
         return 0
     if g.n > exact_cap:
@@ -161,7 +163,12 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
               time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Exact rho by branch-and-bound; node_limit/time_limit of 0 disable
     the respective budget.  On budget exhaustion the best solution found is
-    returned with optimal=False."""
+    returned with optimal=False.
+
+    ``stats`` holds the kernel's counted ``nodes``, ``seconds``, the
+    ``backend`` and ``longest_induced_path``, the L of the kernel's bound:
+    the exact order of a longest induced path for n <= 20 and the trivial
+    bound n when n > 20 (see longest_induced_path_order)."""
     t0 = time.monotonic()
     L = longest_induced_path_order(g)
     count, edges, nodes, truncated = _kernel.solve_min_ipf(

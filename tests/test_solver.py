@@ -18,6 +18,34 @@ def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+CLAW = Graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def union(*parts):
+    """Disjoint union, the parts labelled in order."""
+    edges, off = [], 0
+    for g in parts:
+        edges += [(u + off, v + off) for u, v in g.sorted_edges()]
+        off += g.n
+    return Graph(off, edges)
+
+
+# Cycles, the claw, K1, and disjoint unions whose search reaches the
+# last-path closure on a remainder it must reject: a cycle (C4+C3, C6+C5),
+# a degree-3 vertex (C5+claw, P5+claw) or a disconnected one (C5+P3,
+# C4+K1); or one it must accept: a single leftover vertex (C3+K1, P2+K1) or
+# a short path (K1+P2).
+CLOSURE_HOSTS = [cycle(n) for n in range(3, 9)] + [CLAW, Graph(1)] + [
+    union(*parts) for parts in (
+        (cycle(5), path(3)), (cycle(4), cycle(3)), (cycle(6), cycle(5)),
+        (cycle(5), CLAW), (path(5), CLAW), (cycle(4), path(1)),
+        (cycle(3), path(1)), (path(2), path(1)), (path(1), path(2)))]
+
+
 def test_known_small_values():
     assert rho_exact(Graph(1)).rho == 1
     assert rho_exact(Graph(3, [(0, 1), (1, 2)])).rho == 1
@@ -52,6 +80,24 @@ def test_oracle_agreement_on_random_subcubic():
         b = rho_exhaustive(g)
         assert a.rho == b.rho
         assert a.optimal and b.optimal
+
+
+def test_oracle_agreement_where_last_path_closes():
+    for g in CLOSURE_HOSTS:
+        res = rho_exact(g)
+        assert res.rho == rho_exhaustive(g).rho
+        assert len(verify_ipf(g, res.witness.edges)) == res.rho
+
+
+def test_pinned_node_counts():
+    """Node counts of the full search, fixed before the last-path closure
+    replaced the enumeration at the deepest level: the closure must change
+    no count."""
+    for n, nodes in ((10, 204), (12, 2475), (14, 36977)):
+        assert sum(rho_exact(g).stats["nodes"]
+                   for g in census_graphs(n)) == nodes
+    res = rho_exact(random_connected_cubic(random.Random(24), 24))
+    assert (res.rho, res.stats["nodes"]) == (2, 4166)
 
 
 def test_exhaustive_cap_enforced():
@@ -90,6 +136,8 @@ def test_kernel_backends_bit_identical(kernel_c):
     hosts = census_graphs(8) + census_graphs(10)[:6] + census_graphs(12)
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
               for _ in range(25)]
+    hosts += [random_connected_cubic(rng, n) for n in range(16, 25, 2)]
+    hosts += CLOSURE_HOSTS
     for g in hosts:
         L = longest_induced_path_order(g)
         got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
@@ -101,23 +149,27 @@ def test_kernel_backends_bit_identical(kernel_c):
 
 
 def test_kernel_backends_identical_under_budget(kernel_c):
-    g = census_graphs(12)[3]
-    L = longest_induced_path_order(g)
-    for limit in (1, 5, 50, 500):
-        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
-        got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
-        assert got_c[0] == got_py[0] and got_c[2] == got_py[2]
-        assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
-        assert got_c[3] == got_py[3]
+    hosts = [census_graphs(12)[3],
+             random_connected_cubic(random.Random(20), 20)]
+    for g in hosts:
+        L = longest_induced_path_order(g)
+        for limit in (1, 5, 50, 500):
+            got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
+            got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
+            assert got_c[0] == got_py[0] and got_c[2] == got_py[2]
+            assert (sorted(map(tuple, got_c[1]))
+                    == sorted(map(tuple, got_py[1])))
+            assert got_c[3] == got_py[3]
 
 
-def test_kernel_time_budget(kernel_c):
-    """n=48 is beyond what the search proves in 0.3 s: the compiled kernel
-    stops at the deadline and still returns a valid IPF."""
-    g = random_connected_cubic(random.Random(48), 48)
+def test_kernel_time_budget(kernel):
+    """This n=56 host takes the compiled kernel about 10 s to prove on a
+    2-CPU Xeon: each kernel stops at the 0.3 s deadline, also inside path
+    growth between two counted nodes, and still returns a valid IPF."""
+    g = random_connected_cubic(random.Random(48), 56)
     L = longest_induced_path_order(g)
     t0 = time.monotonic()
-    count, edges, _nodes, truncated = kernel_c.solve_min_ipf(
+    count, edges, _nodes, truncated = kernel.solve_min_ipf(
         g.n, g.adj_mask, L, 0, 0.3)
     assert truncated
     assert time.monotonic() - t0 < 2.0

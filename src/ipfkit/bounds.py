@@ -161,7 +161,6 @@ class CensusReport:
     rho_histogram: dict[int, int] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     budget_exhausted: int = 0
-    certificates: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -219,8 +218,7 @@ def _census_one(args):
 
 def census(lines, mode: str = "both", jobs: int = 1,
            node_limit: int = DEFAULT_NODE_LIMIT,
-           time_limit: float = DEFAULT_TIME_LIMIT,
-           keep_certificates: bool = False) -> CensusReport:
+           time_limit: float = DEFAULT_TIME_LIMIT) -> CensusReport:
     """Run the verification pipeline over newline-delimited graph6 input.
 
     Graphs that are not connected and cubic are counted as skipped; parse
@@ -254,6 +252,4 @@ def census(lines, mode: str = "both", jobs: int = 1,
         if rho is not None and not out.get("truncated"):
             report.n_to_max_rho[n] = max(report.n_to_max_rho.get(n, 0), rho)
             report.rho_histogram[rho] = report.rho_histogram.get(rho, 0) + 1
-        if keep_certificates:
-            report.certificates.append(out)
     return report

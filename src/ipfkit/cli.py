@@ -125,12 +125,13 @@ def _cmd_solve(args) -> int:
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
     method = args.method
+    f = None  # a 2-factor found by auto mode, reused by the 2factor method
     if method == "auto":
         if g.is_cubic() and g.is_connected():
             method = "cubic"
         elif g.is_23_graph() and g.is_connected() \
-                and two_factor_search(g, min_cycle_len=5,
-                                      minimize_cycles=True) is not None:
+                and (f := two_factor_search(g, min_cycle_len=5,
+                                            minimize_cycles=True)) is not None:
             method = "2factor"
         elif g.n <= EXHAUSTIVE_CAP:
             method = "exact"
@@ -147,7 +148,9 @@ def _cmd_construct(args) -> int:
             elif method == "blocktree":
                 ipf = ipf_blocktree(g)
             elif method == "2factor":
-                f = two_factor_search(g, min_cycle_len=5, minimize_cycles=True)
+                if f is None:
+                    f = two_factor_search(g, min_cycle_len=5,
+                                          minimize_cycles=True)
                 if f is None:
                     raise CliError("no suitable 2-factor found", EXIT_VIOLATION)
                 ipf = ipf_23_with_2factor(g, f)

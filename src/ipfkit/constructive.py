@@ -478,11 +478,16 @@ def ipf_ham23(g: Graph) -> Ipf:
     """IPF of a hamiltonian {2,3}-graph of order >= 6 with at most n/3
     paths, and at most (n-1)/3 when n >= 7 and the graph is not bad
     (the only bad hamiltonian graphs are triangle rings)."""
-    n = g.n
-    if n < 6:
+    if g.n < 6:
         raise GraphError("ipf_ham23 requires order >= 6")
     if not g.is_23_graph():
         raise GraphError("ipf_ham23 requires a {2,3}-graph")
+    return _ham23(g, hamilton_cycle(g))
+
+
+def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
+    """ipf_ham23 on g's hamilton cycle cyc (None if g has none)."""
+    n = g.n
     if n == 6:
         if g.is_cubic():
             out = ipf_small_ham(g)
@@ -490,7 +495,6 @@ def ipf_ham23(g: Graph) -> Ipf:
             x = next(v for v in range(n) if g.degree(v) == 2)
             out = ipf_small_ham(g, x)
         return out
-    cyc = hamilton_cycle(g)
     if cyc is None:
         raise GraphError("ipf_ham23 requires a hamiltonian host")
     if len(g.edges) == n:
@@ -571,24 +575,23 @@ def _edges_up(edges, n2o):
 
 
 def _blocktree_hypotheses(g: Graph):
-    """Blocks of order >= 5, hamiltonian, vertex sets partitioning V;
-    returns the decomposition or None."""
+    """Blocks of order >= 5, hamiltonian, vertex sets partitioning V; the
+    one hamiltonicity test of the block-tree routes.  Returns None or the
+    decomposition with a hamilton cycle per block, in the labels of
+    g.induced_subgraph(block): g's own labels when one block spans g."""
     if g.n < 6 or not g.is_23_graph() or not g.is_connected():
         return None
     dec = block_decomposition(g)
-    if not dec.blocks:
+    sizes = [len(b) for b in dec.blocks]
+    if min(sizes, default=0) < 5 or sum(sizes) != g.n:
         return None
-    covered = 0
+    cycles = []
     for b in dec.blocks:
-        if len(b) < 5:
+        cyc = hamilton_cycle(g.induced_subgraph(b)[0])
+        if cyc is None:
             return None
-        covered += len(b)
-        sub, _ = g.induced_subgraph(b)
-        if not is_hamiltonian(sub):
-            return None
-    if covered != g.n:
-        return None
-    return dec
+        cycles.append(cyc)
+    return dec, cycles
 
 
 def _allowed_bound(g: Graph) -> int:
@@ -612,10 +615,14 @@ def ipf_blocktree(g: Graph) -> Ipf:
 
     Path count is at most (n-1)/3 when n >= 7 and the host is not bad,
     and at most n/3 otherwise."""
-    dec = _blocktree_hypotheses(g)
-    if dec is None:
+    hyp = _blocktree_hypotheses(g)
+    if hyp is None:
         raise GraphError("host does not satisfy the block-tree hypotheses")
-    out = _blocktree_inner(g, dec)
+    return _blocktree(g, *hyp)
+
+
+def _blocktree(g: Graph, dec, cycles) -> Ipf:
+    out = _blocktree_inner(g, dec, cycles)
     if out.path_count > _allowed_bound(g):
         raise ConstructionError(
             f"block-tree construction used {out.path_count} paths, "
@@ -627,10 +634,10 @@ def ipf_blocktree(g: Graph) -> Ipf:
     return out
 
 
-def _blocktree_inner(g: Graph, dec) -> Ipf:
+def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
     n = g.n
     if len(dec.blocks) == 1:
-        return ipf_ham23(g)
+        return _ham23(g, cycles[0])
     if n <= 12:
         return _two_block_assembly(g, dec)
     # a bridge whose larger side is not bad lets the two sides recurse freely
@@ -835,8 +842,14 @@ def ipf_23_with_2factor(g: Graph, f: TwoFactor) -> Ipf:
     f.validate(g)
     if any(len(c) < 5 for c in f.cycles):
         raise GraphError("all 2-factor cycles must have length >= 5")
-    if _blocktree_hypotheses(g) is not None:
-        return ipf_blocktree(g)
+    hyp = _blocktree_hypotheses(g)
+    if hyp is not None:
+        return _blocktree(g, *hyp)
+    return _two_factor_reduction(g, f)
+
+
+def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
+    """ipf_23_with_2factor for a host that fails the block-tree hypotheses."""
     cycle_of = {}
     for i, cyc in enumerate(f.cycles):
         for v in cyc:
@@ -875,7 +888,7 @@ def ipf_23_with_2factor(g: Graph, f: TwoFactor) -> Ipf:
             raise ConstructionError("swap did not remove badness")
     p = ipf_blocktree(reduced)
     out = Ipf.from_edges(g, p.edges)  # re-verify against the full edge set
-    limit = g.n // 3 if recognize_bad(g).is_bad else (g.n - 1) // 3
+    limit = _allowed_bound(g)
     if out.path_count > limit:
         raise ConstructionError(
             f"2-factor construction used {out.path_count} paths, allowed {limit}")
@@ -913,13 +926,14 @@ def ipf_cubic(g: Graph) -> Certificate:
     (n-1)/3 paths (n > 6)."""
     if not g.is_connected() or not g.is_cubic():
         raise GraphError("host must be a connected cubic graph")
+    graph6 = write_graph6(g)  # fails on n > 62 before any search
     ipf, trace = _cubic_recurse(g)
     limit = 2 if g.n <= 6 else (g.n - 1) // 3
     if ipf.path_count > limit:
         raise ConstructionError(
             f"cubic construction used {ipf.path_count} paths, allowed {limit}")
     return Certificate(
-        graph6=write_graph6(g),
+        graph6=graph6,
         n=g.n,
         bound="2" if g.n <= 6 else "(n-1)/3",
         ipf=ipf,
@@ -938,15 +952,13 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     dec = block_decomposition(g)
     if dec.bridges:
         return _cubic_bridge_split(g, min(sorted(dec.bridges)))
-    # hamiltonian hosts go straight through the single-cycle 2-factor;
-    # this also guarantees order >= 14 below, which the K4- reduction needs
-    # for its remainder (the only smaller bridgeless nonhamiltonian cubic
-    # graphs are the Petersen and Tietze graphs, and neither contains an
-    # induced K4-)
-    cyc = hamilton_cycle(g)
-    if cyc is not None:
-        return ipf_23_with_2factor(g, TwoFactor.from_cycles([cyc])), \
-            ["two-factor"]
+    # one block: the block-tree hypotheses hold exactly when the host is
+    # hamiltonian, and hand their cycle on.  Below, order >= 14 as the K4-
+    # reduction needs (the only smaller bridgeless nonhamiltonian cubic
+    # graphs, Petersen and Tietze, contain no induced K4-)
+    hyp = _blocktree_hypotheses(g)
+    if hyp is not None:
+        return _blocktree(g, *hyp), ["two-factor"]
     if g.n >= 14:
         hit = _find_reducible_k4minus(g)
         if hit is not None:
@@ -958,7 +970,7 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     if f is None:
         raise ConstructionError(
             "3-connected cubic host without a 2-factor of long cycles")
-    return ipf_23_with_2factor(g, f), ["two-factor"]
+    return _two_factor_reduction(g, f), ["two-factor"]
 
 
 def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:

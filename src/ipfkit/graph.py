@@ -507,14 +507,6 @@ class TwoFactor:
         if seen != set(range(g.n)):
             raise GraphError("2-factor does not cover all vertices")
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        es = set()
-        for cyc in self.cycles:
-            for i, v in enumerate(cyc):
-                w = cyc[(i + 1) % len(cyc)]
-                es.add((min(v, w), max(v, w)))
-        return frozenset(es)
-
 
 def _cycles_of_2_regular(g: Graph, removed: frozenset[tuple[int, int]]) -> list[list[int]]:
     seen = [False] * g.n

@@ -29,10 +29,6 @@ class SurgeryRecord:
     # for glue_at_vertex: map from the second graph's indices
     aux_to_new: dict = field(default_factory=dict)
 
-    def map_edge(self, u: int, v: int) -> tuple[int, int]:
-        a, b = self.old_to_new[u], self.old_to_new[v]
-        return (a, b) if a < b else (b, a)
-
 
 def _identity(n: int) -> dict:
     return {v: v for v in range(n)}

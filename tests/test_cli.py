@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from ipfkit import write_graph6
+from ipfkit import Graph, write_graph6
+from ipfkit import cli
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
@@ -62,6 +63,25 @@ def test_construct_cubic_certificate(capsys, petersen_file):
     assert doc["verified"] and doc["n"] == 10
     assert doc["ipf"]["path_count"] <= 3
     assert doc["trace"]
+
+
+def test_construct_auto_searches_2factor_once(capsys, tmp_path, monkeypatch):
+    # C10 plus the chord 0-5: a non-cubic {2,3}-graph with a long 2-factor
+    g = Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
+    path = tmp_path / "chorded.g6"
+    path.write_text(write_graph6(g) + "\n")
+    calls = []
+    search = cli.two_factor_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(cli, "two_factor_search", counted)
+    code, out, _ = run(capsys, ["construct", "--input", str(path),
+                                "--json", "--stable"])
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == "2factor"
+    assert len(calls) == 1
 
 
 def test_construct_verify_pipe(capsys, petersen_file, tmp_path):

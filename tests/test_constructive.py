@@ -8,10 +8,12 @@ import random
 import pytest
 
 from ipfkit import (
-    Graph, GraphError, TwoFactor, hamilton_cycle, ipf_23_with_2factor,
-    ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham, is_triangle_ring,
-    recognize_bad, rho_exact, rho_exhaustive, two_factor_search, verify_ipf,
+    Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
+    ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
+    is_triangle_ring, recognize_bad, rho_exact, rho_exhaustive,
+    two_factor_search, verify_ipf,
 )
+from ipfkit import constructive, graph
 from ipfkit.constructive import _allowed_bound
 from ipfkit.families import (
     bad_graph, petersen, subdivided_complete, tietze, triangle_ring,
@@ -233,3 +235,118 @@ def test_cubic_rejects_non_cubic():
         ipf_cubic(cycle(6))
     with pytest.raises(GraphError):
         ipf_cubic(subdivided_complete(4))
+
+
+# ---------------------------------------------------------------------------
+# Routes first reached above the census orders
+# ---------------------------------------------------------------------------
+
+def flower_snark(k):
+    """Flower snark J_k for odd k, n = 4k: claws a_i (i) joined to b_i
+    (k+i), c_i (2k+i) and d_i (3k+i), the k-cycle b_0..b_{k-1}, and the
+    2k-cycle c_0..c_{k-1} d_0..d_{k-1}."""
+    edges = [(i, j * k + i) for i in range(k) for j in (1, 2, 3)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(2 * k + i, 2 * k + (i + 1) % (2 * k)) for i in range(2 * k)]
+    return Graph(4 * k, edges)
+
+
+def petersen_minus_edge():
+    return petersen().without_edges([(0, 1)])
+
+
+def spy(monkeypatch, name, modules=(constructive,)):
+    """Record (args, result) of every call to <module>.<name>."""
+    calls = []
+    orig = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def spy_hamilton(monkeypatch):
+    """Every hamilton cycle search, including those behind is_hamiltonian."""
+    return spy(monkeypatch, "hamilton_cycle", (graph, constructive))
+
+
+def test_cubic_two_edge_cut_between_petersen_halves(monkeypatch):
+    # two copies of Petersen minus an edge, joined across a 2-edge-cut
+    half = petersen_minus_edge().edges
+    edges = list(half) + [(u + 10, v + 10) for u, v in half]
+    g = Graph(20, edges + [(0, 10), (1, 11)])
+    ladders = spy(monkeypatch, "_cubic_ladder")
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert cert.trace == ["two-edge-cut", "two-factor", "two-factor"]
+    assert cert.ipf.path_count == 6
+    assert len(ladders) == 1
+
+
+def test_cubic_ladder_with_order_4_side(monkeypatch):
+    # Petersen minus an edge, a rung 14-15 and a K4- on 10..13 beyond it
+    edges = list(petersen_minus_edge().edges)
+    edges += [(10, 12), (10, 13), (11, 12), (11, 13), (12, 13),
+              (10, 14), (11, 15), (14, 15), (14, 0), (15, 1)]
+    g = Graph(16, edges)
+    assert g.is_cubic()
+    ladders = spy(monkeypatch, "_cubic_ladder")
+    ends = spy(monkeypatch, "_two_path_ipf_with_ends")
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert len(ladders) == 1
+    assert [args[0].n for args, _ in ends] == [4]
+
+
+def test_blocktree_bad_bridge_assembly(monkeypatch):
+    bad = bad_graph(6, (0,), 1)
+    edges = list(bad.edges) + [(u + 12, v + 12) for u, v in bad.edges]
+    g = Graph(24, edges + [(0, 12)])
+    assembled = spy(monkeypatch, "_bad_bridge_assembly")
+    ipf = ipf_blocktree(g)
+    assert len(verify_ipf(g, ipf.edges)) == ipf.path_count
+    assert ipf.path_count <= _allowed_bound(g)
+    assert len(assembled) == 1
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_cubic_flower_snarks_use_a_multi_cycle_2factor(monkeypatch, k):
+    g = flower_snark(k)
+    assert g.n == 4 * k and g.is_cubic() and g.is_connected()
+    factors = spy(monkeypatch, "two_factor_search")
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert cert.trace == ["two-factor"]
+    assert len(factors) == 1 and len(factors[0][1].cycles) > 1
+
+
+def test_cubic_decides_hamiltonicity_once(monkeypatch):
+    g = random_connected_cubic(random.Random(40), 40)
+    searches = spy_hamilton(monkeypatch)
+    check_certificate(g, ipf_cubic(g))
+    assert len(searches) == 1
+
+
+def test_cubic_nonhamiltonian_host_searched_once_whole(monkeypatch):
+    g = flower_snark(7)
+    searches = spy_hamilton(monkeypatch)
+    check_certificate(g, ipf_cubic(g))
+    assert [args[0] for args, _ in searches].count(g) == 1
+    assert sum(args[0].n == g.n for args, _ in searches) == 1
+
+
+def test_cubic_rejects_beyond_graph6_before_searching(monkeypatch):
+    # the prism C32 x K2 has n = 64 > 62, the short-form graph6 limit
+    m = 32
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(m + i, m + (i + 1) % m) for i in range(m)]
+    edges += [(i, m + i) for i in range(m)]
+    g = Graph(2 * m, edges)
+    searches = spy_hamilton(monkeypatch)
+    with pytest.raises(Graph6Error):
+        ipf_cubic(g)
+    assert searches == []

@@ -1,10 +1,11 @@
 /* Compiled branch-and-bound kernel for minimum induced path factors.
  *
  * Mirrors _kernel_py.solve_min_ipf exactly: same branching order, same
- * bound, same budget handling.  Results (count, witness edges, node count,
- * truncated) must be identical to the pure-Python kernel on every input;
- * that module describes the search, the last-path closure (close_last)
- * and the budget checks on counted nodes and on growth steps.
+ * bound (count + 1), same budget handling.  Results (count, witness edges,
+ * node count, truncated) must be identical to the pure-Python kernel on
+ * every input; that module describes the search, the bound, the last-path
+ * closure (close_last) and the budget checks on counted nodes and on
+ * growth steps.
  *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
@@ -30,7 +31,7 @@ static int CTZ(u64 x)
 typedef struct {
     u64 adj[MAXN];
     u64 full;
-    int L, best_count, best_len, truncated;
+    int best_count, best_len, truncated;
     long long node_limit, nodes, steps;
     PyObject *monotonic;  /* time.monotonic, or NULL without a time limit */
     double deadline;
@@ -169,8 +170,7 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     }
     if (s->truncated)
         return;
-    if (count + (POPCNT(s->full ^ covered) + s->L - 1) / s->L
-            >= s->best_count)
+    if (count + 1 >= s->best_count)
         return;
     s->nodes++;
     if ((s->node_limit && s->nodes > s->node_limit)
@@ -202,25 +202,20 @@ static void solve(Solver *s, u64 covered, int count, int depth)
 
 static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"n", "adj", "L", "node_limit", "time_limit",
-                             NULL};
-    int n, L, i;
+    static char *kwlist[] = {"n", "adj", "node_limit", "time_limit", NULL};
+    int n, i;
     long long node_limit = 0;
     double time_limit = 0.0;
     PyObject *adj, *edges;
     Solver s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOi|Ld:solve_min_ipf",
-                                     kwlist, &n, &adj, &L, &node_limit,
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO|Ld:solve_min_ipf",
+                                     kwlist, &n, &adj, &node_limit,
                                      &time_limit))
         return NULL;
     if (n < 0 || n > MAXN) {
         PyErr_SetString(PyExc_ValueError,
                         "kernel supports at most 62 vertices");
-        return NULL;
-    }
-    if (n > 0 && L < 1) {
-        PyErr_SetString(PyExc_ValueError, "L must be at least 1");
         return NULL;
     }
     memset(&s, 0, sizeof s);
@@ -234,7 +229,6 @@ static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
             return NULL;
     }
     s.full = (1ULL << n) - 1;
-    s.L = L;
     s.node_limit = node_limit;
     s.best_count = n;
     if (time_limit != 0.0) {
@@ -273,7 +267,7 @@ static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
 static PyMethodDef methods[] = {
     {"solve_min_ipf", (PyCFunction)(void (*)(void))solve_min_ipf,
      METH_VARARGS | METH_KEYWORDS,
-     "solve_min_ipf(n, adj, L, node_limit=0, time_limit=0.0)\n--\n\n"
+     "solve_min_ipf(n, adj, node_limit=0, time_limit=0.0)\n--\n\n"
      "Return (best_count, best_edges, nodes, truncated)."},
     {NULL, NULL, 0, NULL}
 };

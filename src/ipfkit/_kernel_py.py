@@ -10,7 +10,8 @@ uncovered vertex v; we enumerate every induced path of the host that
 contains v and uses only uncovered vertices (v may be interior), recursing
 on each.  Paths are grown edge by edge, longest extensions explored first,
 with the "close the path here" choice taken last.  The bound is
-count + ceil(uncovered / L) where L is the order of a longest induced path.
+count + 1: a state with uncovered vertices needs at least one more path, so
+it is pruned once count + 1 reaches the best cover found.
 
 Last-path closure: at a counted node with count + 2 == best, the only
 improvement left is one path covering every uncovered vertex, and every
@@ -32,8 +33,8 @@ from __future__ import annotations
 import time
 
 
-def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
-                  node_limit: int = 0, time_limit: float = 0.0):
+def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
+                  time_limit: float = 0.0):
     """Return (best_count, best_edges, nodes, truncated).
 
     best_edges is the list of (u, v) edges of an optimal IPF; truncated is
@@ -42,8 +43,6 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
     """
     if n > 62:
         raise ValueError("kernel supports at most 62 vertices")
-    if n and L < 1:
-        raise ValueError("L must be at least 1")
     full = (1 << n) - 1
     best_count = n
     best_edges: list[tuple[int, int]] = []
@@ -92,8 +91,7 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], L: int,
             return
         if truncated:
             return
-        u = (full ^ covered).bit_count()
-        if count + (u + L - 1) // L >= best_count:
+        if count + 1 >= best_count:
             return
         nodes += 1
         if node_limit and nodes > node_limit:

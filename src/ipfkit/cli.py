@@ -183,10 +183,13 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"input is not JSON: {exc}")
     try:
-        g = parse_graph6(doc["graph6"])
+        code, ipf_doc = doc["graph6"], doc.get("ipf", {})
+        if not isinstance(code, str) or not isinstance(ipf_doc, dict):
+            raise TypeError('"graph6" must be a string and "ipf" an object')
+        g = parse_graph6(code)
         edges = doc.get("edges")
         if edges is None:
-            edges = doc["ipf"]["edges"]
+            edges = ipf_doc["edges"]
         edges = [tuple(e) for e in edges]
     except (KeyError, TypeError, Graph6Error) as exc:
         raise CliError(f"malformed IPF document: {exc}")
@@ -195,7 +198,7 @@ def _cmd_verify(args) -> int:
     except IpfError as exc:
         print(f"invalid IPF: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    expected = doc.get("ipf", {}).get("path_count", doc.get("path_count"))
+    expected = ipf_doc.get("path_count", doc.get("path_count"))
     if expected is not None and expected != ipf.path_count:
         print(f"path count mismatch: document says {expected}, "
               f"edges give {ipf.path_count}", file=sys.stderr)

@@ -167,7 +167,11 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6Error("empty graph6 line")
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {line[exc.start]!r}",
+                          exc.start) from None
     first = data[0]
     if first == 126:  # '~' long-form header
         raise Graph6Error("long-form graph6 (n > 62) is not supported", 0)

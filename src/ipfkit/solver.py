@@ -55,10 +55,9 @@ class SolveResult:
 
 
 def longest_induced_path_order(g: Graph, exact_cap: int = 20) -> int:
-    """Number of vertices in a longest induced path; falls back to the
-    trivial upper bound n when g is larger than exact_cap (n > 20 by
-    default), so for such hosts rho_exact's bound is only count + 1 and its
-    ``stats["longest_induced_path"]`` reads n."""
+    """Number of vertices in a longest induced path, by exhaustive search;
+    falls back to the trivial upper bound n when g is larger than exact_cap
+    (n > 20 by default)."""
     if g.n == 0:
         return 0
     if g.n > exact_cap:
@@ -165,14 +164,11 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
     the respective budget.  On budget exhaustion the best solution found is
     returned with optimal=False.
 
-    ``stats`` holds the kernel's counted ``nodes``, ``seconds``, the
-    ``backend`` and ``longest_induced_path``, the L of the kernel's bound:
-    the exact order of a longest induced path for n <= 20 and the trivial
-    bound n when n > 20 (see longest_induced_path_order)."""
+    ``stats`` holds the kernel's counted ``nodes``, ``seconds`` and the
+    ``backend``."""
     t0 = time.monotonic()
-    L = longest_induced_path_order(g)
     count, edges, nodes, truncated = _kernel.solve_min_ipf(
-        g.n, g.adj_mask, max(L, 1), node_limit, time_limit)
+        g.n, g.adj_mask, node_limit, time_limit)
     witness = Ipf.from_edges(g, edges)
     assert witness.path_count == count
     return SolveResult(
@@ -181,5 +177,5 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
         method="bnb",
         optimal=not truncated,
         stats={"nodes": nodes, "seconds": time.monotonic() - t0,
-               "backend": KERNEL_BACKEND, "longest_induced_path": L},
+               "backend": KERNEL_BACKEND},
     )

@@ -58,9 +58,15 @@ def random_connected_subcubic(rng: random.Random, n: int) -> Graph:
 def random_connected_cubic(rng: random.Random, n: int,
                            tries: int = 2000) -> Graph:
     """Random connected cubic graph by repeated pairing of half-edges."""
-    assert n % 2 == 0 and n >= 4
+    return random_connected_regular(rng, n, 3, tries)
+
+
+def random_connected_regular(rng: random.Random, n: int, d: int,
+                             tries: int = 2000) -> Graph:
+    """Random connected d-regular graph by repeated pairing of half-edges."""
+    assert n * d % 2 == 0 and n > d
     for _ in range(tries):
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -76,7 +82,7 @@ def random_connected_cubic(rng: random.Random, n: int,
         g = Graph(n, edges)
         if g.is_connected():
             return g
-    raise RuntimeError("no connected cubic sample found")
+    raise RuntimeError(f"no connected {d}-regular sample found")
 
 
 def hamiltonian_23_graphs(n: int) -> list:

@@ -115,6 +115,19 @@ def test_verify_path_count_mismatch(capsys, tmp_path):
     assert "mismatch" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"graph6": "A_", "edges": [[0, 1]], "ipf": 5},
+    {"graph6": "A_", "edges": [[0, 1]], "ipf": [[0, 1]]},
+    {"graph6": 5, "edges": [[0, 1]]},
+])
+def test_verify_rejects_mistyped_fields(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", "--input", str(p)])
+    assert code == EXIT_USAGE
+    assert "malformed IPF document" in err
+
+
 def test_generate_roundtrip(capsys):
     code, out, _ = run(capsys, ["generate", "--family", "triangle_ring",
                                 "--params", "n=9"])
@@ -150,12 +163,16 @@ def test_census_json(capsys, petersen_file):
 
 def test_census_parse_errors_keep_going(capsys, tmp_path):
     p = tmp_path / "mixed.g6"
-    p.write_text(write_graph6(petersen()) + "\n???bad???\n")
+    # "A\u00e9" would read as the edgeless "A?" if non-ASCII input were
+    # replaced rather than rejected
+    p.write_text(write_graph6(petersen()) + "\n???bad???\nA\u00e9\n",
+                 encoding="utf-8")
     code, out, _ = run(capsys, ["census", "--input", str(p), "--json"])
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["graphs_processed"] == 1
-    assert len(doc["errors"]) == 1
+    assert len(doc["errors"]) == 2
+    assert "line 3: non-ASCII" in doc["errors"][1]
 
 
 def test_bounds_ck(capsys):

@@ -50,3 +50,12 @@ def test_error_reports_offset():
         assert exc.offset is not None
     else:
         raise AssertionError("expected a parse error")
+
+
+@pytest.mark.parametrize("bad, offset", [("A\u00e9", 1), ("\u00e9", 0),
+                                         ("C\u2013", 1)])
+def test_non_ascii_rejected_with_offset(bad, offset):
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6(bad)
+    assert info.value.offset == offset
+    assert "non-ASCII" in str(info.value)

@@ -1,17 +1,19 @@
 """Exact solvers: branch-and-bound vs the edge-subset oracle, kernel
 backend parity, and budget handling."""
 
+import json
 import random
 import time
 
 import pytest
 
-from ipfkit import Graph, Ipf, rho_exact, rho_exhaustive, verify_ipf
+from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
+                    verify_ipf)
 from ipfkit.solver import longest_induced_path_order
 from ipfkit import _kernel_py
 
-from conftest import (census_graphs, random_connected_cubic,
-                      random_connected_subcubic)
+from conftest import (DATA, census_graphs, random_connected_cubic,
+                      random_connected_regular, random_connected_subcubic)
 
 
 def cycle(n):
@@ -90,14 +92,25 @@ def test_oracle_agreement_where_last_path_closes():
 
 
 def test_pinned_node_counts():
-    """Node counts of the full search, fixed before the last-path closure
-    replaced the enumeration at the deepest level: the closure must change
-    no count."""
-    for n, nodes in ((10, 204), (12, 2475), (14, 36977)):
+    """Node counts of the search with the count + 1 bound; the last-path
+    closure must change no count."""
+    for n, nodes in ((10, 247), (12, 2580), (14, 38534)):
         assert sum(rho_exact(g).stats["nodes"]
                    for g in census_graphs(n)) == nodes
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
     assert (res.rho, res.stats["nodes"]) == (2, 4166)
+
+
+def test_pinned_census_witnesses():
+    """The witness edge sets of the n=10 and n=12 census, recorded when the
+    kernel still pruned with a longest-induced-path bound: dropping that
+    bound only searches subtrees holding no strictly better cover, so no
+    witness may change."""
+    pinned = json.loads((DATA / "census_witnesses.json").read_text())
+    assert len(pinned) == 19 + 85
+    for code, edges in pinned.items():
+        got = rho_exact(parse_graph6(code)).witness.edges
+        assert sorted(map(list, got)) == edges, code
 
 
 def test_exhaustive_cap_enforced():
@@ -139,9 +152,8 @@ def test_kernel_backends_bit_identical(kernel_c):
     hosts += [random_connected_cubic(rng, n) for n in range(16, 25, 2)]
     hosts += CLOSURE_HOSTS
     for g in hosts:
-        L = longest_induced_path_order(g)
-        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
-        got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, max(L, 1), 10 ** 8, 0)
+        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
+        got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
         assert got_c[0] == got_py[0]
         assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
         assert got_c[2] == got_py[2]
@@ -152,10 +164,9 @@ def test_kernel_backends_identical_under_budget(kernel_c):
     hosts = [census_graphs(12)[3],
              random_connected_cubic(random.Random(20), 20)]
     for g in hosts:
-        L = longest_induced_path_order(g)
         for limit in (1, 5, 50, 500):
-            got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
-            got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, L, limit, 0)
+            got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, limit, 0)
+            got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, limit, 0)
             assert got_c[0] == got_py[0] and got_c[2] == got_py[2]
             assert (sorted(map(tuple, got_c[1]))
                     == sorted(map(tuple, got_py[1])))
@@ -167,17 +178,31 @@ def test_kernel_time_budget(kernel):
     2-CPU Xeon: each kernel stops at the 0.3 s deadline, also inside path
     growth between two counted nodes, and still returns a valid IPF."""
     g = random_connected_cubic(random.Random(48), 56)
-    L = longest_induced_path_order(g)
     t0 = time.monotonic()
     count, edges, _nodes, truncated = kernel.solve_min_ipf(
-        g.n, g.adj_mask, L, 0, 0.3)
+        g.n, g.adj_mask, 0, 0.3)
     assert truncated
     assert time.monotonic() - t0 < 2.0
     assert Ipf.from_edges(g, edges).path_count == count
 
 
+def test_kernel_time_budget_inside_growth(kernel):
+    """Vertex 0 pendant to a random 5-regular graph on 60 vertices: the
+    branch vertex has one free neighbour, so the left-arm phase grows every
+    induced path from it and closes none, and only the clock read during
+    growth can stop it.  Without that read the compiled kernel runs about
+    4 s on a 2-CPU Xeon; with it each kernel stops at the 0.3 s deadline
+    after one counted node."""
+    h = random_connected_regular(random.Random(1), 60, 5, tries=20000)
+    g = Graph(61, [(0, 1)] + [(u + 1, v + 1) for u, v in h.sorted_edges()])
+    t0 = time.monotonic()
+    count, edges, nodes, truncated = kernel.solve_min_ipf(
+        g.n, g.adj_mask, 0, 0.3)
+    assert time.monotonic() - t0 < 1.0
+    assert truncated and nodes == 1
+    assert Ipf.from_edges(g, edges).path_count == count
+
+
 def test_kernel_input_guard(kernel):
     with pytest.raises(ValueError):
-        kernel.solve_min_ipf(63, (0,) * 63, 1)
-    with pytest.raises(ValueError):
-        kernel.solve_min_ipf(2, (2, 1), 0)
+        kernel.solve_min_ipf(63, (0,) * 63)

@@ -3,9 +3,10 @@
  * Mirrors _kernel_py.solve_min_ipf exactly: same branching order, same
  * bound (count + 1), same budget handling.  Results (count, witness edges,
  * node count, truncated) must be identical to the pure-Python kernel on
- * every input; that module describes the search, the bound, the last-path
- * closure (close_last) and the budget checks on counted nodes and on
- * growth steps.
+ * every input; that module describes the search, the skipped left arm at
+ * v's highest free neighbour, the bound, the last-path closure
+ * (close_last) and the budget checks on counted nodes and on growth
+ * steps.
  *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
@@ -186,9 +187,10 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     }
     v = CTZ(avail);
     /* left arm rooted at v; its first vertex caps the right arm's first
-     * vertex so each path is enumerated once */
+     * vertex so each path is enumerated once, and the arm started at v's
+     * highest free neighbour, which no right arm can follow, is skipped */
     lbits = s->adj[v] & avail;
-    while (lbits) {
+    while (lbits & (lbits - 1)) {
         u64 wbit = lbits & (0 - lbits);
         int w = CTZ(wbit);
         lbits ^= wbit;

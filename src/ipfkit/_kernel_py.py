@@ -9,9 +9,13 @@ State: a set of covered vertices.  The branch vertex is the lowest-indexed
 uncovered vertex v; we enumerate every induced path of the host that
 contains v and uses only uncovered vertices (v may be interior), recursing
 on each.  Paths are grown edge by edge, longest extensions explored first,
-with the "close the path here" choice taken last.  The bound is
-count + 1: a state with uncovered vertices needs at least one more path, so
-it is pruned once count + 1 reaches the best cover found.
+with the "close the path here" choice taken last.  A path with v interior
+is grown as a left arm from v, then a right arm whose first vertex lies
+above the left arm's, so each path is enumerated once; the left arm that
+starts at v's highest free neighbour can get no right arm and is not grown
+at all.  The bound is count + 1: a state with uncovered vertices needs at
+least one more path, so it is pruned once count + 1 reaches the best cover
+found.
 
 Last-path closure: at a counted node with count + 2 == best, the only
 improvement left is one path covering every uncovered vertex, and every
@@ -155,11 +159,12 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             solve(covered | pathmask, cnt + 1)
 
         # left arm rooted at v (possibly empty); its first vertex caps the
-        # right arm's first vertex to avoid enumerating each path twice
-        lcands = adj[v] & avail
+        # right arm's first vertex to avoid enumerating each path twice, so
+        # a left arm started at v's highest free neighbour gets no right
+        # arm and is skipped
+        lbits = adj[v] & avail
         base = 1 << v
-        lbits = lcands
-        while lbits:
+        while lbits & (lbits - 1):
             wbit = lbits & -lbits
             lbits ^= wbit
             w = wbit.bit_length() - 1

@@ -191,6 +191,8 @@ def _cmd_verify(args) -> int:
         if edges is None:
             edges = ipf_doc["edges"]
         edges = [tuple(e) for e in edges]
+        if any(len(e) != 2 for e in edges):
+            raise TypeError("every edge must be a pair of vertices")
     except (KeyError, TypeError, Graph6Error) as exc:
         raise CliError(f"malformed IPF document: {exc}")
     try:

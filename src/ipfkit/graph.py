@@ -48,7 +48,10 @@ class Graph:
         for u, v in norm:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in nbrs)
+        # a list, not a generator: tuple(generator) reallocs a new tuple
+        # instead of reusing the interpreter's per-length free lists, which
+        # then grew by one tuple per Graph (up to 2000 per length)
+        self.adj = tuple([tuple(sorted(a)) for a in nbrs])
         masks = [0] * n
         for u, v in norm:
             masks[u] |= 1 << v
@@ -434,41 +437,48 @@ def ladder_decomposition(g: Graph) -> Optional[LadderDecomposition]:
 
 def hamilton_cycle(g: Graph, start: int = 0) -> Optional[list[int]]:
     """First hamilton cycle found by backtracking from `start` (sorted
-    adjacency order), as a vertex list of length n; None if none exists."""
+    adjacency order), as a vertex list of length n; None if none exists.
+
+    A path that is not yet spanning is dropped as soon as it provably has
+    no hamiltonian completion:
+    (a) `start` has no unvisited neighbour left to close the cycle;
+    (b) an unvisited neighbour of the old tip has fewer than two
+        neighbours among the unvisited vertices, the new tip and `start`.
+    Every unvisited vertex still has to be entered and left, so both rules
+    cut only subtrees without a hamilton cycle, and the first cycle found
+    is the one the unpruned backtracking returns.  Appending a vertex takes
+    an option only from the old tip's neighbours, so (b) checks just those.
+    """
     n = g.n
-    if n == 0:
+    if n < 2 or any(len(a) < 2 for a in g.adj):
         return None
-    if n == 1:
-        return None
-    if any(len(a) < 2 for a in g.adj):
-        return None
+    adj, masks = g.adj, g.adj_mask
     path = [start]
-    used = 1 << start
-    iters = [iter(g.adj[start])]
+    free = ((1 << n) - 1) ^ (1 << start)  # unvisited vertices
+    iters = [iter(adj[start])]
     while iters:
-        it = iters[-1]
-        advanced = False
-        for w in it:
-            if used >> w & 1:
+        for w in iters[-1]:
+            if not free >> w & 1:
                 continue
-            path.append(w)
-            used |= 1 << w
-            if len(path) == n:
-                if g.has_edge(w, start):
-                    return list(path)
-                used &= ~(1 << w)
-                path.pop()
+            if len(path) == n - 1:
+                if masks[w] >> start & 1:
+                    return path + [w]
                 continue
-            iters.append(iter(g.adj[w]))
-            advanced = True
-            break
-        if not advanced:
-            iters.pop()
-            v = path.pop()
-            used &= ~(1 << v)
-            if not path:
+            rest = free ^ (1 << w)
+            if not masks[start] & rest:
+                continue  # (a)
+            ends = free | (1 << start)  # rest, w and start
+            for u in adj[path[-1]]:
+                if rest >> u & 1 and (masks[u] & ends).bit_count() < 2:
+                    break  # (b)
+            else:
+                path.append(w)
+                free = rest
+                iters.append(iter(adj[w]))
                 break
-            # restore for outer loop bookkeeping: nothing else to do
+        else:  # no child left: backtrack
+            iters.pop()
+            free |= 1 << path.pop()
     return None
 
 

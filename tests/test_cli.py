@@ -119,6 +119,7 @@ def test_verify_path_count_mismatch(capsys, tmp_path):
     {"graph6": "A_", "edges": [[0, 1]], "ipf": 5},
     {"graph6": "A_", "edges": [[0, 1]], "ipf": [[0, 1]]},
     {"graph6": 5, "edges": [[0, 1]]},
+    {"graph6": "A_", "edges": [[0]]},
 ])
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ full cubic pipeline."""
 
 import json
 import random
+import time
 
 import pytest
 
@@ -350,3 +351,33 @@ def test_cubic_rejects_beyond_graph6_before_searching(monkeypatch):
     with pytest.raises(Graph6Error):
         ipf_cubic(g)
     assert searches == []
+
+
+# ---------------------------------------------------------------------------
+# Scale guards: hosts on which unpruned hamilton backtracking took seconds
+# (n=48: 12 s, J9: 4 s) or ran past 20 s (four of the n=62 hosts)
+# ---------------------------------------------------------------------------
+
+def test_hamilton_cycle_on_random_cubic_48_is_fast():
+    g = random_connected_cubic(random.Random(5000 * 48 + 3), 48)
+    t0 = time.monotonic()
+    cyc = hamilton_cycle(g)
+    assert time.monotonic() - t0 < 2.0
+    assert sorted(cyc) == list(range(g.n))
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+
+def test_hamilton_cycle_on_flower_snark_9_is_fast():
+    g = flower_snark(9)
+    t0 = time.monotonic()
+    assert hamilton_cycle(g) is None
+    assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_cubic_random_62(s):
+    g = random_connected_cubic(random.Random(5000 * 62 + s), 62)
+    t0 = time.monotonic()
+    cert = ipf_cubic(g)
+    assert time.monotonic() - t0 < 20.0
+    check_certificate(g, cert)

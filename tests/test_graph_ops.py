@@ -1,6 +1,8 @@
 """Structural queries: connectivity, bridges, blocks, cuts, hamilton
 cycles and 2-factors."""
 
+import random
+
 import pytest
 
 from ipfkit import Graph, GraphError
@@ -10,7 +12,9 @@ from ipfkit.graph import (
 )
 from ipfkit.families import petersen, tietze, triangle_ring
 
-from conftest import census_graphs
+from conftest import (
+    census_graphs, random_connected_regular, random_connected_subcubic,
+)
 
 
 def cycle(n):
@@ -114,6 +118,53 @@ def test_hamilton_cycle_is_a_cycle():
         assert sorted(cyc) == list(range(g.n))
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert g.has_edge(a, b)
+
+
+def unpruned_hamilton_cycle(g, start=0):
+    """Oracle: plain backtracking in `hamilton_cycle`'s DFS order (sorted
+    adjacency lists from `start`), without its dead-branch rules."""
+    n = g.n
+    if n < 2 or any(len(a) < 2 for a in g.adj):
+        return None
+    path, used = [start], 1 << start
+    iters = [iter(g.adj[start])]
+    while iters:
+        for w in iters[-1]:
+            if used >> w & 1:
+                continue
+            if len(path) == n - 1:
+                if g.has_edge(w, start):
+                    return path + [w]
+                continue
+            path.append(w)
+            used |= 1 << w
+            iters.append(iter(g.adj[w]))
+            break
+        else:
+            iters.pop()
+            used &= ~(1 << path.pop())
+    return None
+
+
+def test_hamilton_cycle_is_the_unpruned_first_cycle():
+    rng = random.Random(2024)
+    graphs = [g for n in range(4, 13, 2) for g in census_graphs(n)]
+    graphs += [random_connected_subcubic(rng, rng.randrange(2, 19))
+               for _ in range(300)]
+    graphs += [random_connected_regular(random.Random(n), n, 4)
+               for n in range(6, 15)]
+    # disjoint cycle unions: every vertex has degree 2, yet no cycle
+    graphs += [Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6),
+                         (6, 3)]),
+               Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])]
+    found = 0
+    for g in graphs:
+        for start in {0, g.n - 1}:
+            cyc = hamilton_cycle(g, start)
+            assert cyc == unpruned_hamilton_cycle(g, start)
+            found += cyc is not None
+    assert found > len(graphs)  # most searches find a cycle
 
 
 def test_two_factor_search_validates():

@@ -187,14 +187,15 @@ def test_kernel_time_budget(kernel):
 
 
 def test_kernel_time_budget_inside_growth(kernel):
-    """Vertex 0 pendant to a random 5-regular graph on 60 vertices: the
-    branch vertex has one free neighbour, so the left-arm phase grows every
-    induced path from it and closes none, and only the clock read during
-    growth can stop it.  Without that read the compiled kernel runs about
-    4 s on a 2-CPU Xeon; with it each kernel stops at the 0.3 s deadline
-    after one counted node."""
-    h = random_connected_regular(random.Random(1), 60, 5, tries=20000)
-    g = Graph(61, [(0, 1)] + [(u + 1, v + 1) for u, v in h.sorted_edges()])
+    """A triangle 0, 1, 2 with vertex 1 joined to a random 5-regular graph
+    on 58 vertices: the left arm from 1 grows every induced path into that
+    graph and closes none, because the chord 1-2 blocks the only right arm
+    (from 2), and only the clock read during growth can stop it.  Without
+    that read the compiled kernel runs about 2.5 s on a 2-CPU Xeon; with it
+    each kernel stops at the 0.3 s deadline after one counted node."""
+    h = random_connected_regular(random.Random(1), 58, 5, tries=20000)
+    g = Graph(61, [(0, 1), (0, 2), (1, 2), (1, 3)]
+              + [(u + 3, v + 3) for u, v in h.sorted_edges()])
     t0 = time.monotonic()
     count, edges, nodes, truncated = kernel.solve_min_ipf(
         g.n, g.adj_mask, 0, 0.3)

@@ -8,6 +8,12 @@
  * (close_last) and the budget checks on counted nodes and on growth
  * steps.
  *
+ * Dead nodes: grow returns once count + 2 >= best_count.  From then on the
+ * bound cuts every child before it is counted, except a path covering all
+ * of avail; that path exists only when G[avail] is itself a path, and it
+ * is then the first path the enumeration closes (both arms grow to their
+ * ends before any close), so it was tried before the incumbent fell.
+ *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
  */
@@ -136,8 +142,8 @@ static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
                  u64 path, int tip, int lfirst, int left_done, int depth)
 {
     u64 cands, blocked;
-    if (out_of_time(s))
-        return;
+    if (out_of_time(s) || count + 2 >= s->best_count)
+        return;  /* out of time, or a dead node (see the header) */
     cands = s->adj[tip] & avail & ~path;
     blocked = path & ~(1ULL << tip);
     while (cands) {

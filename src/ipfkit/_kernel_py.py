@@ -26,6 +26,16 @@ all.  ``close_last`` checks that in O(n) instead of enumerating, so node
 counts, node-limit truncation and the witness edge set are those of the
 full enumeration.
 
+Dead nodes: once the incumbent falls to best <= count + 2 while a node
+enumerates its paths, ``grow`` stops.  Every child it could still close has
+count + 1 paths and uncovered vertices left, so the bound cuts it before it
+is counted.  The one exception, a path covering every uncovered vertex,
+exists only when G[uncovered] is itself a path, and then it is the first
+path the enumeration closes (each arm has one way to grow, and both grow
+to their ends before any close), so it was tried before the incumbent
+fell.  Node counts, witnesses and node-limit truncation are therefore
+those of the full enumeration.
+
 Budget: the clock is read on every 4096th counted node and, when a time
 limit is set, on every 4096th growth step; once a time limit is set and
 the budget is out, no path grows further.  Without a time limit growth
@@ -119,6 +129,8 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                                  and time.monotonic() > deadline):
                     truncated = True
                     return
+            if count + 2 >= best_count:
+                return  # a dead node: the bound cuts every remaining child
             cands = adj[tip] & avail & ~pathmask
             blocked = pathmask & ~(1 << tip)
             while cands:

@@ -317,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--exhaustive", action="store_true",
                    help="use the edge-subset oracle instead of the kernel")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
+                   help="node budget of the exact search; 0 (the default) "
+                        "for no node budget")
     p.add_argument("--budget", type=float, default=None,
                    help="time budget in seconds (default from IPFKIT_BUDGET)")
     p.set_defaults(fn=_cmd_solve)
@@ -346,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="both",
                    choices=("verify_theorem", "exact_rho", "both"))
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
+                   help="node budget of the exact search; 0 (the default) "
+                        "for no node budget")
     p.add_argument("--budget", type=float, default=None,
                    help="per-graph time budget in seconds")
     p.set_defaults(fn=_cmd_census)

@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover
     from . import _kernel_py as _kernel
     KERNEL_BACKEND = "python"
 
-DEFAULT_NODE_LIMIT = 10 ** 8
+DEFAULT_NODE_LIMIT = 0  # unlimited: the time budget is the default one
 DEFAULT_TIME_LIMIT = 60.0
 EXHAUSTIVE_CAP = 12
 
@@ -158,18 +158,49 @@ def rho_exhaustive(g: Graph, hard_cap: int = EXHAUSTIVE_CAP) -> SolveResult:
     )
 
 
+def _bfs_order(g: Graph) -> list[int]:
+    """The vertices of g in BFS order: from vertex 0, neighbours in
+    increasing order, each further component from its lowest unseen
+    vertex.  The vertex relabelled i is ``order[i]``."""
+    order: list[int] = []
+    seen = [False] * g.n
+    head = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while head < len(order):
+            for w in g.adj[order[head]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
+
+
 def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
               time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Exact rho by branch-and-bound; node_limit/time_limit of 0 disable
-    the respective budget.  On budget exhaustion the best solution found is
-    returned with optimal=False.
+    the respective budget, and by default only the time budget is set.  On
+    budget exhaustion the best solution found is returned with
+    optimal=False.
 
-    ``stats`` holds the kernel's counted ``nodes``, ``seconds`` and the
-    ``backend``."""
+    The kernel branches on the lowest-indexed uncovered vertex, so it
+    searches g relabelled in BFS order (``_bfs_order``), not in its input
+    labelling; the witness is mapped back to the input labels.
+
+    ``stats`` holds the ``nodes`` the kernel counted in that search,
+    ``seconds`` and the ``backend``."""
     t0 = time.monotonic()
+    order = _bfs_order(g)
+    label = [0] * g.n
+    for i, u in enumerate(order):
+        label[u] = i
+    adj = tuple([sum([1 << label[w] for w in g.adj[u]]) for u in order])
     count, edges, nodes, truncated = _kernel.solve_min_ipf(
-        g.n, g.adj_mask, node_limit, time_limit)
-    witness = Ipf.from_edges(g, edges)
+        g.n, adj, node_limit, time_limit)
+    witness = Ipf.from_edges(g, [(order[a], order[b]) for a, b in edges])
     assert witness.path_count == count
     return SolveResult(
         rho=count,

@@ -9,7 +9,7 @@ import pytest
 
 from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
                     verify_ipf)
-from ipfkit.solver import longest_induced_path_order
+from ipfkit.solver import _bfs_order, longest_induced_path_order
 from ipfkit import _kernel_py
 
 from conftest import (DATA, census_graphs, random_connected_cubic,
@@ -25,6 +25,12 @@ def path(n):
 
 
 CLAW = Graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def relabel(g, order):
+    """g with the vertex order[i] renamed i."""
+    label = {u: i for i, u in enumerate(order)}
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.sorted_edges()])
 
 
 def union(*parts):
@@ -92,25 +98,63 @@ def test_oracle_agreement_where_last_path_closes():
 
 
 def test_pinned_node_counts():
-    """Node counts of the search with the count + 1 bound; the last-path
-    closure must change no count."""
-    for n, nodes in ((10, 247), (12, 2580), (14, 38534)):
+    """Node counts of the search on the BFS relabelling, with the count + 1
+    bound; the last-path closure and the stop at dead nodes must change no
+    count."""
+    for n, nodes in ((10, 252), (12, 2569), (14, 36656)):
         assert sum(rho_exact(g).stats["nodes"]
                    for g in census_graphs(n)) == nodes
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
-    assert (res.rho, res.stats["nodes"]) == (2, 4166)
+    assert (res.rho, res.stats["nodes"]) == (2, 635)
+
+
+def test_search_scale_guard():
+    """Two hosts the search on the input labelling cannot prove within
+    100,000 nodes (353,287 and 151,141 nodes); on the BFS relabelling it
+    takes 35,649 and 41,991."""
+    for n, rho in ((32, 3), (34, 2)):
+        g = random_connected_cubic(random.Random(1000 * n), n)
+        res = rho_exact(g, node_limit=100_000)
+        assert res.optimal and res.rho == rho
+        assert len(verify_ipf(g, res.witness.edges)) == rho
 
 
 def test_pinned_census_witnesses():
-    """The witness edge sets of the n=10 and n=12 census, recorded when the
-    kernel still pruned with a longest-induced-path bound: dropping that
-    bound only searches subtrees holding no strictly better cover, so no
-    witness may change."""
+    """The witness edge sets of the n=10 and n=12 census, mapped back from
+    the search on the BFS relabelling: the kernel's bounds and closures cut
+    only subtrees holding no strictly better cover, so a change to them may
+    move no witness."""
     pinned = json.loads((DATA / "census_witnesses.json").read_text())
     assert len(pinned) == 19 + 85
     for code, edges in pinned.items():
         got = rho_exact(parse_graph6(code)).witness.edges
         assert sorted(map(list, got)) == edges, code
+
+
+def test_bfs_order_is_a_fixed_point():
+    """A host already in its BFS order maps to the identity, so the helper
+    applied twice equals it applied once."""
+    assert _bfs_order(path(5)) == list(range(5))
+    assert _bfs_order(cycle(6)) == [0, 1, 5, 2, 4, 3]
+    rng = random.Random(5)
+    hosts = census_graphs(10) + [random_connected_subcubic(
+        rng, rng.randrange(1, 20)) for _ in range(30)] + CLOSURE_HOSTS
+    for g in hosts:
+        order = _bfs_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert _bfs_order(relabel(g, order)) == list(range(g.n))
+
+
+def test_bfs_order_of_small_and_disconnected_hosts():
+    assert _bfs_order(Graph(0)) == []
+    assert _bfs_order(Graph(1)) == [0]
+    assert rho_exact(Graph(0)).rho == 0
+    # components in the order of their lowest vertex, isolated ones too
+    g = Graph(7, [(4, 1), (0, 5), (2, 6), (6, 3)])
+    assert _bfs_order(g) == [0, 5, 1, 4, 2, 6, 3]
+    res = rho_exact(g)
+    assert res.rho == 3
+    assert len(verify_ipf(g, res.witness.edges)) == 3
 
 
 def test_exhaustive_cap_enforced():
@@ -144,13 +188,15 @@ def kernel(request):
 
 def test_kernel_backends_bit_identical(kernel_c):
     """The compiled and pure-Python kernels must agree on the result, the
-    witness edge set, and the explored node count (same branching order)."""
+    witness edge set, and the explored node count (same branching order),
+    on each host and on its BFS relabelling, which rho_exact searches."""
     rng = random.Random(23)
     hosts = census_graphs(8) + census_graphs(10)[:6] + census_graphs(12)
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
               for _ in range(25)]
     hosts += [random_connected_cubic(rng, n) for n in range(16, 25, 2)]
     hosts += CLOSURE_HOSTS
+    hosts += [relabel(g, _bfs_order(g)) for g in hosts]
     for g in hosts:
         got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
         got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)

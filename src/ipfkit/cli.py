@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -90,26 +89,15 @@ def _json_out(args, obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _default_time_budget() -> float:
-    raw = os.environ.get("IPFKIT_BUDGET", "")
-    if not raw:
-        return DEFAULT_TIME_LIMIT
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"IPFKIT_BUDGET must be a number, got {raw!r}")
-
-
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
-    budget = args.budget if args.budget is not None else _default_time_budget()
     if args.exhaustive:
         if g.n > EXHAUSTIVE_CAP:
             raise CliError(
                 f"exhaustive solver is capped at {EXHAUSTIVE_CAP} vertices")
         res = rho_exhaustive(g)
     else:
-        res = rho_exact(g, node_limit=args.nodes, time_limit=budget)
+        res = rho_exact(g, node_limit=args.nodes, time_limit=args.budget)
     if args.json:
         payload = res.to_json_fragment()
         payload["graph6"] = write_graph6(g)
@@ -130,8 +118,7 @@ def _cmd_construct(args) -> int:
         if g.is_cubic() and g.is_connected():
             method = "cubic"
         elif g.is_23_graph() and g.is_connected() \
-                and (f := two_factor_search(g, min_cycle_len=5,
-                                            minimize_cycles=True)) is not None:
+                and (f := two_factor_search(g)) is not None:
             method = "2factor"
         elif g.n <= EXHAUSTIVE_CAP:
             method = "exact"
@@ -149,8 +136,7 @@ def _cmd_construct(args) -> int:
                 ipf = ipf_blocktree(g)
             elif method == "2factor":
                 if f is None:
-                    f = two_factor_search(g, min_cycle_len=5,
-                                          minimize_cycles=True)
+                    f = two_factor_search(g)
                 if f is None:
                     raise CliError("no suitable 2-factor found", EXIT_VIOLATION)
                 ipf = ipf_23_with_2factor(g, f)
@@ -191,8 +177,10 @@ def _cmd_verify(args) -> int:
         if edges is None:
             edges = ipf_doc["edges"]
         edges = [tuple(e) for e in edges]
-        if any(len(e) != 2 for e in edges):
-            raise TypeError("every edge must be a pair of vertices")
+        if any(len(e) != 2 or any(type(v) is not int for v in e)
+               for e in edges):
+            # bool is an int subclass, so true/false would pass isinstance
+            raise TypeError("every edge must be a pair of integer vertices")
     except (KeyError, TypeError, Graph6Error) as exc:
         raise CliError(f"malformed IPF document: {exc}")
     try:
@@ -252,9 +240,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_census(args) -> int:
     text = _read_text(args.input)
-    budget = args.budget if args.budget is not None else _default_time_budget()
     report = census(text.splitlines(), mode=args.mode, jobs=args.jobs,
-                    node_limit=args.nodes, time_limit=budget)
+                    node_limit=args.nodes, time_limit=args.budget)
     if args.json:
         _emit(args, _json_out(args, report.to_json()))
     else:
@@ -320,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
                    help="node budget of the exact search; 0 (the default) "
                         "for no node budget")
-    p.add_argument("--budget", type=float, default=None,
-                   help="time budget in seconds (default from IPFKIT_BUDGET)")
+    p.add_argument("--budget", type=float, default=DEFAULT_TIME_LIMIT,
+                   help="time budget of the exact search in seconds; 0 for "
+                        "none (default %(default)s)")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("construct", help="certified IPF construction")
@@ -351,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
                    help="node budget of the exact search; 0 (the default) "
                         "for no node budget")
-    p.add_argument("--budget", type=float, default=None,
-                   help="per-graph time budget in seconds")
+    p.add_argument("--budget", type=float, default=DEFAULT_TIME_LIMIT,
+                   help="per-graph time budget of the exact search in "
+                        "seconds; 0 for none (default %(default)s)")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("bounds", help="closed-form bound values")

@@ -103,20 +103,9 @@ def is_triangle_ring(g: Graph) -> bool:
         ring_edges.append((tri_of[u], tri_of[v]))
     if any(d != 2 for d in deg):
         return False
-    # connectivity of the triangle ring (multigraph; t=2 gives a double edge)
-    seen = {0}
-    frontier = [0]
-    adjr: dict[int, list[int]] = {i: [] for i in range(len(tris))}
-    for a, b in ring_edges:
-        adjr[a].append(b)
-        adjr[b].append(a)
-    while frontier:
-        x = frontier.pop()
-        for y in adjr[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(tris)
+    # the ring of triangles is connected (Graph merges the double edge of
+    # t = 2; no edge joins a triangle to itself)
+    return Graph(len(tris), ring_edges).is_connected()
 
 
 def recognize_bad(g: Graph) -> BadnessReport:
@@ -207,27 +196,22 @@ def recognize_bad(g: Graph) -> BadnessReport:
 # Standardisation and the lift surgeries
 # ---------------------------------------------------------------------------
 
-def standardise(g: Graph, ipf: Ipf) -> Ipf:
+def standardise(ipf: Ipf) -> Ipf:
     """Rewrite the IPF until it is standardised on every induced K4-minus
-    subgraph; the path count never increases."""
+    subgraph of its host; the path count never increases."""
+    g = ipf.host
     if not g.is_subcubic():
         raise GraphError("standardisation is defined for subcubic hosts")
     limit = len(induced_k4minus_subgraphs(g)) + 1
     for _ in range(limit):
-        ok, failing = is_standardised(g, ipf)
+        ok, failing = is_standardised(ipf)
         if ok:
             return ipf
         a, b, c, d = failing[0]
         eh = {tuple(sorted(p)) for p in
               ((a, c), (a, d), (b, c), (b, d), (c, d))}
-        paths = ipf.paths()
-        path_of = {}
-        for i, p in enumerate(paths):
-            for v in p:
-                path_of[v] = i
-        same_ab = path_of[a] == path_of[b]
-        ab_path = set(paths[path_of[a]])
-        if not same_ab or c in ab_path or d in ab_path:
+        path_of = ipf.path_of
+        if path_of[b] != path_of[a] or path_of[a] in (path_of[c], path_of[d]):
             new_edges = (ipf.edges - eh) | {tuple(sorted((a, c))),
                                             tuple(sorted((b, d)))}
         else:
@@ -245,30 +229,28 @@ def standardise(g: Graph, ipf: Ipf) -> Ipf:
     raise ConstructionError("standardisation did not converge")
 
 
-def _endpoints(ipf: Ipf) -> dict[int, int]:
-    """Map endpoint vertex -> index of its path."""
-    out = {}
-    for i, p in enumerate(ipf.paths()):
-        out[p[0]] = i
-        out[p[-1]] = i
-    return out
+def _ends_apart(ipf: Ipf, x: int, y: int) -> bool:
+    """Distinct paths of the IPF end at x and at y."""
+    ends = ipf.endpoints()
+    return x in ends and y in ends and ipf.path_of[x] != ipf.path_of[y]
 
 
-def lift(g: Graph, g_prime: Graph, record: SurgeryRecord,
-         ipf_prime: Ipf) -> Ipf:
-    """Pull an IPF back through an augment/paste/suppress surgery.
+def lift(g: Graph, record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
+    """Pull an IPF of the surgery's result back to g through an
+    augment/paste/suppress surgery.
 
     Path count guarantees: unchanged for augment_triangle and
     paste_k4minus, at most one more for suppress_vertex.  Endpoint
     guarantees: a path ends at the triangle's degree-2 vertex (augment),
     two distinct paths end at the pasted edge's endpoints (paste), a path
     ends at the suppressed vertex (suppress)."""
-    redone, rerec = surgery(g, record.kind, *record.args)
+    redone, _ = surgery(g, record.kind, *record.args)
+    g_prime = ipf_prime.host
     if redone.n != g_prime.n or redone.edges != g_prime.edges:
         raise ConstructionError(
             f"surgery record {record.kind}{record.args} does not transform "
-            "the first graph into the second")
-    star = standardise(g_prime, ipf_prime)
+            "the graph into the IPF's host")
+    star = standardise(ipf_prime)
     if record.kind == "augment_triangle":
         a, b, c = record.args
         d = g.n
@@ -276,7 +258,7 @@ def lift(g: Graph, g_prime: Graph, record: SurgeryRecord,
         out = Ipf.from_edges(g, edges)
         if out.path_count > ipf_prime.path_count:
             raise ConstructionError("augment lift increased the path count")
-        if c not in _endpoints(out):
+        if c not in out.endpoints():
             raise ConstructionError(f"augment lift: no path ends at {c}")
         return out
     if record.kind == "paste_k4minus":
@@ -285,8 +267,7 @@ def lift(g: Graph, g_prime: Graph, record: SurgeryRecord,
         out = Ipf.from_edges(g, edges)
         if out.path_count > ipf_prime.path_count:
             raise ConstructionError("paste lift increased the path count")
-        ends = _endpoints(out)
-        if a not in ends or b not in ends or ends[a] == ends[b]:
+        if not _ends_apart(out, a, b):
             raise ConstructionError(
                 f"paste lift: need distinct paths ending at {a} and {b}")
         return out
@@ -303,7 +284,7 @@ def lift(g: Graph, g_prime: Graph, record: SurgeryRecord,
         out = Ipf.from_edges(g, edges)
         if out.path_count > ipf_prime.path_count + 1:
             raise ConstructionError("suppress lift exceeded count + 1")
-        if c not in _endpoints(out):
+        if c not in out.endpoints():
             raise ConstructionError(f"suppress lift: no path ends at {c}")
         return out
     raise ConstructionError(f"lift does not support surgery {record.kind!r}")
@@ -392,8 +373,7 @@ def _two_path_ipf_with_ends(g: Graph, x: int, y: int) -> Ipf:
             ipf = Ipf.from_edges(g, combo)
         except Exception:
             continue
-        ends = _endpoints(ipf)
-        if x in ends and y in ends and ends[x] != ends[y]:
+        if _ends_apart(ipf, x, y):
             return ipf
     raise ConstructionError(
         f"no 2-path IPF with ends {x},{y} on a {g.n}-vertex host")
@@ -627,7 +607,7 @@ def _blocktree(g: Graph, dec, cycles) -> Ipf:
         raise ConstructionError(
             f"block-tree construction used {out.path_count} paths, "
             f"allowed {_allowed_bound(g)}")
-    wb = is_well_behaved(g, out)
+    wb = is_well_behaved(out)
     if not wb.verdict:
         raise ConstructionError(
             f"block-tree IPF is not well-behaved: {wb.witnesses[:1]}")
@@ -759,7 +739,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
             x2, y2, l2 = leaves[j]
             g0, o2n0, n2o0 = _sub(g, set(range(n)) - l1 - l2)
             g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
-            p0 = lift(g0, g0p, rec, ipf_blocktree(g0p))
+            p0 = lift(g0, rec, ipf_blocktree(g0p))
             edges = _edges_up(p0.edges, n2o0)
             edges |= leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
             return Ipf.from_edges(g, edges)
@@ -796,7 +776,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     g0, o2n0, n2o0 = _sub(g, set(range(n)) - l1)
     g0p, rec = suppress_vertex(g0, o2n0[x1])
     if not recognize_bad(g0p).is_bad or recognize_bad(g).is_bad:
-        p0 = lift(g0, g0p, rec, ipf_blocktree(g0p))
+        p0 = lift(g0, rec, ipf_blocktree(g0p))
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
         return Ipf.from_edges(g, edges)
     # suppression produced a bad graph while the host is not bad: the
@@ -966,7 +946,7 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     lad = ladder_decomposition(g)
     if lad is not None:
         return _cubic_ladder(g, lad)
-    f = two_factor_search(g, min_cycle_len=5, minimize_cycles=True)
+    f = two_factor_search(g)
     if f is None:
         raise ConstructionError(
             "3-connected cubic host without a 2-factor of long cycles")
@@ -999,7 +979,7 @@ def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
                 nxt, rec = suppress_vertex(sub, xl)
             inner, tr = _cubic_recurse(nxt)
             trace += tr
-            p = lift(sub, nxt, rec, inner)
+            p = lift(sub, rec, inner)
             if 3 * p.path_count > ni + 1:
                 raise ConstructionError("bridge side exceeded (n+1)/3 paths")
         edges |= _edges_up(p.edges, n2o)
@@ -1051,23 +1031,22 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
     trace += tr
     p = inner
     for i in range(len(recs) - 1, -1, -1):
-        p = lift(graphs[i], graphs[i + 1], recs[i], p)
+        p = lift(graphs[i], recs[i], p)
     x0l, y0l = o2n[x0], o2n[y0]
-    ends = _endpoints(p)
+    ends = p.endpoints()
     if x0l not in ends or y0l not in ends:
         raise ConstructionError(
             "K4- reduction lost a required path end at an outside neighbour")
-    if ends[x0l] == ends[y0l]:
+    if p.path_of[x0l] == p.path_of[y0l]:
         # both ends landed on one path: reroute the end edge at y0 to its
         # other neighbour so the ends sit on distinct paths
-        path = p.paths()[ends[y0l]]
+        path = p.paths()[p.path_of[y0l]]
         u = path[1] if path[0] == y0l else path[-2]
         (v,) = (w for w in g0.adj[y0l] if w != u)
         swapped = (p.edges - {tuple(sorted((y0l, u)))}) \
             | {tuple(sorted((y0l, v)))}
         p = Ipf.from_edges(g0, swapped)
-        ends = _endpoints(p)
-        if x0l not in ends or y0l not in ends or ends[x0l] == ends[y0l]:
+        if not _ends_apart(p, x0l, y0l):
             raise ConstructionError(
                 "K4- reduction could not separate the outside path ends")
     edges = _edges_up(p.edges, n2o)
@@ -1103,8 +1082,7 @@ def _cubic_ladder(g: Graph, lad) -> tuple[Ipf, list[str]]:
                 distinct = True
             else:
                 p = Ipf.from_edges(sub, inner.edges)
-                ends = _endpoints(p)
-                distinct = (xl in ends and yl in ends and ends[xl] != ends[yl])
+                distinct = _ends_apart(p, xl, yl)
             if 3 * p.path_count > ni + 2:
                 raise ConstructionError("ladder side exceeded (n+2)/3 paths")
         sides.append({"p": p, "distinct": distinct, "verts": verts,
@@ -1152,8 +1130,7 @@ def _cubic_ladder(g: Graph, lad) -> tuple[Ipf, list[str]]:
                                           side2["p"].edges - drop)
                 except Exception:
                     continue
-                ends = _endpoints(cand)
-                if x2l in ends and y2l in ends and ends[x2l] != ends[y2l]:
+                if _ends_apart(cand, x2l, y2l):
                     p2 = cand
                     break
             if p2 is not None:
@@ -1174,7 +1151,7 @@ def _cubic_ladder(g: Graph, lad) -> tuple[Ipf, list[str]]:
     pasted, rec = paste_k4minus(sub_e, u1l, v1l)
     inner, tr = _cubic_recurse(pasted)
     trace += tr
-    p1 = lift(sub_e, pasted, rec, inner)
+    p1 = lift(sub_e, rec, inner)
     edges = _edges_up(p1.edges, n2o_e) | _edges_up(p2.edges, side2["n2o"])
     edges |= _chain_edges(upath[1:]) | _chain_edges(vpath[1:])
     return Ipf.from_edges(g, edges), trace

@@ -551,14 +551,13 @@ def _cycles_of_2_regular(g: Graph, removed: frozenset[tuple[int, int]]) -> list[
     return cycles
 
 
-def two_factor_search(g: Graph, min_cycle_len: int = 3,
-                      minimize_cycles: bool = False) -> Optional[TwoFactor]:
-    """Search for a 2-factor of a connected {2,3}-graph whose cycles all have
-    length >= min_cycle_len.
+def two_factor_search(g: Graph) -> Optional[TwoFactor]:
+    """The 2-factor of a connected {2,3}-graph with the fewest cycles (the
+    first found among ties) among those whose cycles all have length >= 5,
+    or None if there is none.
 
     A 2-factor is obtained by deleting a perfect matching of the subgraph
-    induced on the degree-3 vertices.  With minimize_cycles the factor with
-    the fewest cycles (first found among ties) is returned.
+    induced on the degree-3 vertices; every such matching is tried.
     """
     if not g.is_23_graph():
         raise GraphError("two_factor_search requires a {2,3}-graph")
@@ -573,30 +572,20 @@ def two_factor_search(g: Graph, min_cycle_len: int = 3,
 
     deg3_set = set(deg3)
 
-    def backtrack(unmatched: list[int], removed: list[tuple[int, int]]) -> bool:
+    def backtrack(unmatched: list[int], removed: list[tuple[int, int]]) -> None:
         if not unmatched:
-            rem = frozenset(removed)
-            cycles = _cycles_of_2_regular(g, rem)
-            if any(len(c) < min_cycle_len for c in cycles):
-                return False
-            tf = TwoFactor.from_cycles(cycles)
-            if not minimize_cycles:
-                best[0] = tf
-                return True
-            if len(cycles) < best_count[0]:
+            cycles = _cycles_of_2_regular(g, frozenset(removed))
+            if len(cycles) < best_count[0] and all(len(c) >= 5 for c in cycles):
                 best_count[0] = len(cycles)
-                best[0] = tf
-            return False
+                best[0] = TwoFactor.from_cycles(cycles)
+            return
         v = unmatched[0]
         rest = unmatched[1:]
         for w in g.adj[v]:
             if w in deg3_set and w in rest:
                 removed.append((min(v, w), max(v, w)))
-                nxt = [x for x in rest if x != w]
-                if backtrack(nxt, removed):
-                    return True
+                backtrack([x for x in rest if x != w], removed)
                 removed.pop()
-        return False
 
     backtrack(deg3, [])
     return best[0]

@@ -3,12 +3,18 @@
 An IPF is stored as the set of edges of its paths; vertices incident with no
 chosen edge are trivial one-vertex paths.  The number of paths always equals
 n minus the number of chosen edges.
+
+An ``Ipf`` built by ``from_edges`` or ``from_paths`` is verified once, at
+construction, and keeps the paths ``verify_ipf`` returned; every later
+question about its paths reads them.  The raw constructor ``Ipf(host,
+edges)`` is unchecked: it verifies on the first question about its paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .graph import Graph, block_decomposition
 
@@ -89,45 +95,50 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Ipf:
-    """An IPF bound to its host graph."""
+    """An IPF bound to its host graph.
+
+    ``from_edges`` and ``from_paths`` verify the edge set against the host
+    once, raising IpfError if it is no IPF, and keep its paths.
+    ``Ipf(host, edges)`` takes a normalised edge set unchecked and verifies
+    it when its paths are first read, so ``paths()`` raises IpfError then.
+    """
 
     host: Graph
     edges: frozenset[tuple[int, int]]
 
     @staticmethod
-    def from_edges(host: Graph, edges: Iterable[tuple[int, int]],
-                   check: bool = True) -> "Ipf":
-        es = _norm_edges(edges)
-        if check:
-            verify_ipf(host, es)
-        return Ipf(host, es)
+    def from_edges(host: Graph, edges: Iterable[tuple[int, int]]) -> "Ipf":
+        ipf = Ipf(host, _norm_edges(edges))
+        ipf._paths  # verify now, once
+        return ipf
 
     @staticmethod
-    def from_paths(host: Graph, paths: Iterable[Sequence[int]],
-                   check: bool = True) -> "Ipf":
+    def from_paths(host: Graph, paths: Iterable[Sequence[int]]) -> "Ipf":
         es = []
         for p in paths:
             es.extend(zip(p, p[1:]))
-        return Ipf.from_edges(host, es, check=check)
+        return Ipf.from_edges(host, es)
+
+    @cached_property
+    def _paths(self) -> list[list[int]]:
+        # read, never changed: paths() hands out copies
+        return verify_ipf(self.host, self.edges)
+
+    @cached_property
+    def path_of(self) -> dict[int, int]:
+        """Vertex -> index of its path in ``paths()`` (shared: read only)."""
+        return {v: i for i, p in enumerate(self._paths) for v in p}
 
     @property
     def path_count(self) -> int:
         return self.host.n - len(self.edges)
 
     def paths(self) -> list[list[int]]:
-        return verify_ipf(self.host, self.edges)
-
-    def rebind(self, host: Graph, check: bool = True) -> "Ipf":
-        """Reinterpret the same edge set as an IPF of another host."""
-        return Ipf.from_edges(host, self.edges, check=check)
+        return [list(p) for p in self._paths]
 
     def endpoints(self) -> set[int]:
         """Vertices at which some path of the IPF ends (trivial paths count)."""
-        ends = set()
-        for p in self.paths():
-            ends.add(p[0])
-            ends.add(p[-1])
-        return ends
+        return {v for p in self._paths for v in (p[0], p[-1])}
 
     def to_json_fragment(self) -> dict:
         return {
@@ -149,17 +160,18 @@ class WellBehavedReport:
     witnesses: list[tuple[tuple[int, ...], tuple[int, int]]] = field(default_factory=list)
 
 
-def is_well_behaved(g: Graph, ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
-    """Check every path's low-degree vertices lie in one block, or form the
-    endpoints of a bridge-centred 4-vertex subpath; S excludes R."""
+def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
+    """Check every path's low-degree vertices lie in one block of the host,
+    or form the endpoints of a bridge-centred 4-vertex subpath; S excludes
+    R."""
+    g = ipf.host
     if not g.is_subcubic():
         raise ValueError("well-behavedness is defined for subcubic hosts")
     Rset = frozenset(R)
     S = {v for v in range(g.n) if g.degree(v) <= 2} - Rset
     dec = block_decomposition(g)
-    paths = verify_ipf(g, ipf.edges)
     witnesses: list[tuple[tuple[int, ...], tuple[int, int]]] = []
-    for path in paths:
+    for path in ipf._paths:
         vs = [v for v in path if v in S]
         if len(vs) <= 1:
             continue
@@ -196,43 +208,25 @@ def induced_k4minus_subgraphs(g: Graph) -> list[tuple[int, int, int, int]]:
     return found
 
 
-def is_standardised(g: Graph, ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:
-    """True iff the IPF is standardised on every induced K4- subgraph.
+def is_standardised(ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:
+    """True iff the IPF is standardised on every induced K4- subgraph of
+    its host: the two degree-3 vertices c, d end distinct paths, through
+    the edges ca and db or cb and da.
 
     Returns (verdict, failing K4- tuples as produced by
     induced_k4minus_subgraphs)."""
+    g = ipf.host
     if not g.is_subcubic():
         raise ValueError("standardisation is defined for subcubic hosts")
-    paths = verify_ipf(g, ipf.edges)
-    path_of: dict[int, int] = {}
-    end_edge: dict[int, Optional[tuple[int, int]]] = {}
-    for idx, p in enumerate(paths):
-        for v in p:
-            path_of[v] = idx
-        for e_v, nb in ((p[0], p[1] if len(p) > 1 else None),
-                        (p[-1], p[-2] if len(p) > 1 else None)):
-            if nb is not None:
-                end_edge[e_v] = (min(e_v, nb), max(e_v, nb))
+    ends = ipf.endpoints()
+    path_of = ipf.path_of
 
-    def endpoint_to(v: int, target: int) -> bool:
-        e = end_edge.get(v)
-        return e == (min(v, target), max(v, target))
+    def ends_through(v: int, w: int) -> bool:
+        """A path ends at v with the edge vw."""
+        return v in ends and (min(v, w), max(v, w)) in ipf.edges
 
-    failing = []
-    for a, b, c, d in induced_k4minus_subgraphs(g):
-        ok = False
-        for x, y in ((a, b), (b, a)):
-            if (endpoint_to(c, x) and endpoint_to(d, y)
-                    and path_of[c] != path_of[d]):
-                ok = True
-                break
-        # c and d may also swap roles with each other
-        if not ok:
-            for x, y in ((a, b), (b, a)):
-                if (endpoint_to(d, x) and endpoint_to(c, y)
-                        and path_of[c] != path_of[d]):
-                    ok = True
-                    break
-        if not ok:
-            failing.append((a, b, c, d))
+    failing = [(a, b, c, d) for a, b, c, d in induced_k4minus_subgraphs(g)
+               if path_of[c] == path_of[d]
+               or not any(ends_through(c, x) and ends_through(d, y)
+                          for x, y in ((a, b), (b, a)))]
     return not failing, failing

@@ -84,14 +84,14 @@ def longest_induced_path_order(g: Graph, exact_cap: int = 20) -> int:
     return best
 
 
-def rho_exhaustive(g: Graph, hard_cap: int = EXHAUSTIVE_CAP) -> SolveResult:
+def rho_exhaustive(g: Graph) -> SolveResult:
     """Exact rho by exhaustive search over IPF edge subsets.
 
     Independent of the branch-and-bound kernel by construction: it walks
     the powerset of the edge list, extending only valid partial systems.
     """
-    if g.n > hard_cap:
-        raise ValueError(f"rho_exhaustive is capped at n <= {hard_cap}")
+    if g.n > EXHAUSTIVE_CAP:
+        raise ValueError(f"rho_exhaustive is capped at n <= {EXHAUSTIVE_CAP}")
     t0 = time.monotonic()
     edges = g.sorted_edges()
     m = len(edges)

@@ -135,7 +135,7 @@ def test_criterion_8_lift_contracts():
     def check(g, h, rec, slack, ends, distinct=None):
         nonlocal count
         prime = rho_exact(h).witness
-        out = lift(g, h, rec, prime)
+        out = lift(g, rec, prime)
         paths = verify_ipf(g, out.edges)
         assert len(paths) <= prime.path_count + slack
         e = out.endpoints()
@@ -145,8 +145,8 @@ def test_criterion_8_lift_contracts():
             pa = next(i for i, p in enumerate(paths) if a in (p[0], p[-1]))
             pb = next(i for i, p in enumerate(paths) if b in (p[0], p[-1]))
             assert pa != pb
-        if is_well_behaved(h, prime).verdict:
-            assert is_well_behaved(g, out, R=ends).verdict
+        if is_well_behaved(prime).verdict:
+            assert is_well_behaved(out, R=ends).verdict
         count += 1
 
     for _ in range(180):

@@ -120,6 +120,10 @@ def test_verify_path_count_mismatch(capsys, tmp_path):
     {"graph6": "A_", "edges": [[0, 1]], "ipf": [[0, 1]]},
     {"graph6": 5, "edges": [[0, 1]]},
     {"graph6": "A_", "edges": [[0]]},
+    {"graph6": "A_", "edges": [[0, "a"]]},
+    {"graph6": "A_", "edges": [[0, None]]},
+    {"graph6": "A_", "edges": [[0, 1.0]]},
+    {"graph6": "A_", "edges": [[False, True]]},
 ])
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"

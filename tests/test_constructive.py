@@ -14,7 +14,8 @@ from ipfkit import (
     is_triangle_ring, recognize_bad, rho_exact, rho_exhaustive,
     two_factor_search, verify_ipf,
 )
-from ipfkit import constructive, graph
+from ipfkit import Ipf, constructive, graph
+from ipfkit import ipf as ipf_module
 from ipfkit.constructive import _allowed_bound
 from ipfkit.families import (
     bad_graph, petersen, subdivided_complete, tietze, triangle_ring,
@@ -145,7 +146,7 @@ def test_2factor_assembly_single_cycle():
 
 def test_2factor_assembly_multi_cycle():
     g = petersen()
-    f = two_factor_search(g, min_cycle_len=5, minimize_cycles=True)
+    f = two_factor_search(g)
     assert f is not None and len(f.cycles) == 2
     ipf = ipf_23_with_2factor(g, f)
     assert ipf.path_count <= 3
@@ -153,7 +154,6 @@ def test_2factor_assembly_multi_cycle():
 
 def test_2factor_assembly_rejects_short_cycles():
     g = census_graphs(6)[0]
-    f = two_factor_search(g, min_cycle_len=3)
     cyc = hamilton_cycle(g)
     if cyc is None or g.n >= 7:
         return
@@ -323,6 +323,26 @@ def test_cubic_flower_snarks_use_a_multi_cycle_2factor(monkeypatch, k):
     check_certificate(g, cert)
     assert cert.trace == ["two-factor"]
     assert len(factors) == 1 and len(factors[0][1].cycles) > 1
+
+
+def test_cubic_verifies_each_built_ipf_once(monkeypatch):
+    calls = {"verify_ipf": 0, "from_edges": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(ipf_module, "verify_ipf",
+                        counted("verify_ipf", ipf_module.verify_ipf))
+    monkeypatch.setattr(Ipf, "from_edges",
+                        staticmethod(counted("from_edges", Ipf.from_edges)))
+    traces = set()
+    for g in [flower_snark(7)] + census_graphs(14):
+        cert = ipf_cubic(g)
+        traces.update(cert.trace)
+    assert {"bridge-split", "k4minus-reduction", "two-factor"} <= traces
+    assert calls["verify_ipf"] == calls["from_edges"] > 0
 
 
 def test_cubic_decides_hamiltonicity_once(monkeypatch):

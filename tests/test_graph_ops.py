@@ -176,7 +176,7 @@ def test_two_factor_search_validates():
 
 
 def test_two_factor_min_cycle_len():
-    f = two_factor_search(petersen(), min_cycle_len=5, minimize_cycles=True)
+    f = two_factor_search(petersen())
     assert f is not None
     assert all(len(c) >= 5 for c in f.cycles)
 
@@ -185,4 +185,4 @@ def test_two_factor_absent():
     # theta graph: three length-2 paths between 0 and 1; disjoint cycles
     # cannot cover all three middle vertices
     g = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-    assert two_factor_search(g, min_cycle_len=3) is None
+    assert two_factor_search(g) is None

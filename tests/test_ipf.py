@@ -5,8 +5,9 @@ import pytest
 
 from ipfkit import (
     Graph, Ipf, IpfError, induced_k4minus_subgraphs, is_standardised,
-    is_well_behaved, verify_ipf,
+    is_well_behaved, standardise, verify_ipf,
 )
+from ipfkit import ipf as ipf_module
 
 
 def path_graph(n):
@@ -67,6 +68,11 @@ def test_stray_edge_rejected():
     with pytest.raises(IpfError) as exc:
         Ipf.from_edges(g, [(0, 2)])
     assert exc.value.kind == "edges"
+    # the raw constructor is unchecked until its paths are read
+    raw = Ipf(g, frozenset({(0, 2)}))
+    with pytest.raises(IpfError) as exc:
+        raw.paths()
+    assert exc.value.kind == "edges"
 
 
 def test_from_paths_roundtrip():
@@ -76,20 +82,29 @@ def test_from_paths_roundtrip():
     assert ipf.paths() == [[0, 1, 2], [3, 4, 5]]
 
 
-def test_rebind_checks_new_host():
-    g = path_graph(4)
-    ipf = Ipf.from_edges(g, g.edges)
-    h = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with pytest.raises(IpfError):
-        ipf.rebind(h)  # same edges close a cycle... no, they chord
-    ipf.rebind(h, check=False)
+def test_built_ipf_answers_without_verifying_again(monkeypatch):
+    # K4- with the standardised 2-path IPF: every question about its paths
+    # reads what from_paths verified
+    g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    ipf = Ipf.from_paths(g, [[0, 2], [1, 3]])
+
+    def refuse(*args):
+        raise AssertionError("verify_ipf called on a built IPF")
+    monkeypatch.setattr(ipf_module, "verify_ipf", refuse)
+    ipf.paths()[0].append(7)  # a copy: the kept paths stay as verified
+    assert ipf.paths() == [[0, 2], [1, 3]]
+    assert ipf.endpoints() == {0, 1, 2, 3}
+    assert ipf.to_json_fragment()["paths"] == [[0, 2], [1, 3]]
+    assert is_well_behaved(ipf).verdict
+    assert is_standardised(ipf) == (True, [])
+    assert standardise(ipf) is ipf
 
 
 def test_well_behaved_single_block():
     # C5: every vertex has degree 2 and lies in the single block
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     ipf = Ipf.from_paths(c5, [[1, 0, 4], [2, 3]])
-    rep = is_well_behaved(c5, ipf)
+    rep = is_well_behaved(ipf)
     assert rep.verdict
 
 
@@ -99,7 +114,7 @@ def test_well_behaved_bridge_subpath_clause():
     ipf = Ipf.from_paths(g, [[1, 2, 3, 4], [0], [5]])
     # degree-2 vertices 0,1,4,5; path [1,2,3,4] meets S at {1,4} with the
     # bridge 2-3 centred between them
-    rep = is_well_behaved(g, ipf)
+    rep = is_well_behaved(ipf)
     assert rep.verdict
 
 
@@ -109,11 +124,11 @@ def test_not_well_behaved_reports_witness():
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                   (4, 6)])
     ipf = Ipf.from_paths(g, [[1, 2, 3, 4, 5], [0], [6]])
-    rep = is_well_behaved(g, ipf)
+    rep = is_well_behaved(ipf)
     assert not rep.verdict
     assert rep.witnesses
     # excusing the offending vertices restores the verdict
-    assert is_well_behaved(g, ipf, R={1, 3}).verdict
+    assert is_well_behaved(ipf, R={1, 3}).verdict
 
 
 def test_k4minus_detection():
@@ -127,8 +142,8 @@ def test_k4minus_detection():
 def test_standardised_verdicts():
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     good = Ipf.from_paths(g, [[0, 2], [1, 3]])
-    ok, failing = is_standardised(g, good)
+    ok, failing = is_standardised(good)
     assert ok and not failing
     bad = Ipf.from_paths(g, [[2, 3], [0], [1]])
-    ok, failing = is_standardised(g, bad)
+    ok, failing = is_standardised(bad)
     assert not ok and failing == [(0, 1, 2, 3)]

@@ -102,7 +102,7 @@ def test_surgery_dispatch():
 
 def check_lift(g, h, rec, slack, must_end, distinct_pair=None):
     prime = rho_exact(h).witness
-    out = lift(g, h, rec, prime)
+    out = lift(g, rec, prime)
     paths = verify_ipf(g, out.edges)
     assert len(paths) <= prime.path_count + slack
     ends = out.endpoints()
@@ -113,8 +113,8 @@ def check_lift(g, h, rec, slack, must_end, distinct_pair=None):
         pa = next(i for i, p in enumerate(paths) if p[0] == a or p[-1] == a)
         pb = next(i for i, p in enumerate(paths) if p[0] == b or p[-1] == b)
         assert pa != pb
-    if is_well_behaved(h, prime).verdict:
-        rep = is_well_behaved(g, out, R=must_end if not distinct_pair
+    if is_well_behaved(prime).verdict:
+        rep = is_well_behaved(out, R=must_end if not distinct_pair
                               else distinct_pair)
         assert rep.verdict
     return out

@@ -112,12 +112,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
+    g6 = write_graph6(g)  # the output needs it: fail on n > 62 before any work
     method = args.method
     f = None  # a 2-factor found by auto mode, reused by the 2factor method
     if method == "auto":
         if g.is_cubic() and g.is_connected():
             method = "cubic"
-        elif g.is_23_graph() and g.is_connected() \
+        elif g.n >= 7 and g.is_23_graph() and g.is_connected() \
                 and (f := two_factor_search(g)) is not None:
             method = "2factor"
         elif g.n <= EXHAUSTIVE_CAP:
@@ -144,7 +145,7 @@ def _cmd_construct(args) -> int:
                 ipf = rho_exhaustive(g).witness
             else:
                 raise CliError(f"unknown method {method!r}")
-            payload = {"graph6": write_graph6(g), "n": g.n,
+            payload = {"graph6": g6, "n": g.n,
                        "method": method, "ipf": ipf.to_json_fragment(),
                        "verified": True}
     except (ConstructionError, GraphError, IpfError) as exc:

@@ -18,11 +18,12 @@ from .graph import (
     Graph, GraphError, TwoFactor, block_decomposition, hamilton_cycle,
     is_hamiltonian, ladder_decomposition, two_factor_search, write_graph6,
 )
-from .ipf import Ipf, induced_k4minus_subgraphs, is_standardised, is_well_behaved
+from .ipf import (
+    Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
+)
 from .solver import rho_exhaustive
 from .surgery import (
-    SurgeryRecord, augment_triangle, paste_k4minus, subdivide_edge,
-    suppress_vertex, surgery,
+    SurgeryRecord, augment_triangle, paste_k4minus, suppress_vertex, surgery,
 )
 
 
@@ -74,38 +75,12 @@ def is_triangle_ring(g: Graph) -> bool:
         return False
     if len(g.edges) != n + n // 3:
         return False
+    # n/3 triangles covering V are disjoint; two degree-3 vertices on each
+    # join it to two others, which in a connected g closes one ring
     tris = _triangles(g)
-    if len(tris) != n // 3:
-        return False
-    tri_of = {}
-    for i, t in enumerate(tris):
-        for v in t:
-            if v in tri_of:
-                return False  # triangles must be disjoint
-            tri_of[v] = i
-    if len(tri_of) != n:
-        return False
-    tri_edges = {tuple(sorted(p)) for t in tris for p in itertools.combinations(t, 2)}
-    external = [e for e in g.sorted_edges() if e not in tri_edges]
-    # each triangle carries exactly two external edges, at distinct vertices,
-    # and the external edges connect the triangles into a single ring
-    deg = [0] * len(tris)
-    ends: dict[int, int] = {}
-    ring_edges = []
-    for u, v in external:
-        if tri_of[u] == tri_of[v]:
-            return False
-        if u in ends or v in ends:
-            return False  # at most one external edge per vertex
-        ends[u] = ends[v] = 1
-        deg[tri_of[u]] += 1
-        deg[tri_of[v]] += 1
-        ring_edges.append((tri_of[u], tri_of[v]))
-    if any(d != 2 for d in deg):
-        return False
-    # the ring of triangles is connected (Graph merges the double edge of
-    # t = 2; no edge joins a triangle to itself)
-    return Graph(len(tris), ring_edges).is_connected()
+    return (len(tris) == n // 3
+            and len({v for t in tris for v in t}) == n
+            and all(sum(g.degree(v) == 3 for v in t) == 2 for t in tris))
 
 
 def recognize_bad(g: Graph) -> BadnessReport:
@@ -335,7 +310,7 @@ def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
                 second = order[length + 1:]
                 try:
                     ipf = Ipf.from_paths(c, [p for p in (first, second) if p])
-                except Exception:
+                except IpfError:
                     continue
                 exempt = 1 if n == 5 else 2  # order 6 may break at x's neighbour
                 if all(c.degree(v) == 3 for v in first[exempt:]):
@@ -371,7 +346,7 @@ def _two_path_ipf_with_ends(g: Graph, x: int, y: int) -> Ipf:
     for combo in itertools.combinations(edges, g.n - 2):
         try:
             ipf = Ipf.from_edges(g, combo)
-        except Exception:
+        except IpfError:
             continue
         if _ends_apart(ipf, x, y):
             return ipf
@@ -619,7 +594,8 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
     if len(dec.blocks) == 1:
         return _ham23(g, cycles[0])
     if n <= 12:
-        return _two_block_assembly(g, dec)
+        (bridge,) = dec.bridges
+        return _bridge_assembly(g, bridge)
     # a bridge whose larger side is not bad lets the two sides recurse freely
     for bridge in sorted(dec.bridges):
         s0, s1 = _bridge_sides(g, bridge)
@@ -634,66 +610,33 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
             pb = ipf_blocktree(gb)
             edges = _edges_up(pa.edges, a_n2o) | _edges_up(pb.edges, b_n2o)
             return Ipf.from_edges(g, edges)
-    # a bridge with both sides of order >= 6: each side is order 6 or bad,
-    # and the bad-side endpoint lies in a triangle of its hub
+    # a bridge with both sides of order >= 6: each side is order 6 or bad
     for bridge in sorted(dec.bridges):
-        s0, s1 = _bridge_sides(g, bridge)
-        if len(s0) < 6 or len(s1) < 6:
-            continue
-        return _bad_bridge_assembly(g, bridge, s0, s1)
+        if min(map(len, _bridge_sides(g, bridge))) >= 6:
+            return _bridge_assembly(g, bridge)
     return _star_assembly(g, dec)
 
 
-def _two_block_assembly(g: Graph, dec) -> Ipf:
-    assert len(dec.blocks) == 2 and len(dec.bridges) == 1
-    (bridge,) = dec.bridges
-    b0, b1 = dec.blocks
-    if len(b0) < len(b1):
-        b0, b1 = b1, b0
-    x0 = bridge[0] if bridge[0] in b0 else bridge[1]
-    x1 = bridge[1] if bridge[0] in b0 else bridge[0]
+def _bridge_assembly(g: Graph, bridge) -> Ipf:
+    """IPF with the bridge on a path.  A side of order <= 7 gets a small
+    hamiltonian IPF with a path ending at its bridge endpoint; a larger
+    side must be bad with that endpoint in a triangle of its hub, and is
+    covered without the endpoint."""
     edges = {bridge}
-    for blk, x in ((b0, x0), (b1, x1)):
-        sub, o2n, n2o = _sub(g, blk)
-        p = ipf_small_ham(sub, o2n[x])
+    for side, x in zip(_bridge_sides(g, bridge), bridge):
+        sub, o2n, n2o = _sub(g, side)
+        if len(side) <= 7:
+            p = ipf_small_ham(sub, o2n[x])
+        else:
+            bad = recognize_bad(sub)
+            if not bad.is_bad or o2n[x] not in bad.hub \
+                    or _triangle_of(sub, o2n[x]) is None:
+                raise ConstructionError(
+                    "bridge endpoint of a large side is not in a triangle "
+                    "of a bad hub")
+            sub, _, n2o = _sub(g, side - {x})
+            p = ipf_blocktree(sub)
         edges |= _edges_up(p.edges, n2o)
-    return Ipf.from_edges(g, edges)
-
-
-def _bad_bridge_assembly(g: Graph, bridge, s0, s1) -> Ipf:
-    # orient so side a is bad (order >= 9); side b is order 6 or also bad
-    ga, _, _ = _sub(g, s0)
-    if recognize_bad(ga).is_bad:
-        sa, sb = s0, s1
-    else:
-        sa, sb = s1, s0
-    xa = bridge[0] if bridge[0] in sa else bridge[1]
-    xb = bridge[1] if bridge[0] in sa else bridge[0]
-    ga, a_o2n, _ = _sub(g, sa)
-    bad_a = recognize_bad(ga)
-    if not bad_a.is_bad:
-        raise ConstructionError("bridge assembly expected a bad side")
-    hub_a = {v for v in sa if a_o2n[v] in bad_a.hub}
-    if xa not in hub_a or _triangle_of(ga, a_o2n[xa]) is None:
-        raise ConstructionError("bad-side bridge endpoint not in a hub triangle")
-    ga_minus, _, am_n2o = _sub(g, sa - {xa})
-    pa = ipf_blocktree(ga_minus)
-    edges = _edges_up(pa.edges, am_n2o) | {bridge}
-    if len(sb) == 6:
-        gb, b_o2n, b_n2o = _sub(g, sb)
-        pb = ipf_small_ham(gb, b_o2n[xb])
-        edges |= _edges_up(pb.edges, b_n2o)
-    else:
-        gb, b_o2n, _ = _sub(g, sb)
-        bad_b = recognize_bad(gb)
-        if not bad_b.is_bad:
-            raise ConstructionError("expected the second side to be bad")
-        hub_b = {v for v in sb if b_o2n[v] in bad_b.hub}
-        if xb not in hub_b or _triangle_of(gb, b_o2n[xb]) is None:
-            raise ConstructionError("second bridge endpoint not in a hub triangle")
-        gb_minus, _, bm_n2o = _sub(g, sb - {xb})
-        pb = ipf_blocktree(gb_minus)
-        edges |= _edges_up(pb.edges, bm_n2o)
     return Ipf.from_edges(g, edges)
 
 
@@ -1128,7 +1071,7 @@ def _cubic_ladder(g: Graph, lad) -> tuple[Ipf, list[str]]:
                 try:
                     cand = Ipf.from_edges(side2["sub"],
                                           side2["p"].edges - drop)
-                except Exception:
+                except IpfError:
                     continue
                 if _ends_apart(cand, x2l, y2l):
                     p2 = cand

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ipfkit import Graph, write_graph6
+from ipfkit import Graph, write_adjlist, write_graph6
 from ipfkit import cli
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
@@ -18,6 +18,10 @@ def petersen_file(tmp_path):
     p = tmp_path / "petersen.g6"
     p.write_text(write_graph6(petersen()) + "\n")
     return str(p)
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def run(capsys, argv):
@@ -82,6 +86,37 @@ def test_construct_auto_searches_2factor_once(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["method"] == "2factor"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_construct_auto_small_cycle_is_exact(capsys, tmp_path, n):
+    # C5 and C6 have a long 2-factor, but the 2-factor route needs n >= 7
+    path = tmp_path / "cycle.g6"
+    path.write_text(write_graph6(cycle(n)) + "\n")
+    code, out, _ = run(capsys, ["construct", "--input", str(path),
+                                "--json", "--stable"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["method"] == "exact" and doc["ipf"]["path_count"] == 2
+
+
+def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
+                                                        monkeypatch):
+    # C90 plus a chord: auto mode would search for a 2-factor, and the
+    # answer could never be written as short-form graph6
+    g = Graph(90, cycle(90).edges | {(0, 45)})
+    path = tmp_path / "big.txt"
+    path.write_text(write_adjlist(g))
+    called = []
+    for name in ("ipf_cubic", "ipf_ham23", "ipf_blocktree",
+                 "ipf_23_with_2factor", "two_factor_search", "rho_exhaustive"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: called.append(name))
+    code, _, err = run(capsys, ["construct", "--input", str(path),
+                                "--format", "adjlist"])
+    assert code == EXIT_VIOLATION
+    assert "n <= 62" in err
+    assert called == []
 
 
 def test_construct_verify_pipe(capsys, petersen_file, tmp_path):

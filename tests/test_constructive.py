@@ -11,8 +11,8 @@ import pytest
 from ipfkit import (
     Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
-    is_triangle_ring, recognize_bad, rho_exact, rho_exhaustive,
-    two_factor_search, verify_ipf,
+    is_triangle_ring, is_well_behaved, recognize_bad, rho_exact,
+    rho_exhaustive, two_factor_search, verify_ipf,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
@@ -68,6 +68,15 @@ def test_small_ham_order_7():
 def test_small_ham_rejects_other_orders():
     with pytest.raises(GraphError):
         ipf_small_ham(cycle(8))
+
+
+def test_small_ham_lets_verifier_faults_through(monkeypatch):
+    # only IpfError means "this split is no IPF"; anything else is a bug
+    def broken(g, edges):
+        raise RuntimeError("verifier fault")
+    monkeypatch.setattr(ipf_module, "verify_ipf", broken)
+    with pytest.raises(RuntimeError, match="verifier fault"):
+        ipf_small_ham(cycle(5), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +312,61 @@ def test_cubic_ladder_with_order_4_side(monkeypatch):
     assert [args[0].n for args, _ in ends] == [4]
 
 
-def test_blocktree_bad_bridge_assembly(monkeypatch):
-    bad = bad_graph(6, (0,), 1)
-    edges = list(bad.edges) + [(u + 12, v + 12) for u, v in bad.edges]
-    g = Graph(24, edges + [(0, 12)])
-    assembled = spy(monkeypatch, "_bad_bridge_assembly")
+def joined(a, b, x, y):
+    """a and b side by side, b shifted past a, bridged from x in a to y
+    in b."""
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return Graph(a.n + b.n, edges + [(x, a.n + y)])
+
+
+def check_blocktree(g):
     ipf = ipf_blocktree(g)
     assert len(verify_ipf(g, ipf.edges)) == ipf.path_count
     assert ipf.path_count <= _allowed_bound(g)
-    assert len(assembled) == 1
+    assert is_well_behaved(ipf).verdict
+    return ipf
+
+
+def test_blocktree_bad_bridge_assembly(monkeypatch):
+    bad = bad_graph(6, (0,), 1)
+    g = joined(bad, bad, 0, 0)
+    assembled = spy(monkeypatch, "_bridge_assembly")
+    check_blocktree(g)
+    # the recursion into the bad sides assembles bridges too; spy records
+    # on return, so the outermost call, the first one made, comes last
+    assert assembled[-1][0][0] is g
+
+
+@pytest.mark.parametrize("first,second", [(6, 9), (9, 6)])
+def test_blocktree_ring_bridge_in_either_labelling(first, second):
+    # an order-6 triangle ring is bad but too small to lose its bridge
+    # endpoint; which ring is labelled first must not matter
+    g = joined(triangle_ring(first), triangle_ring(second), 0, 0)
+    assert check_blocktree(g).path_count == 4
+
+
+def c5_star(x1, x2):
+    """C5 centre with two order-5 leaves (C5 plus the chord 0-2), bridged
+    from centre vertices x1 and x2 to the leaves' degree-2 vertex 3."""
+    leaf = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    g = joined(joined(cycle(5), leaf, x1, 3), leaf, x2, 3)
+    assert g.n == 15
+    return g
+
+
+def test_blocktree_c5_centre_with_leaves_at_distance_2(monkeypatch):
+    pasted = spy(monkeypatch, "paste_k4minus")
+    recursed = spy(monkeypatch, "ipf_blocktree")
+    stars = spy(monkeypatch, "_star_assembly")
+    assert check_blocktree(c5_star(0, 2)).path_count == 4
+    assert len(stars) == 1 and pasted == [] and recursed == []
+
+
+def test_blocktree_c5_centre_with_adjacent_leaves(monkeypatch):
+    pasted = spy(monkeypatch, "paste_k4minus")
+    stars = spy(monkeypatch, "_star_assembly")
+    assert check_blocktree(c5_star(0, 1)).path_count == 4
+    assert len(stars) == 1 and len(pasted) == 1
 
 
 @pytest.mark.parametrize("k", [5, 7])

@@ -14,6 +14,20 @@
  * is then the first path the enumeration closes (both arms grow to their
  * ends before any close), so it was tried before the incumbent fell.
  *
+ * Counting identity: while count + 3 == best_count, a child improves only
+ * if avail minus the closed path A is one induced path B, and then the sum
+ * of c(x) = deg_U(x) - 2 over A equals target = e(U) - |U| on any host
+ * (U = avail; the degrees over A sum to 2e(A) + e(A, B), and e(U) = e(A) +
+ * e(B) + e(A, B) with e(A) = |A| - 1 and e(B) = |B| - 1).  solve computes
+ * target, the arms carry the running sum p, close_path drops a path with
+ * p != target that leaves vertices uncovered, and grow stops once
+ * p - 2 > target on the left arm or p - 1 > target on the right arm (a
+ * later vertex has c >= -1, and one with c = -1 ends its arm).  The
+ * condition is tested on every call, because best_count falls while a
+ * node enumerates.  Only children whose close_last would fail are
+ * dropped, so rho, witnesses and the order of incumbents stay those of
+ * the full enumeration; the Python twin gives the proof in full.
+ *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
  */
@@ -48,7 +62,8 @@ typedef struct {
 
 static void solve(Solver *s, u64 covered, int count, int depth);
 static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
-                 u64 path, int tip, int lfirst, int left_done, int depth);
+                 int target, u64 path, int p, int tip, int lfirst,
+                 int left_done, int depth);
 
 static void push_edge(Solver *s, int depth, int a, int b)
 {
@@ -112,10 +127,27 @@ static void close_last(Solver *s, u64 avail, int count, int depth)
         solve(s, s->full, count + 1, depth);  /* records the cover */
 }
 
+/* c(w) = deg_U(w) - 2 of the counting identity, U = avail. */
+static int excess(Solver *s, u64 avail, int w)
+{
+    return POPCNT(s->adj[w] & avail) - 2;
+}
+
+/* Close the path: the child solve, unless count + 3 == best_count and the
+ * path's sum p misses the target while leaving vertices uncovered, so
+ * that the child's close_last would fail. */
+static void close_path(Solver *s, u64 covered, int count, u64 avail,
+                       int target, u64 path, int p, int depth)
+{
+    if (count + 3 == s->best_count && p != target && path != avail)
+        return;
+    solve(s, covered | path, count + 1, depth);
+}
+
 /* Start the right arm at v; lfirst is the first vertex of the left arm,
  * or -1 when the left arm is empty. */
 static void grow_right(Solver *s, u64 covered, int count, u64 avail, int v,
-                       u64 path, int lfirst, int depth)
+                       int target, u64 path, int p, int lfirst, int depth)
 {
     u64 cands = s->adj[v] & avail & ~path;
     u64 blocked = path & ~(1ULL << v);
@@ -128,22 +160,26 @@ static void grow_right(Solver *s, u64 covered, int count, u64 avail, int v,
         if (s->adj[w] & blocked)
             continue;
         push_edge(s, depth, v, w);
-        grow(s, covered, count, avail, v, path | wbit, w, lfirst, 1,
-             depth + 1);
+        grow(s, covered, count, avail, v, target, path | wbit,
+             p + excess(s, avail, w), w, lfirst, 1, depth + 1);
     }
     /* empty right arm: close here only when the left arm is also empty,
      * otherwise the reversed orientation covers this path */
     if (lfirst < 0)
-        solve(s, covered | path, count + 1, depth);
+        close_path(s, covered, count, avail, target, path, p, depth);
 }
 
-/* Extend the current arm at tip, longest extensions first. */
+/* Extend the current arm at tip, longest extensions first; p is the sum
+ * of c over the path. */
 static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
-                 u64 path, int tip, int lfirst, int left_done, int depth)
+                 int target, u64 path, int p, int tip, int lfirst,
+                 int left_done, int depth)
 {
     u64 cands, blocked;
     if (out_of_time(s) || count + 2 >= s->best_count)
         return;  /* out of time, or a dead node (see the header) */
+    if (count + 3 == s->best_count && p - (left_done ? 1 : 2) > target)
+        return;  /* every later vertex adds at least -1, an arm's end */
     cands = s->adj[tip] & avail & ~path;
     blocked = path & ~(1ULL << tip);
     while (cands) {
@@ -153,19 +189,20 @@ static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
         if (s->adj[w] & blocked)
             continue;  /* chord against the rest of the path */
         push_edge(s, depth, tip, w);
-        grow(s, covered, count, avail, v, path | wbit, w, lfirst, left_done,
-             depth + 1);
+        grow(s, covered, count, avail, v, target, path | wbit,
+             p + excess(s, avail, w), w, lfirst, left_done, depth + 1);
     }
     if (!left_done)
-        grow_right(s, covered, count, avail, v, path, lfirst, depth);
+        grow_right(s, covered, count, avail, v, target, path, p, lfirst,
+                   depth);
     else
-        solve(s, covered | path, count + 1, depth);
+        close_path(s, covered, count, avail, target, path, p, depth);
 }
 
 static void solve(Solver *s, u64 covered, int count, int depth)
 {
-    u64 avail, lbits;
-    int v;
+    u64 avail, lbits, bits;
+    int v, target, pv;
     if (covered == s->full) {
         if (count < s->best_count) {
             s->best_count = count;
@@ -192,6 +229,12 @@ static void solve(Solver *s, u64 covered, int count, int depth)
         return;
     }
     v = CTZ(avail);
+    /* the counting identity's target e(U) - |U| (see the header) */
+    target = 0;
+    for (bits = avail; bits; bits &= bits - 1)
+        target += POPCNT(s->adj[CTZ(bits)] & avail);
+    target = target / 2 - POPCNT(avail);
+    pv = excess(s, avail, v);
     /* left arm rooted at v; its first vertex caps the right arm's first
      * vertex so each path is enumerated once, and the arm started at v's
      * highest free neighbour, which no right arm can follow, is skipped */
@@ -201,11 +244,12 @@ static void solve(Solver *s, u64 covered, int count, int depth)
         int w = CTZ(wbit);
         lbits ^= wbit;
         push_edge(s, depth, v, w);
-        grow(s, covered, count, avail, v, (1ULL << v) | wbit, w, w, 0,
-             depth + 1);
+        grow(s, covered, count, avail, v, target, (1ULL << v) | wbit,
+             pv + excess(s, avail, w), w, w, 0, depth + 1);
     }
     /* no left arm: v is an endpoint (or trivial) */
-    grow_right(s, covered, count, avail, v, 1ULL << v, -1, depth);
+    grow_right(s, covered, count, avail, v, target, 1ULL << v, pv, -1,
+               depth);
 }
 
 static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)

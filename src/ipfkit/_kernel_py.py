@@ -36,6 +36,28 @@ to their ends before any close), so it was tried before the incumbent
 fell.  Node counts, witnesses and node-limit truncation are therefore
 those of the full enumeration.
 
+Counting identity: while count + 3 == best, a child improves only if its
+close_last succeeds, that is if the uncovered set U minus the closed path
+A is one induced path B.  Then, with c(x) = deg_U(x) - 2,
+
+    sum of c over A = e(U) - |U|,
+
+on any host: the degrees over A sum to 2e(A) + e(A, B) with e(A) =
+|A| - 1, and e(U) = e(A) + e(B) + e(A, B) with e(B) = |B| - 1.  Each
+node that enumerates computes c and the target T = e(U) - |U| in O(|U|),
+and the arms carry the running sum p.  ``close`` drops a path with
+p != T unless it covers U, and ``grow`` stops once p - 2 > T on the left
+arm or p - 1 > T on the right arm: a vertex added later has c >= -1, and
+one with c = -1 ends its arm.  A path covering U exists only when G[U]
+is a path, and then no partial sum exceeds 0 while T = -1, so no prune
+touches it.  best falls during a node's enumeration (on rho=3 hosts the
+incumbent reaches 3 while the root still enumerates), so count + 3 ==
+best is checked on every call, not once per node.  Only children whose
+close_last would fail are dropped: rho, the witness edge sets and the
+order in which incumbents are found are those of the full enumeration,
+node counts fall and never rise, and where a budget cuts the search may
+move.
+
 Budget: the clock is read on every 4096th counted node and, when a time
 limit is set, on every 4096th growth step; once a time limit is set and
 the budget is out, no path grows further.  Without a time limit growth
@@ -119,9 +141,23 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             close_last(avail, count)
             return
         v = (avail & -avail).bit_length() - 1
+        # the counting identity: c[x] = deg_U(x) - 2 and its target
+        # e(U) - |U| for the path that leaves one induced path behind
+        c = [0] * n
+        degsum = 0
+        bits = avail
+        while bits:
+            wbit = bits & -bits
+            bits ^= wbit
+            w = wbit.bit_length() - 1
+            d = (adj[w] & avail).bit_count()
+            c[w] = d - 2
+            degsum += d
+        target = degsum // 2 - avail.bit_count()
 
-        def grow(pathmask: int, tip: int, lfirst: int, left_done: bool) -> None:
-            # extend the current arm at `tip`
+        def grow(pathmask: int, tip: int, lfirst: int, left_done: bool,
+                 p: int) -> None:
+            # extend the current arm at `tip`; p is the sum of c over it
             nonlocal steps, truncated
             if deadline:
                 steps += 1
@@ -131,6 +167,9 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                     return
             if count + 2 >= best_count:
                 return  # a dead node: the bound cuts every remaining child
+            if (count + 3 == best_count
+                    and p - (1 if left_done else 2) > target):
+                return  # every later vertex adds at least -1, an arm's end
             cands = adj[tip] & avail & ~pathmask
             blocked = pathmask & ~(1 << tip)
             while cands:
@@ -140,15 +179,15 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                 if adj[w] & blocked:
                     continue  # chord against the rest of the path
                 edges_acc.append((tip, w) if tip < w else (w, tip))
-                grow(pathmask | wbit, w, lfirst, left_done)
+                grow(pathmask | wbit, w, lfirst, left_done, p + c[w])
                 edges_acc.pop()
             if not left_done:
                 # switch to growing the right arm from v
-                grow_right_start(pathmask, lfirst)
+                grow_right_start(pathmask, lfirst, p)
             else:
-                close(pathmask, count)
+                close(pathmask, p)
 
-        def grow_right_start(pathmask: int, lfirst: int) -> None:
+        def grow_right_start(pathmask: int, lfirst: int, p: int) -> None:
             cands = adj[v] & avail & ~pathmask
             blocked = pathmask & ~(1 << v)
             while cands:
@@ -160,15 +199,17 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                 if adj[w] & blocked:
                     continue
                 edges_acc.append((v, w) if v < w else (w, v))
-                grow(pathmask | wbit, w, lfirst, True)
+                grow(pathmask | wbit, w, lfirst, True, p + c[w])
                 edges_acc.pop()
             if lfirst < 0:
                 # empty right arm: close here only when the left arm is also
                 # empty, otherwise the reversed orientation covers this path
-                close(pathmask, count)
+                close(pathmask, p)
 
-        def close(pathmask: int, cnt: int) -> None:
-            solve(covered | pathmask, cnt + 1)
+        def close(pathmask: int, p: int) -> None:
+            if count + 3 == best_count and p != target and pathmask != avail:
+                return  # what is left is no induced path: close_last fails
+            solve(covered | pathmask, count + 1)
 
         # left arm rooted at v (possibly empty); its first vertex caps the
         # right arm's first vertex to avoid enumerating each path twice, so
@@ -181,10 +222,10 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             lbits ^= wbit
             w = wbit.bit_length() - 1
             edges_acc.append((v, w) if v < w else (w, v))
-            grow(base | wbit, w, w, False)
+            grow(base | wbit, w, w, False, c[v] + c[w])
             edges_acc.pop()
         # no left arm: v is an endpoint (or trivial)
-        grow_right_start(base, -1)
+        grow_right_start(base, -1, c[v])
 
     solve(0, 0)
     return best_count, best_edges, nodes, truncated

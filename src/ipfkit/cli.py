@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bounds import census, ck_lower_report, rho_tree
 from .constructive import (

@@ -209,8 +209,8 @@ def write_graph6(g: Graph) -> str:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
     bits = []
     for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
+        row = g.adj_mask[v]
+        bits.extend([(row >> u) & 1 for u in range(v)])
     while len(bits) % 6:
         bits.append(0)
     chars = [chr(g.n + 63)]

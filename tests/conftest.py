@@ -2,7 +2,6 @@
 enumeration of hamiltonian {2,3}-graphs used by several suites, and the
 compiled search kernel."""
 
-import importlib
 import importlib.util
 import random
 from pathlib import Path
@@ -29,19 +28,24 @@ def census_graphs(n: int) -> list:
 
 
 def random_connected_subcubic(rng: random.Random, n: int) -> Graph:
-    """Random connected graph with maximum degree at most 3: a random
+    """Random connected graph with maximum degree at most 3."""
+    return random_connected_bounded(rng, n, 3)
+
+
+def random_connected_bounded(rng: random.Random, n: int, cap: int) -> Graph:
+    """Random connected graph with maximum degree at most cap: a random
     degree-capped tree plus a few random chords."""
     deg = [0] * n
     edges = []
     for v in range(1, n):
-        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        u = rng.choice([w for w in range(v) if deg[w] < cap])
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
     present = {tuple(sorted(e)) for e in edges}
     extras = rng.randrange(0, n)
     for _ in range(extras):
-        free = [v for v in range(n) if deg[v] < 3]
+        free = [v for v in range(n) if deg[v] < cap]
         rng.shuffle(free)
         for i, u in enumerate(free):
             cands = [v for v in free[i + 1:]
@@ -108,13 +112,9 @@ def hamiltonian_23_graphs(n: int) -> list:
 
 @pytest.fixture(scope="session")
 def kernel_c(tmp_path_factory):
-    """The compiled kernel: ``ipfkit._kernel_c`` when it is built, else
-    ``_kernel_c.c`` compiled into a temporary directory.  Skips only when
-    no C compiler works."""
-    try:
-        return importlib.import_module("ipfkit._kernel_c")
-    except ImportError:
-        pass
+    """The compiled kernel, built from the ``_kernel_c.c`` in the tree into a
+    temporary directory, so that an in-place build of an older source
+    cannot stand in for it.  Skips only when no C compiler works."""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
     from setuptools.errors import CCompilerError, PlatformError

@@ -6,7 +6,7 @@ import pytest
 
 from ipfkit import (
     Graph, GraphError, census, ck_lower, ck_lower_report, glue_lower_bound,
-    parse_graph6, rho_exact, rho_tree, rho_tree_recurrence, write_graph6,
+    rho_exact, rho_tree, rho_tree_recurrence, write_graph6,
 )
 from ipfkit.families import (
     fig1_subcubic, odd_k_glued_tree, perfect_tree, petersen,

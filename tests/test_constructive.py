@@ -12,7 +12,7 @@ from ipfkit import (
     Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
     is_triangle_ring, is_well_behaved, recognize_bad, rho_exact,
-    rho_exhaustive, two_factor_search, verify_ipf,
+    two_factor_search, verify_ipf,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module

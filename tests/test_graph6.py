@@ -4,7 +4,7 @@ import pytest
 
 from ipfkit import Graph, Graph6Error, parse_graph6, write_graph6
 
-from conftest import census_graphs
+from conftest import DATA, census_graphs
 
 
 def test_k4_decodes():
@@ -27,6 +27,14 @@ def test_roundtrip_census():
     for n in (4, 6, 8):
         for g in census_graphs(n):
             assert parse_graph6(write_graph6(g)).edges == g.edges
+
+
+def test_roundtrip_is_byte_identical():
+    lines = [line for path in sorted(DATA.glob("*.g6"))
+             for line in path.read_text().splitlines()]
+    assert len(lines) == 621
+    for line in lines:
+        assert write_graph6(parse_graph6(line)) == line
 
 
 def test_roundtrip_padding_boundary():

@@ -12,8 +12,9 @@ from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
 from ipfkit.solver import _bfs_order, longest_induced_path_order
 from ipfkit import _kernel_py
 
-from conftest import (DATA, census_graphs, random_connected_cubic,
-                      random_connected_regular, random_connected_subcubic)
+from conftest import (DATA, census_graphs, random_connected_bounded,
+                      random_connected_cubic, random_connected_regular,
+                      random_connected_subcubic)
 
 
 def cycle(n):
@@ -90,6 +91,18 @@ def test_oracle_agreement_on_random_subcubic():
         assert a.optimal and b.optimal
 
 
+def test_oracle_agreement_on_random_degree_4_and_5():
+    """The counting identity that prunes the last two paths holds on every
+    host, not only on subcubic ones."""
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_connected_bounded(rng, rng.randrange(2, 13),
+                                     rng.choice((4, 5)))
+        res = rho_exact(g)
+        assert res.rho == rho_exhaustive(g).rho
+        assert len(verify_ipf(g, res.witness.edges)) == res.rho
+
+
 def test_oracle_agreement_where_last_path_closes():
     for g in CLOSURE_HOSTS:
         res = rho_exact(g)
@@ -99,22 +112,28 @@ def test_oracle_agreement_where_last_path_closes():
 
 def test_pinned_node_counts():
     """Node counts of the search on the BFS relabelling, with the count + 1
-    bound; the last-path closure and the stop at dead nodes must change no
-    count."""
-    for n, nodes in ((10, 252), (12, 2569), (14, 36656)):
-        assert sum(rho_exact(g).stats["nodes"]
-                   for g in census_graphs(n)) == nodes
+    bound and the counting identity's prune of the last two paths; the
+    last-path closure and the stop at dead nodes must change no count.
+    The identity only drops children whose last-path closure fails, so no
+    census host may take more nodes than the search without it took
+    (``census_node_caps.json``, summing to 252, 2,569 and 36,656)."""
+    caps = json.loads((DATA / "census_node_caps.json").read_text())
+    for n, nodes in ((10, 153), (12, 1056), (14, 12273)):
+        got = [rho_exact(g).stats["nodes"] for g in census_graphs(n)]
+        assert sum(got) == nodes
+        assert len(got) == len(caps[str(n)])
+        assert all(a <= b for a, b in zip(got, caps[str(n)])), n
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
-    assert (res.rho, res.stats["nodes"]) == (2, 635)
+    assert (res.rho, res.stats["nodes"]) == (2, 147)
 
 
 def test_search_scale_guard():
     """Two hosts the search on the input labelling cannot prove within
-    100,000 nodes (353,287 and 151,141 nodes); on the BFS relabelling it
-    takes 35,649 and 41,991."""
+    15,000 nodes (37,105 and 18,563 nodes); on the BFS relabelling it
+    takes 8,765 and 6,926."""
     for n, rho in ((32, 3), (34, 2)):
         g = random_connected_cubic(random.Random(1000 * n), n)
-        res = rho_exact(g, node_limit=100_000)
+        res = rho_exact(g, node_limit=15_000)
         assert res.optimal and res.rho == rho
         assert len(verify_ipf(g, res.witness.edges)) == rho
 
@@ -195,6 +214,8 @@ def test_kernel_backends_bit_identical(kernel_c):
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
               for _ in range(25)]
     hosts += [random_connected_cubic(rng, n) for n in range(16, 25, 2)]
+    hosts += [random_connected_bounded(rng, rng.randrange(3, 16), cap)
+              for cap in (4, 5) for _ in range(15)]
     hosts += CLOSURE_HOSTS
     hosts += [relabel(g, _bfs_order(g)) for g in hosts]
     for g in hosts:
@@ -207,8 +228,11 @@ def test_kernel_backends_bit_identical(kernel_c):
 
 
 def test_kernel_backends_identical_under_budget(kernel_c):
+    rng = random.Random(29)
     hosts = [census_graphs(12)[3],
-             random_connected_cubic(random.Random(20), 20)]
+             random_connected_cubic(random.Random(20), 20),
+             random_connected_bounded(rng, 16, 4),
+             random_connected_bounded(rng, 18, 5)]
     for g in hosts:
         for limit in (1, 5, 50, 500):
             got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, limit, 0)

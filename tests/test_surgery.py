@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ipfkit import (
-    Graph, Ipf, SurgeryError, add_edge, augment_triangle, delete_edges,
+    Graph, SurgeryError, add_edge, augment_triangle, delete_edges,
     delete_vertices, glue_at_vertex, is_well_behaved, lift, paste_k4minus,
     rho_exact, subdivide_edge, suppress_vertex, surgery, verify_ipf,
 )

@@ -98,10 +98,12 @@ def recognize_bad(g: Graph) -> BadnessReport:
     dec = block_decomposition(g)
     big = [b for b in dec.blocks if len(b) >= 6]
     small = [b for b in dec.blocks if len(b) < 6]
-    if len(big) != 1 or any(len(b) != 5 for b in small):
+    # with no small block the checks below allow no bridge, so the hub would
+    # be g and the "ring" g itself, which is_triangle_ring rejected above
+    if len(big) != 1 or not small or any(len(b) != 5 for b in small):
         return BadnessReport(False, False)
     hub = big[0]
-    covered = set().union(hub, *small) if small else set(hub)
+    covered = set().union(hub, *small)
     if len(covered) != g.n or sum(len(b) for b in dec.blocks) != g.n:
         return BadnessReport(False, False)
     for b in small:
@@ -542,7 +544,7 @@ def _blocktree_hypotheses(g: Graph):
         return None
     cycles = []
     for b in dec.blocks:
-        cyc = hamilton_cycle(g.induced_subgraph(b)[0])
+        cyc = hamilton_cycle(g if len(b) == g.n else g.induced_subgraph(b)[0])
         if cyc is None:
             return None
         cycles.append(cyc)

@@ -28,9 +28,14 @@ class Graph6Error(GraphError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "adj", "adj_mask")
+    The `_blocks` slot holds the graph's `BlockDecomposition` once
+    `block_decomposition` has computed it.  Caching is safe because nothing
+    changes a Graph after construction; every derived graph is a new object
+    with an empty slot."""
+
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -57,6 +62,7 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.adj_mask = tuple(masks)
+        self._blocks = None
 
     # -- basic queries -------------------------------------------------
 
@@ -261,6 +267,9 @@ class BlockDecomposition:
     listed as blocks.  `block_of` maps each vertex that lies in a listed
     block to the index of the lowest such block; in a subcubic host the
     listed blocks are pairwise vertex-disjoint so the map is unambiguous.
+
+    `block_decomposition` computes it once per Graph and hands the same
+    object to every caller, so it is read-only, the `block_of` dict included.
     """
 
     bridges: frozenset[tuple[int, int]]
@@ -308,6 +317,10 @@ def _biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
+    """The blocks and bridges of g, computed on the first call and kept in
+    g's `_blocks` slot; later calls return that same object."""
+    if g._blocks is not None:
+        return g._blocks
     comps = _biconnected_components(g)
     bridges = set()
     blocks: list[frozenset[int]] = []
@@ -331,7 +344,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         distinct = len(frozenset().union(*blocks))
         if total != distinct:
             raise AssertionError("blocks of a subcubic graph must be vertex-disjoint")
-    return BlockDecomposition(frozenset(bridges), tuple(blocks), block_of)
+    g._blocks = BlockDecomposition(frozenset(bridges), tuple(blocks), block_of)
+    return g._blocks
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:

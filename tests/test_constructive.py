@@ -2,6 +2,7 @@
 hamiltonian {2,3} bound, block-tree assembly, 2-factor assembly, and the
 full cubic pipeline."""
 
+import hashlib
 import json
 import random
 import time
@@ -12,7 +13,7 @@ from ipfkit import (
     Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
     is_triangle_ring, is_well_behaved, recognize_bad, rho_exact,
-    two_factor_search, verify_ipf,
+    two_factor_search, verify_ipf, write_graph6,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
@@ -22,7 +23,7 @@ from ipfkit.families import (
 )
 
 from conftest import (
-    census_graphs, hamiltonian_23_graphs, random_connected_cubic,
+    DATA, census_graphs, hamiltonian_23_graphs, random_connected_cubic,
 )
 
 
@@ -111,6 +112,9 @@ def test_recognize_bad_rejects_plain_graphs():
     # a plain triangle ring counts as bad with no attachments
     rep = recognize_bad(triangle_ring(9))
     assert rep.is_triangle_ring and rep.is_bad and not rep.attachments
+    bridgeless = [g for g in census_graphs(12) if not graph.bridges(g)]
+    assert len(bridgeless) == 81
+    assert not any(recognize_bad(g).is_bad for g in bridgeless)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +411,47 @@ def test_cubic_decides_hamiltonicity_once(monkeypatch):
     assert len(searches) == 1
 
 
+def test_cubic_decomposes_each_host_once(monkeypatch):
+    g = next(g for g in census_graphs(12) if hamilton_cycle(g) is not None)
+    passes = spy(monkeypatch, "_biconnected_components", (graph,))
+    assert ipf_cubic(g).trace == ["two-factor"]
+    assert len(passes) == 1
+    assert graph.block_decomposition(g) is graph.block_decomposition(g)
+    assert len(passes) == 1
+    # a derived graph is a new object with its own decomposition
+    c6 = cycle(6)
+    assert not graph.bridges(c6)
+    assert graph.bridges(c6.without_edges([(0, 1)])) == {
+        (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
+
+
 def test_cubic_nonhamiltonian_host_searched_once_whole(monkeypatch):
     g = flower_snark(7)
     searches = spy_hamilton(monkeypatch)
     check_certificate(g, ipf_cubic(g))
     assert [args[0] for args, _ in searches].count(g) == 1
     assert sum(args[0].n == g.n for args, _ in searches) == 1
+
+
+def certificate_digest(g):
+    """SHA-256 over (graph6, sorted IPF edges, trace) of ipf_cubic(g)."""
+    cert = ipf_cubic(g)
+    doc = [cert.graph6, sorted(map(list, cert.ipf.edges)), cert.trace]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_pinned_cubic_certificates():
+    """Every certificate of the census n=4..14, Petersen, Tietze, J7 and
+    J9, keyed by graph6 (``cubic_certificates.json``): a change that only
+    saves work, such as caching a decomposition, may move no edge set and
+    no route."""
+    pinned = json.loads((DATA / "cubic_certificates.json").read_text())
+    hosts = [g for n in (4, 6, 8, 10, 12, 14) for g in census_graphs(n)]
+    hosts += [petersen(), tietze(), flower_snark(7), flower_snark(9)]
+    assert len(pinned) == len(hosts) == 625
+    for g in hosts:
+        code = write_graph6(g)
+        assert certificate_digest(g) == pinned[code], code
 
 
 def test_cubic_rejects_beyond_graph6_before_searching(monkeypatch):

@@ -1,12 +1,12 @@
 /* Compiled branch-and-bound kernel for minimum induced path factors.
  *
  * Mirrors _kernel_py.solve_min_ipf exactly: same branching order, same
- * bound (count + 1), same budget handling.  Results (count, witness edges,
- * node count, truncated) must be identical to the pure-Python kernel on
- * every input; that module describes the search, the skipped left arm at
- * v's highest free neighbour, the bound, the last-path closure
- * (close_last) and the budget checks on counted nodes and on growth
- * steps.
+ * bounds (count + 1 and the end count), same budget handling.  Results
+ * (count, witness edges, node count, truncated) must be identical to the
+ * pure-Python kernel on every input; that module describes the search, the
+ * left arms that can get no right arm and are not grown, the bounds, the
+ * last-path closure (close_last) and the budget checks on counted nodes
+ * and on growth steps.
  *
  * Dead nodes: grow returns once count + 2 >= best_count.  From then on the
  * bound cuts every child before it is counted, except a path covering all
@@ -27,6 +27,26 @@
  * node enumerates.  Only children whose close_last would fail are
  * dropped, so rho, witnesses and the order of incumbents stay those of
  * the full enumeration; the Python twin gives the proof in full.
+ *
+ * End-count bound: in U' = the uncovered set a child keeps, a vertex x of
+ * end weight w(x) = 2 (no neighbour in U') or 1 (its neighbours in U'
+ * pairwise adjacent) is never interior to an induced path, and one of
+ * weight 2 is a whole path, so U' needs at least ceil(f / 2) paths, f the
+ * sum of w over U'.  close_path computes f(avail - path) when count + 4
+ * <= best_count and drops the child when count + 1 + ceil(f / 2) >=
+ * best_count.  In grow, a vertex off the path that is adjacent to a path
+ * vertex other than the tip (on the left arm, other than v as well) is
+ * settled: it can join the path neither from the tip nor as a right-arm
+ * start, so every child keeps it, and its weight in avail - path can only
+ * rise as the path grows (what is left of pairwise adjacent neighbours
+ * stays pairwise adjacent, and no neighbour left is weight 2).  grow
+ * carries the weight f of the settled set: on the step to a new tip it
+ * re-weighs the settled neighbours of the tip and adds the free
+ * neighbours of the previous tip (fresh), and it returns once
+ * count + 1 + ceil(f / 2) >= best_count.  Both prunes drop only
+ * children that cannot beat the incumbent, so rho, witnesses and the
+ * order of incumbents stay those of the full enumeration; the Python twin
+ * proves the weight and the monotonicity in full.
  *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
@@ -60,10 +80,16 @@ typedef struct {
     int beu[MAXN], bev[MAXN];  /* edges of the best IPF found */
 } Solver;
 
+/* The node being enumerated: its uncovered set avail, branch vertex v and
+ * the counting identity's target e(U) - |U|. */
+typedef struct {
+    u64 covered, avail;
+    int count, v, target;
+} Node;
+
 static void solve(Solver *s, u64 covered, int count, int depth);
-static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
-                 int target, u64 path, int p, int tip, int lfirst,
-                 int left_done, int depth);
+static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
+                 u64 rstarts, u64 settled, int f, u64 fresh, int depth);
 
 static void push_edge(Solver *s, int depth, int a, int b)
 {
@@ -133,76 +159,116 @@ static int excess(Solver *s, u64 avail, int w)
     return POPCNT(s->adj[w] & avail) - 2;
 }
 
-/* Close the path: the child solve, unless count + 3 == best_count and the
- * path's sum p misses the target while leaving vertices uncovered, so
- * that the child's close_last would fail. */
-static void close_path(Solver *s, u64 covered, int count, u64 avail,
-                       int target, u64 path, int p, int depth)
+/* The end weight of a vertex whose free neighbours are nb: 2 for none, 1
+ * when they are pairwise adjacent, else 0. */
+static int weight(Solver *s, u64 nb)
 {
-    if (count + 3 == s->best_count && p != target && path != avail)
-        return;
-    solve(s, covered | path, count + 1, depth);
+    u64 bits;
+    if (!(nb & (nb - 1)))
+        return nb ? 1 : 2;
+    for (bits = nb; bits; bits &= bits - 1)
+        if ((nb & ~s->adj[CTZ(bits)]) != (bits & (0 - bits)))
+            return 0;
+    return 1;
 }
 
-/* Start the right arm at v; lfirst is the first vertex of the left arm,
- * or -1 when the left arm is empty. */
-static void grow_right(Solver *s, u64 covered, int count, u64 avail, int v,
-                       int target, u64 path, int p, int lfirst, int depth)
+/* Close the path: the child solve, unless it cannot beat best_count.  At
+ * count + 3 == best_count that is a sum p that misses the target while
+ * leaving vertices uncovered, so that the child's close_last would fail;
+ * below, the end weight of what is left needing too many paths. */
+static void close_path(Solver *s, const Node *nd, u64 path, int p,
+                       int depth)
 {
-    u64 cands = s->adj[v] & avail & ~path;
-    u64 blocked = path & ~(1ULL << v);
+    int count = nd->count;
+    if (count + 3 == s->best_count) {
+        if (p != nd->target && path != nd->avail)
+            return;
+    } else if (count + 4 <= s->best_count) {
+        u64 rest = nd->avail & ~path, bits;
+        int f = 0;
+        for (bits = rest; bits; bits &= bits - 1)
+            f += weight(s, s->adj[CTZ(bits)] & rest);
+        if (f > 2 * (s->best_count - count) - 4)
+            return;
+    }
+    solve(s, nd->covered | path, count + 1, depth);
+}
+
+/* Start the right arm at v from each of rstarts, the possible starts left
+ * by the left arm; fresh holds the neighbours of v and of the left arm's
+ * tip, which the first step settles. */
+static void grow_right(Solver *s, const Node *nd, u64 path, int p,
+                       u64 rstarts, u64 settled, int f, u64 fresh,
+                       int depth)
+{
+    u64 cands = rstarts;
     while (cands) {
         u64 wbit = cands & (0 - cands);
         int w = CTZ(wbit);
         cands ^= wbit;
-        if (lfirst >= 0 && w <= lfirst)
-            continue;  /* reflection dedup: right arm starts above left */
-        if (s->adj[w] & blocked)
-            continue;
-        push_edge(s, depth, v, w);
-        grow(s, covered, count, avail, v, target, path | wbit,
-             p + excess(s, avail, w), w, lfirst, 1, depth + 1);
+        push_edge(s, depth, nd->v, w);
+        grow(s, nd, path | wbit, p + excess(s, nd->avail, w), w, 0,
+             settled, f, fresh, depth + 1);
     }
     /* empty right arm: close here only when the left arm is also empty,
      * otherwise the reversed orientation covers this path */
-    if (lfirst < 0)
-        close_path(s, covered, count, avail, target, path, p, depth);
+    if (path == 1ULL << nd->v)
+        close_path(s, nd, path, p, depth);
 }
 
-/* Extend the current arm at tip, longest extensions first; p is the sum
- * of c over the path. */
-static void grow(Solver *s, u64 covered, int count, u64 avail, int v,
-                 int target, u64 path, int p, int tip, int lfirst,
-                 int left_done, int depth)
+/* Extend the current arm at tip, longest extensions first: the left arm
+ * while rstarts, its possible right-arm starts, is not empty, else the
+ * right arm.  p is the sum of c over the path, f the end weight of the
+ * settled set, which the free vertices of fresh (the neighbours of the
+ * previous tip) now join. */
+static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
+                 u64 rstarts, u64 settled, int f, u64 fresh, int depth)
 {
-    u64 cands, blocked;
+    u64 rest, bits, cands, blocked, tipbit = 1ULL << tip;
+    int count = nd->count;
     if (out_of_time(s) || count + 2 >= s->best_count)
         return;  /* out of time, or a dead node (see the header) */
-    if (count + 3 == s->best_count && p - (left_done ? 1 : 2) > target)
+    if (count + 3 == s->best_count
+            && p - (rstarts ? 2 : 1) > nd->target)
         return;  /* every later vertex adds at least -1, an arm's end */
-    cands = s->adj[tip] & avail & ~path;
-    blocked = path & ~(1ULL << tip);
+    rest = nd->avail & ~path;
+    for (bits = settled & s->adj[tip]; bits; bits &= bits - 1) {
+        u64 nb = s->adj[CTZ(bits)] & rest;
+        f += weight(s, nb) - weight(s, nb | tipbit);
+    }
+    bits = fresh & rest & ~settled;
+    settled |= bits;
+    for (; bits; bits &= bits - 1)
+        f += weight(s, s->adj[CTZ(bits)] & rest);
+    if (f > 2 * (s->best_count - count) - 4)
+        return;  /* the settled ends need count + 1 + ceil(f/2) paths */
+    cands = s->adj[tip] & rest;
+    blocked = path & ~tipbit;
     while (cands) {
-        u64 wbit = cands & (0 - cands);
+        u64 wbit = cands & (0 - cands), rs;
         int w = CTZ(wbit);
         cands ^= wbit;
         if (s->adj[w] & blocked)
             continue;  /* chord against the rest of the path */
+        rs = rstarts & ~s->adj[w];
+        if (rstarts && !rs)
+            continue;  /* no right arm can follow: closes nothing */
         push_edge(s, depth, tip, w);
-        grow(s, covered, count, avail, v, target, path | wbit,
-             p + excess(s, avail, w), w, lfirst, left_done, depth + 1);
+        grow(s, nd, path | wbit, p + excess(s, nd->avail, w), w, rs,
+             settled, f, s->adj[tip], depth + 1);
     }
-    if (!left_done)
-        grow_right(s, covered, count, avail, v, target, path, p, lfirst,
-                   depth);
+    if (rstarts)
+        grow_right(s, nd, path, p, rstarts, settled, f,
+                   s->adj[tip] | s->adj[nd->v], depth);
     else
-        close_path(s, covered, count, avail, target, path, p, depth);
+        close_path(s, nd, path, p, depth);
 }
 
 static void solve(Solver *s, u64 covered, int count, int depth)
 {
-    u64 avail, lbits, bits;
-    int v, target, pv;
+    u64 avail, nbrs, lbits, bits;
+    int v, pv;
+    Node nd;
     if (covered == s->full) {
         if (count < s->best_count) {
             s->best_count = count;
@@ -229,27 +295,33 @@ static void solve(Solver *s, u64 covered, int count, int depth)
         return;
     }
     v = CTZ(avail);
+    nd.covered = covered;
+    nd.avail = avail;
+    nd.count = count;
+    nd.v = v;
     /* the counting identity's target e(U) - |U| (see the header) */
-    target = 0;
+    nd.target = 0;
     for (bits = avail; bits; bits &= bits - 1)
-        target += POPCNT(s->adj[CTZ(bits)] & avail);
-    target = target / 2 - POPCNT(avail);
+        nd.target += POPCNT(s->adj[CTZ(bits)] & avail);
+    nd.target = nd.target / 2 - POPCNT(avail);
     pv = excess(s, avail, v);
-    /* left arm rooted at v; its first vertex caps the right arm's first
-     * vertex so each path is enumerated once, and the arm started at v's
-     * highest free neighbour, which no right arm can follow, is skipped */
-    lbits = s->adj[v] & avail;
-    while (lbits & (lbits - 1)) {
+    /* left arm rooted at v; a right arm starts at a free neighbour of v
+     * above the left arm's first vertex, so each path is enumerated once,
+     * and a left arm that leaves no such start closes nothing and is not
+     * grown */
+    nbrs = s->adj[v] & avail;
+    for (lbits = nbrs; lbits; lbits &= lbits - 1) {
         u64 wbit = lbits & (0 - lbits);
         int w = CTZ(wbit);
-        lbits ^= wbit;
+        u64 rs = nbrs & ~((wbit << 1) - 1) & ~s->adj[w];
+        if (!rs)
+            continue;
         push_edge(s, depth, v, w);
-        grow(s, covered, count, avail, v, target, (1ULL << v) | wbit,
-             pv + excess(s, avail, w), w, w, 0, depth + 1);
+        grow(s, &nd, (1ULL << v) | wbit, pv + excess(s, avail, w), w, rs,
+             0, 0, 0, depth + 1);
     }
     /* no left arm: v is an endpoint (or trivial) */
-    grow_right(s, covered, count, avail, v, target, 1ULL << v, pv, -1,
-               depth);
+    grow_right(s, &nd, 1ULL << v, pv, nbrs, 0, 0, s->adj[v], depth);
 }
 
 static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)

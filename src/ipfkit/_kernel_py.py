@@ -11,11 +11,12 @@ contains v and uses only uncovered vertices (v may be interior), recursing
 on each.  Paths are grown edge by edge, longest extensions explored first,
 with the "close the path here" choice taken last.  A path with v interior
 is grown as a left arm from v, then a right arm whose first vertex lies
-above the left arm's, so each path is enumerated once; the left arm that
-starts at v's highest free neighbour can get no right arm and is not grown
-at all.  The bound is count + 1: a state with uncovered vertices needs at
-least one more path, so it is pruned once count + 1 reaches the best cover
-found.
+above the left arm's, so each path is enumerated once.  A left arm carries
+its possible right-arm starts: the free neighbours of v above its first
+vertex that are neither on it nor adjacent to it.  Once none is left the
+arm can close no path, and it is not grown further.  The bound is
+count + 1: a state with uncovered vertices needs at least one more path,
+so it is pruned once count + 1 reaches the best cover found.
 
 Last-path closure: at a counted node with count + 2 == best, the only
 improvement left is one path covering every uncovered vertex, and every
@@ -57,6 +58,36 @@ close_last would fail are dropped: rho, the witness edge sets and the
 order in which incumbents are found are those of the full enumeration,
 node counts fall and never rise, and where a budget cuts the search may
 move.
+
+End-count bound: for a set W of uncovered vertices, give x in W the end
+weight w(x) = 2 if x has no neighbour in W, 1 if its neighbours in W are
+pairwise adjacent (a degree-1 vertex, a triangle tip, a K4 corner), and 0
+otherwise.  In any IPF of G[W] a vertex of weight >= 1 is no interior
+vertex, since its two path neighbours would be adjacent, and one of
+weight 2 is a whole path; so a path with two or more vertices holds
+weight at most 2 (its two ends, of weight <= 1 each), a one-vertex path
+at most 2, and G[W] needs at least ceil(f(W) / 2) paths, f(W) the sum of
+w over W.  ``close`` computes f(U - P) of the closed path P in O(|U|) when
+count + 4 <= best (at count + 3 == best the identity already decides) and
+drops the child when count + 1 + ceil(f / 2) >= best.
+
+``grow`` applies the bound before a path is closed.  Call an uncovered
+vertex off the path settled when it is adjacent to a path vertex other
+than the tip, and on the left arm other than v as well.  A settled vertex
+can join the path neither as an extension of the tip, which must avoid
+the rest of the path, nor as a right-arm start, which must avoid the left
+arm; so every child's uncovered set U' keeps it.  Its weight in U - P
+can only rise in U': removing neighbours keeps the rest pairwise adjacent
+and turns an empty set into weight 2.  Hence the weight f_S of the settled
+set S, taken in U - P, is a lower bound on f(U') for every path the arm
+can still close, and since S only grows and U - P only shrinks, f_S never
+falls as the arm grows.  ``grow`` keeps f_S incrementally: on the step to
+a new tip t it re-weighs the settled neighbours of t, which lost t, and
+adds the free neighbours of the previous tip (of v and the left arm's tip
+as well on the right arm's first step).  It returns once
+count + 1 + ceil(f_S / 2) >= best.  Both prunes drop only children that
+cannot beat the incumbent: rho, the witness edge sets and the order of
+incumbents stay those of the full enumeration, and node counts fall.
 
 Budget: the clock is read on every 4096th counted node and, when a time
 limit is set, on every 4096th growth step; once a time limit is set and
@@ -118,6 +149,18 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             best_count = count + 1
             best_edges = edges_acc + walk
 
+    def weight(nb: int) -> int:
+        # the end weight of a vertex whose free neighbours are nb
+        if not nb & (nb - 1):
+            return 1 if nb else 2
+        bits = nb
+        while bits:
+            ybit = bits & -bits
+            bits ^= ybit
+            if nb & ~adj[ybit.bit_length() - 1] != ybit:
+                return 0
+        return 1
+
     def solve(covered: int, count: int) -> None:
         nonlocal nodes, best_count, best_edges, truncated
         if covered == full:
@@ -155,9 +198,13 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             degsum += d
         target = degsum // 2 - avail.bit_count()
 
-        def grow(pathmask: int, tip: int, lfirst: int, left_done: bool,
-                 p: int) -> None:
-            # extend the current arm at `tip`; p is the sum of c over it
+        def grow(pathmask: int, tip: int, rstarts: int, p: int,
+                 settled: int, f: int, fresh: int) -> None:
+            # extend the current arm at `tip`: the left arm while rstarts,
+            # its possible right-arm starts, is not empty, else the right
+            # arm; p is the sum of c over the path and f the end weight of
+            # the settled set, to which the free vertices of `fresh` (the
+            # neighbours of the previous tip) now belong
             nonlocal steps, truncated
             if deadline:
                 steps += 1
@@ -168,9 +215,24 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             if count + 2 >= best_count:
                 return  # a dead node: the bound cuts every remaining child
             if (count + 3 == best_count
-                    and p - (1 if left_done else 2) > target):
+                    and p - (2 if rstarts else 1) > target):
                 return  # every later vertex adds at least -1, an arm's end
-            cands = adj[tip] & avail & ~pathmask
+            rest = avail & ~pathmask
+            bits = settled & adj[tip]
+            while bits:
+                xbit = bits & -bits
+                bits ^= xbit
+                nb = adj[xbit.bit_length() - 1] & rest
+                f += weight(nb) - weight(nb | (1 << tip))
+            bits = fresh & rest & ~settled
+            settled |= bits
+            while bits:
+                xbit = bits & -bits
+                bits ^= xbit
+                f += weight(adj[xbit.bit_length() - 1] & rest)
+            if f > 2 * (best_count - count) - 4:
+                return  # the settled ends need count + 1 + ceil(f/2) paths
+            cands = adj[tip] & rest
             blocked = pathmask & ~(1 << tip)
             while cands:
                 wbit = cands & -cands
@@ -178,54 +240,67 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                 w = wbit.bit_length() - 1
                 if adj[w] & blocked:
                     continue  # chord against the rest of the path
+                rs = rstarts & ~adj[w]
+                if rstarts and not rs:
+                    continue  # no right arm can follow: closes nothing
                 edges_acc.append((tip, w) if tip < w else (w, tip))
-                grow(pathmask | wbit, w, lfirst, left_done, p + c[w])
+                grow(pathmask | wbit, w, rs, p + c[w], settled, f, adj[tip])
                 edges_acc.pop()
-            if not left_done:
-                # switch to growing the right arm from v
-                grow_right_start(pathmask, lfirst, p)
+            if rstarts:
+                grow_right_start(pathmask, rstarts, p, settled, f,
+                                 adj[tip] | adj[v])
             else:
                 close(pathmask, p)
 
-        def grow_right_start(pathmask: int, lfirst: int, p: int) -> None:
-            cands = adj[v] & avail & ~pathmask
-            blocked = pathmask & ~(1 << v)
+        def grow_right_start(pathmask: int, rstarts: int, p: int,
+                             settled: int, f: int, fresh: int) -> None:
+            cands = rstarts
             while cands:
                 wbit = cands & -cands
                 cands ^= wbit
                 w = wbit.bit_length() - 1
-                if lfirst >= 0 and w <= lfirst:
-                    continue
-                if adj[w] & blocked:
-                    continue
                 edges_acc.append((v, w) if v < w else (w, v))
-                grow(pathmask | wbit, w, lfirst, True, p + c[w])
+                grow(pathmask | wbit, w, 0, p + c[w], settled, f, fresh)
                 edges_acc.pop()
-            if lfirst < 0:
+            if pathmask == 1 << v:
                 # empty right arm: close here only when the left arm is also
                 # empty, otherwise the reversed orientation covers this path
                 close(pathmask, p)
 
         def close(pathmask: int, p: int) -> None:
-            if count + 3 == best_count and p != target and pathmask != avail:
-                return  # what is left is no induced path: close_last fails
+            if count + 3 == best_count:
+                if p != target and pathmask != avail:
+                    return  # what is left is no induced path: close_last fails
+            elif count + 4 <= best_count:
+                rest = avail & ~pathmask
+                f = 0
+                bits = rest
+                while bits:
+                    xbit = bits & -bits
+                    bits ^= xbit
+                    f += weight(adj[xbit.bit_length() - 1] & rest)
+                if f > 2 * (best_count - count) - 4:
+                    return  # the ends left need too many paths
             solve(covered | pathmask, count + 1)
 
-        # left arm rooted at v (possibly empty); its first vertex caps the
-        # right arm's first vertex to avoid enumerating each path twice, so
-        # a left arm started at v's highest free neighbour gets no right
-        # arm and is skipped
-        lbits = adj[v] & avail
-        base = 1 << v
-        while lbits & (lbits - 1):
+        # left arm rooted at v (possibly empty); a right arm starts at a
+        # free neighbour of v above the left arm's first vertex, so each
+        # path is enumerated once, and a left arm that leaves no such start
+        # (neither on it nor adjacent to it) closes nothing and is not grown
+        nbrs = adj[v] & avail
+        lbits = nbrs
+        while lbits:
             wbit = lbits & -lbits
             lbits ^= wbit
             w = wbit.bit_length() - 1
+            rs = nbrs & ~((wbit << 1) - 1) & ~adj[w]
+            if not rs:
+                continue
             edges_acc.append((v, w) if v < w else (w, v))
-            grow(base | wbit, w, w, False, c[v] + c[w])
+            grow((1 << v) | wbit, w, rs, c[v] + c[w], 0, 0, 0)
             edges_acc.pop()
         # no left arm: v is an endpoint (or trivial)
-        grow_right_start(base, -1, c[v])
+        grow_right_start(1 << v, nbrs, c[v], 0, 0, adj[v])
 
     solve(0, 0)
     return best_count, best_edges, nodes, truncated

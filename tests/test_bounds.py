@@ -36,6 +36,13 @@ def test_tree_formula_matches_exact_solver():
             assert rho_tree(k, h) == rho_exact(t).rho
 
 
+def test_family_values_match_exact_solver():
+    """The paper's extremal values at n=24, proved by the exact solver:
+    a triangle ring needs n/3 paths and the Fig. 1 graph ceil(3n/8)."""
+    assert rho_exact(triangle_ring(24)).rho == 24 // 3
+    assert rho_exact(fig1_subcubic(24)).rho == -(-3 * 24 // 8)
+
+
 def test_ck_lower_values():
     assert ck_lower(3) == Fraction(5, 18)
     assert ck_lower(4) == Fraction(3, 7)

@@ -11,6 +11,8 @@ from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
                     verify_ipf)
 from ipfkit.solver import _bfs_order, longest_induced_path_order
 from ipfkit import _kernel_py
+from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
+                             triangle_ring)
 
 from conftest import (DATA, census_graphs, random_connected_bounded,
                       random_connected_cubic, random_connected_regular,
@@ -53,6 +55,27 @@ CLOSURE_HOSTS = [cycle(n) for n in range(3, 9)] + [CLAW, Graph(1)] + [
         (cycle(5), path(3)), (cycle(4), cycle(3)), (cycle(6), cycle(5)),
         (cycle(5), CLAW), (path(5), CLAW), (cycle(4), path(1)),
         (cycle(3), path(1)), (path(2), path(1)), (path(1), path(2)))]
+
+K4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+K4_MINUS_EDGE = K4.without_edges([(0, 1)])
+
+# Hosts where the end-count bound prunes, both inside growth and at the
+# close, with every weight case taking part in a prune: end weight 1 at a
+# degree-1 vertex, a triangle tip and a K4 corner (the last host holds the
+# K4 1, 2, 3, 5), and weight 2 at an isolated vertex.
+END_BOUND_HOSTS = [perfect_tree(3, 2), triangle_ring(9), triangle_ring(12),
+                   fig1_subcubic(12)] + [
+    union(*parts) for parts in (
+        (K4, K4, K4), (K4, K4, path(3), path(1)),
+        (K4_MINUS_EDGE, K4_MINUS_EDGE, path(1), path(1), path(1)),
+        (cycle(5), path(1), path(1)), (CLAW, path(1), CLAW))] + [
+    Graph(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3),
+              (2, 5), (2, 6), (3, 5), (4, 5)])]
+
+# Family hosts whose search the end-count bound cuts most.
+FAMILY_HOSTS = [triangle_ring(n) for n in range(12, 25, 3)] + [
+    fig1_subcubic(n) for n in range(12, 25, 4)] + [
+    perfect_tree(3, 3), bad_graph(12, (0,))]
 
 
 def test_known_small_values():
@@ -110,30 +133,38 @@ def test_oracle_agreement_where_last_path_closes():
         assert len(verify_ipf(g, res.witness.edges)) == res.rho
 
 
+def test_oracle_agreement_where_end_bound_prunes():
+    for g in END_BOUND_HOSTS:
+        res = rho_exact(g)
+        assert res.rho == rho_exhaustive(g).rho
+        assert len(verify_ipf(g, res.witness.edges)) == res.rho
+
+
 def test_pinned_node_counts():
     """Node counts of the search on the BFS relabelling, with the count + 1
-    bound and the counting identity's prune of the last two paths; the
-    last-path closure and the stop at dead nodes must change no count.
-    The identity only drops children whose last-path closure fails, so no
-    census host may take more nodes than the search without it took
+    bound, the counting identity's prune of the last two paths and the
+    end-count bound; the last-path closure, the stop at dead nodes and the
+    skipped left arms must change no count.  The identity and the end-count
+    bound only drop children that cannot beat the incumbent, so no census
+    host may take more nodes than the search without them took
     (``census_node_caps.json``, summing to 252, 2,569 and 36,656)."""
     caps = json.loads((DATA / "census_node_caps.json").read_text())
-    for n, nodes in ((10, 153), (12, 1056), (14, 12273)):
+    for n, nodes in ((10, 109), (12, 626), (14, 5240)):
         got = [rho_exact(g).stats["nodes"] for g in census_graphs(n)]
         assert sum(got) == nodes
         assert len(got) == len(caps[str(n)])
         assert all(a <= b for a, b in zip(got, caps[str(n)])), n
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
-    assert (res.rho, res.stats["nodes"]) == (2, 147)
+    assert (res.rho, res.stats["nodes"]) == (2, 69)
 
 
 def test_search_scale_guard():
-    """Two hosts the search on the input labelling cannot prove within
-    15,000 nodes (37,105 and 18,563 nodes); on the BFS relabelling it
-    takes 8,765 and 6,926."""
+    """Two hosts the search on the BFS relabelling proves within 2,000
+    nodes (809 and 1,186 nodes); on the input labelling the first takes
+    5,858."""
     for n, rho in ((32, 3), (34, 2)):
         g = random_connected_cubic(random.Random(1000 * n), n)
-        res = rho_exact(g, node_limit=15_000)
+        res = rho_exact(g, node_limit=2_000)
         assert res.optimal and res.rho == rho
         assert len(verify_ipf(g, res.witness.edges)) == rho
 
@@ -216,7 +247,7 @@ def test_kernel_backends_bit_identical(kernel_c):
     hosts += [random_connected_cubic(rng, n) for n in range(16, 25, 2)]
     hosts += [random_connected_bounded(rng, rng.randrange(3, 16), cap)
               for cap in (4, 5) for _ in range(15)]
-    hosts += CLOSURE_HOSTS
+    hosts += CLOSURE_HOSTS + END_BOUND_HOSTS + FAMILY_HOSTS
     hosts += [relabel(g, _bfs_order(g)) for g in hosts]
     for g in hosts:
         got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
@@ -232,7 +263,7 @@ def test_kernel_backends_identical_under_budget(kernel_c):
     hosts = [census_graphs(12)[3],
              random_connected_cubic(random.Random(20), 20),
              random_connected_bounded(rng, 16, 4),
-             random_connected_bounded(rng, 18, 5)]
+             random_connected_bounded(rng, 18, 5)] + FAMILY_HOSTS
     for g in hosts:
         for limit in (1, 5, 50, 500):
             got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, limit, 0)
@@ -244,10 +275,10 @@ def test_kernel_backends_identical_under_budget(kernel_c):
 
 
 def test_kernel_time_budget(kernel):
-    """This n=56 host takes the compiled kernel about 10 s to prove on a
+    """This n=62 host takes the compiled kernel about 14 s to prove on a
     2-CPU Xeon: each kernel stops at the 0.3 s deadline, also inside path
     growth between two counted nodes, and still returns a valid IPF."""
-    g = random_connected_cubic(random.Random(48), 56)
+    g = random_connected_cubic(random.Random(48023), 62)
     t0 = time.monotonic()
     count, edges, _nodes, truncated = kernel.solve_min_ipf(
         g.n, g.adj_mask, 0, 0.3)
@@ -257,21 +288,69 @@ def test_kernel_time_budget(kernel):
 
 
 def test_kernel_time_budget_inside_growth(kernel):
-    """A triangle 0, 1, 2 with vertex 1 joined to a random 5-regular graph
-    on 58 vertices: the left arm from 1 grows every induced path into that
-    graph and closes none, because the chord 1-2 blocks the only right arm
-    (from 2), and only the clock read during growth can stop it.  Without
-    that read the compiled kernel runs about 2.5 s on a 2-CPU Xeon; with it
-    each kernel stops at the 0.3 s deadline after one counted node."""
-    h = random_connected_regular(random.Random(1), 58, 5, tries=20000)
-    g = Graph(61, [(0, 1), (0, 2), (1, 2), (1, 3)]
-              + [(u + 3, v + 3) for u, v in h.sorted_edges()])
+    """Three induced paths 0..19, 20..39 and 40..61 with random edges
+    between different paths, none at the ends 0, 19, 20 and 39, up to
+    degree 7.  The first three counted nodes close the three paths in turn,
+    so the incumbent is 3 at once.  To rule out 2 paths, the root then
+    grows every induced path from vertex 0, and the counting identity drops
+    each close uncounted, so only the clock read during growth can stop
+    it.  Without that read the compiled kernel runs about 1.5 s on a 2-CPU
+    Xeon; with it each kernel stops at the 0.3 s deadline after three
+    counted nodes."""
+    rng = random.Random(13)
+    part = [min(v // 20, 2) for v in range(62)]
+    edges = [(v, v + 1) for v in range(61) if part[v] == part[v + 1]]
+    deg = [0] * 62
+    for e in edges:
+        for u in e:
+            deg[u] += 1
+    pairs = [(u, v) for u in range(62) for v in range(u + 1, 62)
+             if part[u] != part[v] and not {u, v} & {0, 19, 20, 39}]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if deg[u] < 7 and deg[v] < 7:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    g = Graph(62, edges)
     t0 = time.monotonic()
     count, edges, nodes, truncated = kernel.solve_min_ipf(
         g.n, g.adj_mask, 0, 0.3)
     assert time.monotonic() - t0 < 1.0
-    assert truncated and nodes == 1
+    assert truncated and nodes == 3
     assert Ipf.from_edges(g, edges).path_count == count
+
+
+def test_left_arm_without_right_start_is_not_grown(kernel):
+    """A triangle 0, 1, 2 with vertex 1 joined to a random 6-regular graph
+    on 58 vertices.  A left arm from 1 can get no right arm, because the
+    chord 1-2 blocks the only start (2), so it closes nothing and is not
+    grown.  Grown, it holds every induced path from 1 into that graph:
+    about 0.85 s of the compiled kernel on a 2-CPU Xeon before the third
+    counted node, which each kernel now reaches at once."""
+    h = random_connected_regular(random.Random(1), 58, 6, tries=20000)
+    g = Graph(61, [(0, 1), (0, 2), (1, 2), (1, 3)]
+              + [(u + 3, v + 3) for u, v in h.sorted_edges()])
+    t0 = time.monotonic()
+    count, edges, nodes, truncated = kernel.solve_min_ipf(
+        g.n, g.adj_mask, 2, 2.0)
+    assert time.monotonic() - t0 < 0.25
+    assert truncated and nodes == 3
+    assert Ipf.from_edges(g, edges).path_count == count
+
+
+@pytest.mark.parametrize("g, rho, nodes", [(perfect_tree(3, 4), 11, 2166),
+                                           (triangle_ring(30), 10, 22314)])
+def test_end_bound_proves_high_rho_hosts(kernel, g, rho, nodes):
+    """Hosts with rho n/3 and more, where the count + 1 bound alone makes
+    the search enumerate nearly every induced path (110M and 1.1M nodes):
+    with the end-count bound each kernel proves them on the BFS
+    relabelling in the pinned number of nodes."""
+    h = relabel(g, _bfs_order(g))
+    count, edges, got, truncated = kernel.solve_min_ipf(
+        h.n, h.adj_mask, 4 * nodes, 0)
+    assert (count, got, truncated) == (rho, nodes, False)
+    assert Ipf.from_edges(h, edges).path_count == rho
 
 
 def test_kernel_input_guard(kernel):

@@ -732,13 +732,9 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     if not any(g0p.has_edge(ulp, t) and g0p.has_edge(vlp, t)
                for t in g0p.adj[ulp]):
         raise ConstructionError("suppressed edge not in a hub triangle")
-    if len(g0p.adj[ulp]) == 3 and len(g0p.adj[vlp]) == 3:
-        # the edge closes its triangle: drop the vertex and recurse
-        g2, _, n2o2 = _sub(g, set(range(n)) - l1 - {x1})
-        p2 = ipf_blocktree(g2)
-        edges = _edges_up(p2.edges, n2o2) | leaf_ipf_edges(x1, y1, l1)
-        return Ipf.from_edges(g, edges)
-    # the edge lies on the hub's hamilton cycle: one endpoint has degree 2
+    # the edge lies on the hub's hamilton cycle: one endpoint has degree 2.
+    # (Were both of degree 3, the triangle's tip and x1 would both have the
+    # neighbourhood {u, v} in C, and C would have no hamilton cycle.)
     if len(g0p.adj[ulp]) == 2:
         u, v = v, u
     g2, _, n2o2 = _sub(g, set(range(n)) - l1 - {x1, v})
@@ -752,29 +748,31 @@ def _star_assembly(g: Graph, dec) -> Ipf:
 # {2,3}-graphs with a long-cycle 2-factor
 # ---------------------------------------------------------------------------
 
-def ipf_23_with_2factor(g: Graph, f: TwoFactor) -> Ipf:
+def ipf_23_with_2factor(g: Graph) -> Ipf | None:
     """IPF with at most n/3 paths (bad host) or (n-1)/3 paths (otherwise)
-    for a connected {2,3}-graph with a 2-factor whose cycles have length
-    at least 5.
+    for a connected {2,3}-graph of order >= 7, or None when the host has
+    no 2-factor whose cycles all have length >= 5.
 
-    The 2-factor should have the minimum number of cycles among such
-    factors; the final verification on the host catches any violation of
-    the induced property that a non-minimal factor could cause."""
+    A host that meets the block-tree hypotheses is covered by the block
+    tree; its blocks' hamilton cycles are such a 2-factor, so it never
+    gets None.  Any other host is reduced through the 2-factor of
+    ``two_factor_search``, which has the fewest cycles."""
     if g.n < 7:
         raise GraphError("the 2-factor construction requires order >= 7")
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("host must be a connected {2,3}-graph")
-    f.validate(g)
-    if any(len(c) < 5 for c in f.cycles):
-        raise GraphError("all 2-factor cycles must have length >= 5")
     hyp = _blocktree_hypotheses(g)
     if hyp is not None:
         return _blocktree(g, *hyp)
-    return _two_factor_reduction(g, f)
+    f = two_factor_search(g)
+    return None if f is None else _two_factor_reduction(g, f)
 
 
 def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
-    """ipf_23_with_2factor for a host that fails the block-tree hypotheses."""
+    """IPF of a host that fails the block-tree hypotheses, from a 2-factor
+    whose cycles all have length >= 5 and are as few as possible; the final
+    verification on the host catches any violation of the induced property
+    that a non-minimal factor could cause."""
     cycle_of = {}
     for i, cyc in enumerate(f.cycles):
         for v in cyc:
@@ -782,7 +780,7 @@ def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
     S = [e for e in g.sorted_edges() if cycle_of[e[0]] != cycle_of[e[1]]]
     S_prime: list[tuple[int, int]] = []
     for e in S:
-        if g.is_connected_without_edges(S_prime + [e]):
+        if g.without_edges(S_prime + [e]).is_connected():
             S_prime.append(e)
     if not S_prime:
         raise ConstructionError("no removable inter-cycle edges found")

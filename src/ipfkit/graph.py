@@ -127,23 +127,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def is_connected_without_edges(self, removed: Iterable[tuple[int, int]]) -> bool:
-        gone = {(min(u, v), max(u, v)) for u, v in removed}
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if not seen[w] and (min(v, w), max(v, w)) not in gone:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
-
     # -- derived graphs ------------------------------------------------
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
@@ -360,17 +343,17 @@ def find_2_edge_cut(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]
     """First (lexicographic) pair of edges whose removal disconnects g.
 
     Requires g connected and bridgeless; returns None when g is
-    3-edge-connected.
+    3-edge-connected.  Since g - e is connected, a pair (e, f) cuts g
+    exactly when f is a bridge of g - e.
     """
     if not g.is_connected():
         raise GraphError("find_2_edge_cut requires a connected graph")
     if bridges(g):
         raise GraphError("find_2_edge_cut requires a bridgeless graph")
-    es = g.sorted_edges()
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if not g.is_connected_without_edges((es[i], es[j])):
-                return es[i], es[j]
+    for e in g.sorted_edges():
+        later = [f for f in bridges(g.without_edges([e])) if f > e]
+        if later:
+            return e, min(later)
     return None
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from ipfkit import Graph, write_adjlist, write_graph6
-from ipfkit import cli
+from ipfkit import cli, constructive
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
@@ -59,8 +59,7 @@ def test_solve_budget_exit_code(capsys, petersen_file):
 
 
 def test_construct_cubic_certificate(capsys, petersen_file):
-    code, out, _ = run(capsys, ["construct", "--method", "cubic",
-                                "--input", petersen_file,
+    code, out, _ = run(capsys, ["construct", "--input", petersen_file,
                                 "--json", "--stable"])
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -69,23 +68,92 @@ def test_construct_cubic_certificate(capsys, petersen_file):
     assert doc["trace"]
 
 
-def test_construct_auto_searches_2factor_once(capsys, tmp_path, monkeypatch):
-    # C10 plus the chord 0-5: a non-cubic {2,3}-graph with a long 2-factor
-    g = Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
-    path = tmp_path / "chorded.g6"
+def subdivided_prism(k):
+    """The prism C_k x K2 (outer cycle 0..k-1, inner k..2k-1, spokes i,
+    k+i) with the edge (0, 1) subdivided by vertex 2k: a hamiltonian
+    {2,3}-graph of order 2k+1."""
+    edges = [(i, (i + 1) % k) for i in range(1, k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)] + [(0, 2 * k), (1, 2 * k)]
+    return Graph(2 * k + 1, edges)
+
+
+def theta(*lengths):
+    """Paths of the given lengths between vertices 0 and 1."""
+    edges, nxt = [], 2
+    for length in lengths:
+        inner = list(range(nxt, nxt + length - 1))
+        nxt += length - 1
+        walk = [0] + inner + [1]
+        edges += list(zip(walk, walk[1:]))
+    return Graph(nxt, edges)
+
+
+def construct_counting_searches(capsys, tmp_path, monkeypatch, g):
+    """Run construct on g; return its exit code, stdout, stderr and the
+    number of 2-factor searches it made."""
+    path = tmp_path / "host.g6"
     path.write_text(write_graph6(g) + "\n")
     calls = []
-    search = cli.two_factor_search
+    search = constructive.two_factor_search
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
-    monkeypatch.setattr(cli, "two_factor_search", counted)
-    code, out, _ = run(capsys, ["construct", "--input", str(path),
-                                "--json", "--stable"])
+    monkeypatch.setattr(constructive, "two_factor_search", counted)
+    return (*run(capsys, ["construct", "--input", str(path),
+                          "--json", "--stable"]), len(calls))
+
+
+def test_construct_auto_searches_2factor_once(capsys, tmp_path, monkeypatch):
+    # Petersen minus an edge: one block, not hamiltonian, so no block tree
+    g = petersen().without_edges([(0, 1)])
+    code, out, _, searches = construct_counting_searches(capsys, tmp_path,
+                                                         monkeypatch, g)
     assert code == EXIT_OK
-    assert json.loads(out)["method"] == "2factor"
-    assert len(calls) == 1
+    doc = json.loads(out)
+    assert doc["method"] == "2factor" and doc["ipf"]["path_count"] == 3
+    assert searches == 1
+
+
+@pytest.mark.parametrize("g", [
+    Graph(10, cycle(10).edges | {(0, 5)}),
+    subdivided_prism(20),
+    subdivided_prism(30),
+], ids=["c10-chord", "prism-41", "prism-61"])
+def test_construct_block_tree_searches_no_2factor(capsys, tmp_path,
+                                                  monkeypatch, g):
+    """A block-tree host is covered without a 2-factor search, which
+    enumerates every perfect matching: searching first, construct took
+    132 s on the n=61 prism on a 2-CPU Xeon."""
+    code, out, _, searches = construct_counting_searches(capsys, tmp_path,
+                                                         monkeypatch, g)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["method"] == "2factor" and doc["ipf"]["path_count"] == 2
+    assert searches == 0
+
+
+@pytest.mark.parametrize("lengths, code", [((2, 3, 4), EXIT_OK),
+                                           ((2, 5, 7), EXIT_VIOLATION)])
+def test_construct_without_long_2factor(capsys, tmp_path, monkeypatch,
+                                        lengths, code):
+    """A theta graph has no 2-factor: the exact oracle covers it up to
+    order 12, beyond that no construction applies."""
+    g = theta(*lengths)
+    got, out, err, searches = construct_counting_searches(capsys, tmp_path,
+                                                          monkeypatch, g)
+    assert (got, searches) == (code, 1)
+    if code == EXIT_OK:
+        assert json.loads(out)["method"] == "exact"
+    else:
+        assert "no construction applies" in err
+
+
+def test_construct_has_no_method_option(capsys, petersen_file):
+    code, _, _ = run(capsys, ["construct", "--method", "cubic",
+                              "--input", petersen_file])
+    assert code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -108,8 +176,7 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     path = tmp_path / "big.txt"
     path.write_text(write_adjlist(g))
     called = []
-    for name in ("ipf_cubic", "ipf_ham23", "ipf_blocktree",
-                 "ipf_23_with_2factor", "two_factor_search", "rho_exhaustive"):
+    for name in ("ipf_cubic", "ipf_23_with_2factor", "rho_exhaustive"):
         monkeypatch.setattr(cli, name,
                             lambda *a, name=name, **k: called.append(name))
     code, _, err = run(capsys, ["construct", "--input", str(path),

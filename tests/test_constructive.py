@@ -13,11 +13,11 @@ from ipfkit import (
     Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
     is_triangle_ring, is_well_behaved, recognize_bad, rho_exact,
-    two_factor_search, verify_ipf, write_graph6,
+    verify_ipf, write_graph6,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
-from ipfkit.constructive import _allowed_bound
+from ipfkit.constructive import _allowed_bound, _blocktree_hypotheses
 from ipfkit.families import (
     bad_graph, petersen, subdivided_complete, tietze, triangle_ring,
 )
@@ -150,28 +150,24 @@ def test_blocktree_cycle_hosts():
 
 def test_2factor_assembly_single_cycle():
     for g in census_graphs(10):
-        cyc = hamilton_cycle(g)
-        if cyc is None:
+        if hamilton_cycle(g) is None:
             continue
-        ipf = ipf_23_with_2factor(g, TwoFactor.from_cycles([cyc]))
+        ipf = ipf_23_with_2factor(g)
         assert ipf.path_count <= 3
 
 
-def test_2factor_assembly_multi_cycle():
+def test_2factor_assembly_multi_cycle(monkeypatch):
     g = petersen()
-    f = two_factor_search(g)
-    assert f is not None and len(f.cycles) == 2
-    ipf = ipf_23_with_2factor(g, f)
+    factors = spy(monkeypatch, "two_factor_search")
+    ipf = ipf_23_with_2factor(g)
     assert ipf.path_count <= 3
+    assert len(factors) == 1 and len(factors[0][1].cycles) == 2
 
 
 def test_2factor_assembly_rejects_short_cycles():
     g = census_graphs(6)[0]
-    cyc = hamilton_cycle(g)
-    if cyc is None or g.n >= 7:
-        return
     with pytest.raises(GraphError):
-        ipf_23_with_2factor(g, TwoFactor.from_cycles([cyc]))
+        ipf_23_with_2factor(g)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +345,14 @@ def test_blocktree_ring_bridge_in_either_labelling(first, second):
     assert check_blocktree(g).path_count == 4
 
 
+# order-5 leaf block: C5 plus the chord 0-2; vertex 3 has degree 2
+LEAF = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+
+
 def c5_star(x1, x2):
-    """C5 centre with two order-5 leaves (C5 plus the chord 0-2), bridged
-    from centre vertices x1 and x2 to the leaves' degree-2 vertex 3."""
-    leaf = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
-    g = joined(joined(cycle(5), leaf, x1, 3), leaf, x2, 3)
+    """C5 centre with two order-5 leaves, bridged from centre vertices x1
+    and x2 to the leaves' vertex 3."""
+    g = joined(joined(cycle(5), LEAF, x1, 3), LEAF, x2, 3)
     assert g.n == 15
     return g
 
@@ -371,6 +370,46 @@ def test_blocktree_c5_centre_with_adjacent_leaves(monkeypatch):
     stars = spy(monkeypatch, "_star_assembly")
     assert check_blocktree(c5_star(0, 1)).path_count == 4
     assert len(stars) == 1 and len(pasted) == 1
+
+
+def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
+    """triangle_ring(6) with its triangle edge (0, 1) subdivided by 6 and
+    its joining edge (4, 5) by 7, each of 6 and 7 bridged to a leaf.
+    Suppressing 6 leaves a bad host, so the star assembly instead drops 6
+    with the triangle tip 0, puts the path 0-6 on the leaf's path, and
+    recurses once, on the order-11 rest."""
+    ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
+    hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
+    g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
+    assert g.n == 18 and not recognize_bad(g).is_bad
+    suppressed = spy(monkeypatch, "suppress_vertex")
+    lifted = spy(monkeypatch, "lift")
+    recursed = spy(monkeypatch, "ipf_blocktree")
+    ipf = check_blocktree(g)
+    assert ipf.path_count == 5 and (0, 6) in ipf.edges
+    assert len(suppressed) == 1 and lifted == []
+    assert [args[0].n for args, _ in recursed] == [11]
+
+
+def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):
+    """bad_graph(6, (0, 1), 1) plus an edge between its two leaves,
+    labelled in reverse so that this edge, (0, 9), sorts before the hub's
+    bridges (1, 5) and (7, 11).  The greedy S' is that edge alone and
+    leaves the bad graph, so the reduction puts it back and cuts the
+    bridge (1, 5) of its order-5 block instead."""
+    bad = bad_graph(6, (0, 1), 1)
+    g = Graph(18, [(17 - u, 17 - v) for u, v in bad.edges] + [(0, 9)])
+    hub = [17 - v for v in (0, 1, 6, 2, 3, 4, 12, 5)]
+    f = TwoFactor.from_cycles([hub, [10, 9, 8, 7, 6], [4, 3, 2, 1, 0]])
+    f.validate(g)
+    assert _blocktree_hypotheses(g) is None
+    badness = spy(monkeypatch, "recognize_bad")
+    ipf = constructive._two_factor_reduction(g, f)
+    assert len(verify_ipf(g, ipf.edges)) == ipf.path_count == 5
+    (first, bad_first), (swapped, bad_swapped) = badness[:2]
+    assert first[0] == g.without_edges([(0, 9)]) and bad_first.is_bad
+    assert swapped[0] == g.without_edges([(1, 5)])
+    assert not bad_swapped.is_bad
 
 
 @pytest.mark.parametrize("k", [5, 7])

@@ -44,7 +44,7 @@ def test_components_and_connectivity():
     assert comps == [[0, 1], [2, 3], [4]]
     assert not g.is_connected()
     assert cycle(6).is_connected()
-    assert not cycle(6).is_connected_without_edges([(0, 1), (3, 4)])
+    assert not cycle(6).without_edges([(0, 1), (3, 4)]).is_connected()
 
 
 def test_bridges_path_and_cycle():
@@ -86,7 +86,23 @@ def test_two_edge_cut_detection():
     g = double_k4minus()
     cut = find_2_edge_cut(g)
     assert cut is not None
-    assert not g.is_connected_without_edges(cut)
+    assert not g.without_edges(cut).is_connected()
+
+
+def test_two_edge_cut_is_the_first_pair():
+    """find_2_edge_cut pairs the first edge e that has a later bridge in
+    g - e with the first such bridge: the lexicographically first cutting
+    pair, as a scan over all pairs finds it."""
+    def first_pair(g):
+        es = g.sorted_edges()
+        return next(((e, f) for i, e in enumerate(es) for f in es[i + 1:]
+                     if not g.without_edges([e, f]).is_connected()), None)
+    hosts = [g for n in (8, 10, 12) for g in census_graphs(n)
+             if not bridges(g)]
+    assert len(hosts) > 50
+    assert any(find_2_edge_cut(g) for g in hosts)
+    for g in hosts + [double_k4minus(), cycle(7)]:
+        assert find_2_edge_cut(g) == first_pair(g)
 
 
 def test_ladder_decomposition_across_a_2_cut():

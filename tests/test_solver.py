@@ -10,7 +10,7 @@ import pytest
 from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
                     verify_ipf)
 from ipfkit.solver import _bfs_order, longest_induced_path_order
-from ipfkit import _kernel_py
+from ipfkit import _kernel_py, solver
 from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
                              triangle_ring)
 
@@ -140,14 +140,16 @@ def test_oracle_agreement_where_end_bound_prunes():
         assert len(verify_ipf(g, res.witness.edges)) == res.rho
 
 
-def test_pinned_node_counts():
+def test_pinned_node_counts(kernel, monkeypatch):
     """Node counts of the search on the BFS relabelling, with the count + 1
     bound, the counting identity's prune of the last two paths and the
     end-count bound; the last-path closure, the stop at dead nodes and the
     skipped left arms must change no count.  The identity and the end-count
     bound only drop children that cannot beat the incumbent, so no census
     host may take more nodes than the search without them took
-    (``census_node_caps.json``, summing to 252, 2,569 and 36,656)."""
+    (``census_node_caps.json``, summing to 252, 2,569 and 36,656).  Run
+    on each twin, the compiled one built from the source in the tree."""
+    monkeypatch.setattr(solver, "_kernel", kernel)
     caps = json.loads((DATA / "census_node_caps.json").read_text())
     for n, nodes in ((10, 109), (12, 626), (14, 5240)):
         got = [rho_exact(g).stats["nodes"] for g in census_graphs(n)]
@@ -169,11 +171,12 @@ def test_search_scale_guard():
         assert len(verify_ipf(g, res.witness.edges)) == rho
 
 
-def test_pinned_census_witnesses():
+def test_pinned_census_witnesses(kernel, monkeypatch):
     """The witness edge sets of the n=10 and n=12 census, mapped back from
     the search on the BFS relabelling: the kernel's bounds and closures cut
     only subtrees holding no strictly better cover, so a change to them may
-    move no witness."""
+    move no witness.  Run on each twin."""
+    monkeypatch.setattr(solver, "_kernel", kernel)
     pinned = json.loads((DATA / "census_witnesses.json").read_text())
     assert len(pinned) == 19 + 85
     for code, edges in pinned.items():

@@ -59,11 +59,11 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 def _triangle_of(g: Graph, v: int) -> tuple[int, int] | None:
     """The other two vertices of a triangle containing v, or None."""
-    nbrs = g.adj[v]
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if g.has_edge(nbrs[i], nbrs[j]):
-                return nbrs[i], nbrs[j]
+    masks = g.adj_mask
+    for a in g.adj[v]:
+        later = masks[a] & (masks[v] >> (a + 1) << (a + 1))  # nbrs after a
+        if later:
+            return a, (later & -later).bit_length() - 1
     return None
 
 
@@ -393,8 +393,10 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
     if k == 2:
         half = (n + 1) // 2
         for lab in options:
-            x1 = lab[0]
-            if not any(g.has_edge(x1, lab[i - 1]) for i in range(3, half + 1)):
+            far = 0  # x_3 .. x_half
+            for w in lab[2:half]:
+                far |= 1 << w
+            if not g.adj_mask[lab[0]] & far:
                 return lab
         raise ConstructionError("no orientation satisfies the k=2 condition")
     if k == 3:
@@ -412,18 +414,19 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
 
 def _greedy_paths(g: Graph, lab: list[int]) -> list[list[int]]:
     """Maximal induced prefixes along the labelled order (no wrap-around)."""
+    masks = g.adj_mask
     paths = []
     i = 0
     n = g.n
     while i < n:
         path = [lab[i]]
+        inner = 0  # path[:-1]
         j = i + 1
         while j < n:
             v = lab[j]
-            if not g.has_edge(path[-1], v):
+            if not masks[path[-1]] >> v & 1 or masks[v] & inner:
                 break
-            if any(g.has_edge(v, w) for w in path[:-1]):
-                break
+            inner |= 1 << path[-1]
             path.append(v)
             j += 1
         paths.append(path)

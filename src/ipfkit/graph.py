@@ -27,42 +27,53 @@ class Graph6Error(GraphError):
         self.offset = offset
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    The `_blocks` slot holds the graph's `BlockDecomposition` once
-    `block_decomposition` has computed it.  Caching is safe because nothing
-    changes a Graph after construction; every derived graph is a new object
-    with an empty slot."""
+    `adj_mask[v]` has bit w set for each neighbour w of v; `adj` lists the
+    same neighbours in ascending order.  Adjacency, connectivity and graph6
+    coding read the masks.
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks")
+    The `_blocks` and `_k4minus` slots hold the graph's `BlockDecomposition`
+    and its induced K4-minus list once `block_decomposition` and
+    `ipf.induced_k4minus_subgraphs` have computed them.  Caching is safe
+    because nothing changes a Graph after construction; every derived graph
+    is a new object with empty slots."""
+
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks", "_k4minus")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        norm = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(norm)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        # a list, not a generator: tuple(generator) reallocs a new tuple
-        # instead of reusing the interpreter's per-length free lists, which
-        # then grew by one tuple per Graph (up to 2000 per length)
-        self.adj = tuple([tuple(sorted(a)) for a in nbrs])
-        masks = [0] * n
-        for u, v in norm:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        # tuples of lists, not of generators: tuple(generator) reallocs a
+        # new tuple instead of reusing the interpreter's per-length free
+        # lists, which then grew by one tuple per Graph (up to 2000 per length)
+        adj = [tuple(_bits(m)) for m in masks]
+        self.n = n
         self.adj_mask = tuple(masks)
+        self.adj = tuple(adj)
+        self.edges = frozenset([(v, w) for v, row in enumerate(adj)
+                                for w in row if w > v])
         self._blocks = None
+        self._k4minus = None
 
     # -- basic queries -------------------------------------------------
 
@@ -73,7 +84,8 @@ class Graph:
         return [len(a) for a in self.adj]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n \
+            and self.adj_mask[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
@@ -105,27 +117,31 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
+    def _component_mask(self, start: int) -> int:
+        """Bit mask of the vertices reachable from `start`."""
+        masks = self.adj_mask
+        comp = frontier = 1 << start
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        return comp
+
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = self._component_mask((left & -left).bit_length() - 1)
+            comps.append(_bits(comp))
+            left &= ~comp
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or self._component_mask(0) == (1 << self.n) - 1
 
     # -- derived graphs ------------------------------------------------
 
@@ -153,6 +169,13 @@ class Graph:
 # graph6 (short form, n <= 62) and a plain adjacency-list text format
 # ---------------------------------------------------------------------------
 
+# graph6 packs the upper triangle row by row: the bit of pair (u, v), u < v,
+# is bit v(v-1)/2 + u of a stream that each byte after the first carries six
+# bits of, high bit first, as chr(63 + value); the last byte pads with zeros
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+
+
 def parse_graph6(text: str) -> Graph:
     line = text.strip()
     if line.startswith(">>graph6<<"):
@@ -177,38 +200,34 @@ def parse_graph6(text: str) -> Graph:
             f"truncated bit field: need {need} bytes, got {len(body)}", len(data))
     if len(body) > need:
         raise Graph6Error("trailing bytes after bit field", 1 + need)
-    bits = []
-    for i, ch in enumerate(body):
-        if not 63 <= ch <= 126:
-            raise Graph6Error(f"out-of-range character {chr(ch)!r}", 1 + i)
-        val = ch - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    try:
+        stream = "".join([_G6_BITS[ch] for ch in body])
+    except KeyError:
+        i = next(i for i, ch in enumerate(body) if ch not in _G6_BITS)
+        raise Graph6Error(f"out-of-range character {chr(body[i])!r}",
+                          1 + i) from None
+    bits = int(stream[::-1], 2) if stream else 0  # stream bit k is bit k
+    if bits >> (n * (n - 1) // 2):
+        raise Graph6Error("non-zero padding bits", len(data) - 1)
     edges = []
-    idx = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+        row = bits & ((1 << v) - 1)  # bit u: the pair (u, v)
+        bits >>= v
+        while row:
+            low = row & -row
+            edges.append((low.bit_length() - 1, v))
+            row ^= low
     return Graph(n, edges)
 
 
 def write_graph6(g: Graph) -> str:
     if g.n > 62:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
-    bits = []
-    for v in range(1, g.n):
-        row = g.adj_mask[v]
-        bits.extend([(row >> u) & 1 for u in range(v)])
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    stream = "".join([format(g.adj_mask[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                      for v in range(1, g.n)])
+    stream += "0" * (-len(stream) % 6)
+    return chr(g.n + 63) + "".join([_G6_CHARS[stream[i:i + 6]]
+                                    for i in range(0, len(stream), 6)])
 
 
 def parse_adjlist(text: str) -> Graph:

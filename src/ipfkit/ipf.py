@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph, block_decomposition
+from .graph import Graph, _bits, block_decomposition
 
 
 class IpfError(ValueError):
@@ -30,6 +30,18 @@ class IpfError(ValueError):
 
 def _norm_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u < v else (v, u) for u, v in edges)
+
+
+def _raise_first_chord(g: Graph, path: list[int]) -> None:
+    """Raise the IpfError naming the first chord (i, j) of path, by i then j."""
+    k = len(path)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if g.has_edge(path[i], path[j]):
+                pair = (path[i], path[j])
+                raise IpfError(
+                    f"path {path} has chord {pair}: non-consecutive "
+                    f"vertices adjacent in host", "chord", pair)
 
 
 def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -66,10 +78,13 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
         prev = -1
         v = s
         while True:
-            nxt = [w for w in nbr[v] if w != prev]
-            if not nxt:
+            nb = nbr[v]
+            if len(nb) == 2:  # interior: leave by the other edge
+                w = nb[1] if nb[0] == prev else nb[0]
+            elif nb and nb[0] != prev:  # s itself
+                w = nb[0]
+            else:
                 break
-            w = nxt[0]
             seen[w] = True
             path.append(w)
             prev, v = v, w
@@ -79,15 +94,18 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     if not all(seen):
         cyc = [v for v in range(g.n) if not seen[v]]
         raise IpfError(f"edge subset contains a cycle through {cyc}", "cycle", cyc)
+    # each vertex has its path neighbours among its host neighbours in the
+    # path, so the path has a chord iff these counts sum past 2(k-1); only
+    # then does the pairwise scan run, to name the first chord
+    masks = g.adj_mask
     for path in paths:
-        k = len(path)
-        for i in range(k):
-            for j in range(i + 2, k):
-                if g.has_edge(path[i], path[j]):
-                    pair = (path[i], path[j])
-                    raise IpfError(
-                        f"path {path} has chord {pair}: non-consecutive "
-                        f"vertices adjacent in host", "chord", pair)
+        if len(path) < 3:
+            continue
+        pm = 0
+        for v in path:
+            pm |= 1 << v
+        if sum([(masks[v] & pm).bit_count() for v in path]) > 2 * len(path) - 2:
+            _raise_first_chord(g, path)
     paths.sort(key=lambda p: p[0])
     assert len(paths) == g.n - len(es)
     return paths
@@ -194,18 +212,28 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
     return WellBehavedReport(not witnesses, Rset, witnesses)
 
 
-def induced_k4minus_subgraphs(g: Graph) -> list[tuple[int, int, int, int]]:
+def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """All induced K4- subgraphs, reported as (a, b, c, d) with ab the
-    missing edge and cd the edge joining the two degree-3-in-H vertices."""
+    missing edge and cd the edge joining the two degree-3-in-H vertices,
+    in the order of cd, then a, then b.
+
+    Computed on the first call and kept in g's `_k4minus` slot, as
+    `block_decomposition` keeps the blocks; later calls return that same
+    tuple."""
+    if g._k4minus is not None:
+        return g._k4minus
+    masks = g.adj_mask
     found = []
     for c, d in g.sorted_edges():
-        common = [w for w in g.adj[c] if g.has_edge(w, d)]
-        for i in range(len(common)):
-            for j in range(i + 1, len(common)):
-                a, b = common[i], common[j]
-                if not g.has_edge(a, b):
-                    found.append((a, b, c, d))
-    return found
+        common = masks[c] & masks[d]
+        if common & (common - 1):  # a K4- needs two common neighbours
+            ws = _bits(common)
+            for i, a in enumerate(ws):
+                for b in ws[i + 1:]:
+                    if not masks[a] >> b & 1:
+                        found.append((a, b, c, d))
+    g._k4minus = tuple(found)
+    return g._k4minus
 
 
 def is_standardised(ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:

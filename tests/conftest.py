@@ -1,14 +1,21 @@
 """Shared fixtures: census file loading, random graph generators, the
-enumeration of hamiltonian {2,3}-graphs used by several suites, and the
-compiled search kernel."""
+enumeration of hamiltonian {2,3}-graphs used by several suites, the
+compiled search kernel, and the derandomized hypothesis profile."""
 
 import importlib.util
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ipfkit import Graph, parse_graph6
+
+# every run and every machine draws the same hypothesis examples: the seed
+# comes from each test, and no example database is read or written (each
+# test keeps its own max_examples)
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 DATA = Path(__file__).parent / "data"
 KERNEL_C_SOURCE = Path(__file__).parents[1] / "src" / "ipfkit" / "_kernel_c.c"

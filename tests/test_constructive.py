@@ -17,7 +17,8 @@ from ipfkit import (
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
-from ipfkit.constructive import _allowed_bound, _blocktree_hypotheses
+from ipfkit.constructive import _allowed_bound, _blocktree_hypotheses, lift
+from ipfkit.surgery import paste_k4minus, subdivide_edge, suppress_vertex
 from ipfkit.families import (
     bad_graph, petersen, subdivided_complete, tietze, triangle_ring,
 )
@@ -441,6 +442,24 @@ def test_cubic_verifies_each_built_ipf_once(monkeypatch):
         traces.update(cert.trace)
     assert {"bridge-split", "k4minus-reduction", "two-factor"} <= traces
     assert calls["verify_ipf"] == calls["from_edges"] > 0
+
+
+def test_lift_scans_the_host_k4minus_once(monkeypatch):
+    # a cycle with a K4- pasted on (0, 1), then the edge (3, 4) subdivided
+    # by 10; lifting through the suppression of 10 standardises an IPF of
+    # the pasted host, which asks for its K4- list more than once
+    h, _ = paste_k4minus(cycle(8), 0, 1)
+    g, _ = subdivide_edge(h, 3, 4)
+    prime_host, rec = suppress_vertex(g, 10)
+    prime = Ipf.from_paths(prime_host, [[0, 8, 1, 2, 3], [9], [4, 5, 6, 7]])
+    asked = spy(monkeypatch, "induced_k4minus_subgraphs",
+                (ipf_module, constructive))
+    out = lift(g, rec, prime)
+    assert 10 in out.endpoints()
+    assert len(asked) >= 2
+    assert {id(found) for _, found in asked} == {id(asked[0][1])}
+    assert asked[0][1] == ((0, 1, 8, 9),)
+    assert isinstance(asked[0][1], tuple)  # shared, so not mutable
 
 
 def test_cubic_decides_hamiltonicity_once(monkeypatch):

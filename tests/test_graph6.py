@@ -2,7 +2,7 @@
 
 import pytest
 
-from ipfkit import Graph, Graph6Error, parse_graph6, write_graph6
+from ipfkit import Graph, Graph6Error, census, parse_graph6, write_graph6
 
 from conftest import DATA, census_graphs
 
@@ -67,3 +67,33 @@ def test_non_ascii_rejected_with_offset(bad, offset):
         parse_graph6(bad)
     assert info.value.offset == offset
     assert "non-ASCII" in str(info.value)
+
+
+def with_padding(line: str, bit: int) -> str:
+    """line with padding bit `bit` (0 = the last) of its last byte set."""
+    val = ord(line[-1]) - 63
+    return line[:-1] + chr(63 + (val | 1 << bit))
+
+
+@pytest.mark.parametrize("line, pad", [
+    ("Dhc", 2),                  # C5: 10 bits in 2 bytes
+    ("MJOg_SC?gAOD_C_A_", 5),    # first n=14 census graph: 91 bits in 16
+])
+def test_nonzero_padding_rejected_at_last_byte(line, pad):
+    parse_graph6(line)
+    for bit in range(pad):
+        bad = with_padding(line, bit)
+        with pytest.raises(Graph6Error) as info:
+            parse_graph6(bad)
+        assert info.value.offset == len(line) - 1
+        assert "padding" in str(info.value)
+    assert with_padding("Dhc", 0) == "Dhd"
+
+
+def test_census_reports_padding_as_error_line():
+    line = census_graphs(14)[0]
+    lines = [write_graph6(line), with_padding(write_graph6(line), 0)]
+    rep = census(lines, mode="verify_theorem")
+    assert rep.graphs_processed == 1
+    assert len(rep.errors) == 1
+    assert rep.errors[0].startswith("line 2: non-zero padding bits")

@@ -134,9 +134,9 @@ def test_not_well_behaved_reports_witness():
 def test_k4minus_detection():
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     found = induced_k4minus_subgraphs(g)
-    assert found == [(0, 1, 2, 3)]
+    assert found == ((0, 1, 2, 3),)
     c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert induced_k4minus_subgraphs(c6) == []
+    assert induced_k4minus_subgraphs(c6) == ()
 
 
 def test_standardised_verdicts():

@@ -11,7 +11,7 @@ import concurrent.futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constructive import ConstructionError, ipf_cubic
+from .constructive import ConstructionError, cubic_limit, ipf_cubic
 from .graph import Graph, Graph6Error, GraphError, parse_graph6
 from .solver import (
     DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, EXHAUSTIVE_CAP, rho_exact,
@@ -176,10 +176,6 @@ class CensusReport:
         }
 
 
-def _theorem_limit(n: int) -> int:
-    return 2 if n <= 6 else (n - 1) // 3
-
-
 def _census_one(args):
     line_no, line, mode, node_limit, time_limit = args
     out = {"line": line_no, "graph6": line}
@@ -192,7 +188,7 @@ def _census_one(args):
         out["skip"] = True
         return out
     out["n"] = g.n
-    limit = _theorem_limit(g.n)
+    limit = cubic_limit(g.n)
     out["limit"] = limit
     if mode in ("verify_theorem", "both"):
         try:

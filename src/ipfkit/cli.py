@@ -259,6 +259,18 @@ def _cmd_bounds(args) -> int:
     raise CliError("bounds requires --ck K or --tree K H")
 
 
+def _at_least(kind, low):
+    """An argparse type: a `kind` value of at least `low`; NaN is refused."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipfkit",
@@ -282,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--exhaustive", action="store_true",
                    help="use the edge-subset oracle instead of the kernel")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
+    p.add_argument("--nodes", type=_at_least(int, 0),
+                   default=DEFAULT_NODE_LIMIT,
                    help="node budget of the exact search; 0 (the default) "
                         "for no node budget")
-    p.add_argument("--budget", type=float, default=DEFAULT_TIME_LIMIT,
+    p.add_argument("--budget", type=_at_least(float, 0),
+                   default=DEFAULT_TIME_LIMIT,
                    help="time budget of the exact search in seconds; 0 for "
                         "none (default %(default)s)")
     p.set_defaults(fn=_cmd_solve)
@@ -310,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_format=False)
     p.add_argument("--mode", default="both",
                    choices=("verify_theorem", "exact_rho", "both"))
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT,
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
+    p.add_argument("--nodes", type=_at_least(int, 0),
+                   default=DEFAULT_NODE_LIMIT,
                    help="node budget of the exact search; 0 (the default) "
                         "for no node budget")
-    p.add_argument("--budget", type=float, default=DEFAULT_TIME_LIMIT,
+    p.add_argument("--budget", type=_at_least(float, 0),
+                   default=DEFAULT_TIME_LIMIT,
                    help="per-graph time budget of the exact search in "
                         "seconds; 0 for none (default %(default)s)")
     p.set_defaults(fn=_cmd_census)

@@ -93,79 +93,51 @@ def recognize_bad(g: Graph) -> BadnessReport:
         raise GraphError("badness is defined for connected {2,3}-graphs")
     if is_triangle_ring(g):
         return BadnessReport(True, True, hub=frozenset(range(g.n)))
+    not_bad = BadnessReport(False, False)
     if g.n % 3 or g.n < 12:
-        return BadnessReport(False, False)
+        return not_bad
     dec = block_decomposition(g)
     big = [b for b in dec.blocks if len(b) >= 6]
-    small = [b for b in dec.blocks if len(b) < 6]
-    # with no small block the checks below allow no bridge, so the hub would
-    # be g and the "ring" g itself, which is_triangle_ring rejected above
-    if len(big) != 1 or not small or any(len(b) != 5 for b in small):
-        return BadnessReport(False, False)
+    leaves = [b for b in dec.blocks if len(b) < 6]
+    # with no leaf the checks below allow no bridge, so the hub would be g
+    # and the "ring" g itself, which is_triangle_ring rejected above.  The
+    # blocks of a {2,3}-graph are disjoint, so the sum says they cover V
+    if (len(big) != 1 or not leaves or any(len(b) != 5 for b in leaves)
+            or sum(len(b) for b in dec.blocks) != g.n
+            or len(dec.bridges) != len(leaves)
+            or not all(is_hamiltonian(g.induced_subgraph(b)[0])
+                       for b in leaves)):
+        return not_bad
+    # every bridge must join a leaf to a subdivision vertex u on the hub; u
+    # has two hub neighbours a, b (a block vertex has two in its block, and
+    # degree 3 leaves no room for more), which must not be adjacent
     hub = big[0]
-    covered = set().union(hub, *small)
-    if len(covered) != g.n or sum(len(b) for b in dec.blocks) != g.n:
-        return BadnessReport(False, False)
-    for b in small:
-        sub, _ = g.induced_subgraph(b)
-        if not is_hamiltonian(sub):
-            return BadnessReport(False, False)
-    # every bridge must join a degree-2 vertex of an order-5 block to a
-    # subdivision vertex on the hub
-    if len(dec.bridges) != len(small):
-        return BadnessReport(False, False)
-    hub_sub, hub_o2n = g.induced_subgraph(hub)
-    hub_n2o = {i: v for v, i in hub_o2n.items()}
     attachments = []
-    att_local = []
-    leaf_of_bridge = {}
-    for u, v in sorted(dec.bridges):
-        if v in hub and u not in hub:
+    for u, v in dec.bridges:
+        if v in hub:
             u, v = v, u
         if u not in hub or v in hub:
-            return BadnessReport(False, False)
-        leaf = next((b for b in small if v in b), None)
-        if leaf is None:
-            return BadnessReport(False, False)
-        x = hub_o2n[u]
-        if len(hub_sub.adj[x]) != 2:
-            return BadnessReport(False, False)
-        a, b = hub_sub.adj[x]
-        if hub_sub.has_edge(a, b):
-            return BadnessReport(False, False)
-        att_local.append(x)
-        leaf_of_bridge[x] = ((hub_n2o[a], hub_n2o[b]), u, leaf)
-    if len(set(att_local)) != len(att_local):
-        return BadnessReport(False, False)
+            return not_bad
+        a, b = (w for w in g.adj[u] if w != v)
+        if g.has_edge(a, b):
+            return not_bad
+        attachments.append(((a, b), u, dec.blocks[dec.block_of[v]]))
+    attachments.sort(key=lambda att: att[1])
     # suppress every subdivision vertex; the result must be a triangle ring
     # and each restored edge must not lie in one of its triangles
-    keep = [v for v in range(hub_sub.n) if v not in att_local]
-    restored = []
-    for x in att_local:
-        a, b = hub_sub.adj[x]
-        if a in att_local or b in att_local:
-            return BadnessReport(False, False)
-        restored.append((min(a, b), max(a, b)))
-    if len(set(restored)) != len(restored):
-        return BadnessReport(False, False)
-    remap = {v: i for i, v in enumerate(keep)}
-    ring_edges = [(remap[u], remap[v]) for u, v in hub_sub.edges
-                  if u in remap and v in remap]
-    ring_edges += [(remap[a], remap[b]) for a, b in restored]
-    try:
-        ring = Graph(len(keep), ring_edges)
-    except GraphError:
-        return BadnessReport(False, False)
-    if not is_triangle_ring(ring):
-        return BadnessReport(False, False)
-    for a, b in restored:
-        ra, rb = remap[a], remap[b]
-        if any(ring.has_edge(ra, w) and ring.has_edge(rb, w)
-               for w in ring.adj[ra]):
-            return BadnessReport(False, False)  # subdivided edge in a triangle
-    for x in sorted(att_local):
-        edge, u, leaf = leaf_of_bridge[x]
-        attachments.append(((min(edge), max(edge)), u, leaf))
+    subdivided = {u for _, u, _ in attachments}
+    restored = [edge for edge, _, _ in attachments]
+    if (len(set(restored)) != len(restored)
+            or any(a in subdivided or b in subdivided for a, b in restored)):
+        return not_bad
+    remap = {v: i for i, v in enumerate(sorted(hub - subdivided))}
+    ring = Graph(len(remap), [(remap[u], remap[v]) for u, v in
+                              itertools.chain(g.edges, restored)
+                              if u in remap and v in remap])
+    if not is_triangle_ring(ring) or any(
+            ring.adj_mask[remap[a]] & ring.adj_mask[remap[b]]
+            for a, b in restored):
+        return not_bad
     return BadnessReport(False, True, hub=hub, attachments=attachments)
 
 
@@ -303,9 +275,8 @@ def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
     cyc = _rotate_to(cyc, x)
 
     if n in (5, 6):
-        # shortest prefix of the cycle whose complement arc is also induced;
-        # prefer prefixes whose interior vertices all have degree 3
-        candidates = []
+        # shortest prefix of the cycle whose complement arc is also induced
+        # and whose interior vertices all have degree 3
         for length in range(0, n - 1):
             for order in (cyc, [cyc[0]] + cyc[:0:-1]):
                 first = order[:length + 1]
@@ -317,9 +288,6 @@ def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
                 exempt = 1 if n == 5 else 2  # order 6 may break at x's neighbour
                 if all(c.degree(v) == 3 for v in first[exempt:]):
                     return ipf
-                candidates.append(ipf)
-        if candidates:
-            return candidates[0]
         raise ConstructionError("no cycle split found on a small host")
 
     # order 7: explicit cases on the chords x1x3, x4x6, x2x5
@@ -847,6 +815,11 @@ class Certificate:
         }
 
 
+def cubic_limit(n: int) -> int:
+    """The path count `ipf_cubic` promises a connected cubic graph of order n."""
+    return 2 if n <= 6 else (n - 1) // 3
+
+
 def ipf_cubic(g: Graph) -> Certificate:
     """IPF of a connected cubic graph with at most 2 paths (n <= 6) or
     (n-1)/3 paths (n > 6)."""
@@ -854,7 +827,7 @@ def ipf_cubic(g: Graph) -> Certificate:
         raise GraphError("host must be a connected cubic graph")
     graph6 = write_graph6(g)  # fails on n > 62 before any search
     ipf, trace = _cubic_recurse(g)
-    limit = 2 if g.n <= 6 else (g.n - 1) // 3
+    limit = cubic_limit(g.n)
     if ipf.path_count > limit:
         raise ConstructionError(
             f"cubic construction used {ipf.path_count} paths, allowed {limit}")

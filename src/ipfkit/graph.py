@@ -279,42 +279,44 @@ class BlockDecomposition:
     block_of: dict[int, int]
 
 
-def _biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of biconnected components (iterative Hopcroft-Tarjan)."""
+def _biconnected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the biconnected components that have an edge, in the
+    order an iterative Hopcroft-Tarjan DFS completes them (roots and
+    neighbours ascending, one neighbour iterator per frame)."""
+    adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n
-    timer = 1
-    comps: list[list[tuple[int, int]]] = []
-    estack: list[tuple[int, int]] = []
+    timer = 0
+    comps: list[list[int]] = []
+    pending: list[int] = []  # discovered, in no component yet; roots stay out
     for root in range(g.n):
         if disc[root]:
             continue
-        disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, 0)]
+        disc[root] = low[root] = timer
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, parent, i = stack.pop()
-            if i < len(g.adj[v]):
-                stack.append((v, parent, i + 1))
-                w = g.adj[v][i]
-                if w == parent:
-                    continue
+            v, nbrs = stack[-1]
+            for w in nbrs:
                 if not disc[w]:
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, 0))
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            elif parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    comp = []
-                    while estack[-1] != (parent, v):
-                        comp.append(estack.pop())
-                    comp.append(estack.pop())
-                    comps.append(comp)
+                    disc[w] = low[w] = timer
+                    pending.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:  # the parent edge lowers low[v] only
+                    low[v] = disc[w]  # to disc[parent]: both tests hold alike
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:  # v's subtree and p: one component
+                        comp = [p]
+                        while comp[-1] != v:
+                            comp.append(pending.pop())
+                        comps.append(comp)
     return comps
 
 
@@ -324,19 +326,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if g._blocks is not None:
         return g._blocks
     comps = _biconnected_components(g)
-    bridges = set()
-    blocks: list[frozenset[int]] = []
-    for comp in comps:
-        verts = set()
-        for u, v in comp:
-            verts.add(u)
-            verts.add(v)
-        if len(comp) == 1:
-            u, v = comp[0]
-            bridges.add((min(u, v), max(u, v)))
-        else:
-            blocks.append(frozenset(verts))
-    blocks.sort(key=lambda b: min(b))
+    bridges = frozenset((min(c), max(c)) for c in comps if len(c) == 2)
+    blocks = sorted((frozenset(c) for c in comps if len(c) > 2), key=min)
     block_of: dict[int, int] = {}
     for i, b in enumerate(blocks):
         for v in b:
@@ -346,7 +337,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         distinct = len(frozenset().union(*blocks))
         if total != distinct:
             raise AssertionError("blocks of a subcubic graph must be vertex-disjoint")
-    g._blocks = BlockDecomposition(frozenset(bridges), tuple(blocks), block_of)
+    g._blocks = BlockDecomposition(bridges, tuple(blocks), block_of)
     return g._blocks
 
 
@@ -538,70 +529,52 @@ class TwoFactor:
             raise GraphError("2-factor does not cover all vertices")
 
 
-def _cycles_of_2_regular(g: Graph, removed: frozenset[tuple[int, int]]) -> list[list[int]]:
-    seen = [False] * g.n
-    cycles = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        prev = -1
-        v = s
-        while True:
-            nxt = None
-            for w in g.adj[v]:
-                if w == prev:
-                    continue
-                if (min(v, w), max(v, w)) in removed:
-                    continue
-                nxt = w
-                break
-            assert nxt is not None
-            if nxt == s:
-                break
-            cyc.append(nxt)
-            seen[nxt] = True
-            prev, v = v, nxt
-        cycles.append(cyc)
-    return cycles
-
-
 def two_factor_search(g: Graph) -> Optional[TwoFactor]:
     """The 2-factor of a connected {2,3}-graph with the fewest cycles (the
     first found among ties) among those whose cycles all have length >= 5,
     or None if there is none.
 
     A 2-factor is obtained by deleting a perfect matching of the subgraph
-    induced on the degree-3 vertices; every such matching is tried.
+    induced on the degree-3 vertices; every such matching is tried, the
+    lowest unmatched vertex first and its partners in `adj` order.
     """
     if not g.is_23_graph():
         raise GraphError("two_factor_search requires a {2,3}-graph")
     if not g.is_connected():
         raise GraphError("two_factor_search requires a connected graph")
-    deg3 = [v for v in range(g.n) if g.degree(v) == 3]
-    if len(deg3) % 2:
+    n, adj = g.n, g.adj
+    deg3 = sum(1 << v for v in range(n) if len(adj[v]) == 3)
+    if deg3.bit_count() % 2:
         return None
+    left = list(g.adj_mask)  # per vertex, its edges outside the matching
+    best, fewest = None, n + 1
 
-    best: list[Optional[TwoFactor]] = [None]
-    best_count = [g.n + 1]
-
-    deg3_set = set(deg3)
-
-    def backtrack(unmatched: list[int], removed: list[tuple[int, int]]) -> None:
+    def search(unmatched: int) -> None:
+        nonlocal best, fewest
         if not unmatched:
-            cycles = _cycles_of_2_regular(g, frozenset(removed))
-            if len(cycles) < best_count[0] and all(len(c) >= 5 for c in cycles):
-                best_count[0] = len(cycles)
-                best[0] = TwoFactor.from_cycles(cycles)
+            # every vertex has two edges left: walk the cycles they form
+            cycles, todo = [], (1 << n) - 1
+            while todo:
+                s = (todo & -todo).bit_length() - 1
+                cyc, prev, v = [s], s, (left[s] & -left[s]).bit_length() - 1
+                while v != s:
+                    cyc.append(v)
+                    prev, v = v, (left[v] ^ (1 << prev)).bit_length() - 1
+                if len(cyc) < 5 or len(cycles) + 1 >= fewest:
+                    return  # this factor can no longer replace the best
+                cycles.append(cyc)
+                todo ^= sum(1 << v for v in cyc)
+            best, fewest = cycles, len(cycles)
             return
-        v = unmatched[0]
-        rest = unmatched[1:]
-        for w in g.adj[v]:
-            if w in deg3_set and w in rest:
-                removed.append((min(v, w), max(v, w)))
-                backtrack([x for x in rest if x != w], removed)
-                removed.pop()
+        v = (unmatched & -unmatched).bit_length() - 1
+        rest = unmatched ^ (1 << v)
+        for w in adj[v]:
+            if rest >> w & 1:
+                left[v] ^= 1 << w
+                left[w] ^= 1 << v
+                search(rest ^ (1 << w))
+                left[v] ^= 1 << w
+                left[w] ^= 1 << v
 
-    backtrack(deg3, [])
-    return best[0]
+    search(deg3)
+    return None if best is None else TwoFactor.from_cycles(best)

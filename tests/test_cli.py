@@ -58,6 +58,19 @@ def test_solve_budget_exit_code(capsys, petersen_file):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("argv", [["solve", "--nodes", "-1"],
+                                  ["solve", "--budget", "-1"],
+                                  ["solve", "--budget", "nan"],
+                                  ["census", "--jobs", "-2"]])
+def test_bad_budget_fails_before_reading_input(capsys, monkeypatch, argv):
+    def no_input(path):
+        raise AssertionError("input read despite a bad option")
+    monkeypatch.setattr(cli, "_read_text", no_input)
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert f"argument {argv[1]}: must be at least" in err
+
+
 def test_construct_cubic_certificate(capsys, petersen_file):
     code, out, _ = run(capsys, ["construct", "--input", petersen_file,
                                 "--json", "--stable"])

@@ -14,7 +14,8 @@ from fractions import Fraction
 from .constructive import ConstructionError, cubic_limit, ipf_cubic
 from .graph import Graph, Graph6Error, GraphError, parse_graph6
 from .solver import (
-    DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, EXHAUSTIVE_CAP, rho_exact,
+    DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, EXHAUSTIVE_CAP, check_budget,
+    rho_exact,
 )
 
 
@@ -218,9 +219,13 @@ def census(lines, mode: str = "both", jobs: int = 1,
     """Run the verification pipeline over newline-delimited graph6 input.
 
     Graphs that are not connected and cubic are counted as skipped; parse
-    errors are reported per line and processing continues."""
+    errors are reported per line and processing continues.  A bad mode,
+    budget or jobs < 1 raises ValueError before any line is read."""
     if mode not in ("verify_theorem", "exact_rho", "both"):
         raise ValueError(f"unknown census mode: {mode!r}")
+    check_budget(node_limit, time_limit)
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(i + 1, line.strip(), mode, node_limit, time_limit)
              for i, line in enumerate(lines) if line.strip()]
     if jobs > 1:

@@ -2,11 +2,11 @@
 
 Every operation returns a runtime-verified IPF together with the bound it
 promises.  The cubic pipeline (``ipf_cubic``) recursively reduces the input
-through bridge splits, K4-minus reductions and 2-edge-cut reassembly until
-it reaches a 3-connected graph, which is handled through a 2-factor and the
-block-tree construction for {2,3}-graphs.  Each assembly step re-verifies
-its output, so a faulty reduction fails loudly instead of producing an
-invalid certificate.
+through bridge splits and K4-minus reductions until it reaches a bridgeless
+host with no reducible K4-minus, which is handled through a hamilton cycle
+or a 2-factor of long cycles and the block-tree construction for
+{2,3}-graphs.  Each assembly step re-verifies its output, so a faulty
+reduction fails loudly instead of producing an invalid certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .graph import (
     Graph, GraphError, TwoFactor, block_decomposition, hamilton_cycle,
-    is_hamiltonian, ladder_decomposition, two_factor_search, write_graph6,
+    is_hamiltonian, two_factor_search, write_graph6,
 )
 from .ipf import (
     Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
@@ -110,7 +110,7 @@ def recognize_bad(g: Graph) -> BadnessReport:
         return not_bad
     # every bridge must join a leaf to a subdivision vertex u on the hub; u
     # has two hub neighbours a, b (a block vertex has two in its block, and
-    # degree 3 leaves no room for more), which must not be adjacent
+    # degree 3 leaves no room for more); adjacent a, b fail the final test
     hub = big[0]
     attachments = []
     for u, v in dec.bridges:
@@ -119,8 +119,6 @@ def recognize_bad(g: Graph) -> BadnessReport:
         if u not in hub or v in hub:
             return not_bad
         a, b = (w for w in g.adj[u] if w != v)
-        if g.has_edge(a, b):
-            return not_bad
         attachments.append(((a, b), u, dec.blocks[dec.block_of[v]]))
     attachments.sort(key=lambda att: att[1])
     # suppress every subdivision vertex; the result must be a triangle ring
@@ -307,21 +305,6 @@ def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
     else:
         paths = [[x0, x1, x2, x3], [x4, x5, x6]]
     return Ipf.from_paths(c, paths)
-
-
-def _two_path_ipf_with_ends(g: Graph, x: int, y: int) -> Ipf:
-    """Brute-force 2-path IPF with distinct paths ending at x and y
-    (small hosts only)."""
-    edges = g.sorted_edges()
-    for combo in itertools.combinations(edges, g.n - 2):
-        try:
-            ipf = Ipf.from_edges(g, combo)
-        except IpfError:
-            continue
-        if _ends_apart(ipf, x, y):
-            return ipf
-    raise ConstructionError(
-        f"no 2-path IPF with ends {x},{y} on a {g.n}-vertex host")
 
 
 # ---------------------------------------------------------------------------
@@ -852,23 +835,19 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     if dec.bridges:
         return _cubic_bridge_split(g, min(sorted(dec.bridges)))
     # one block: the block-tree hypotheses hold exactly when the host is
-    # hamiltonian, and hand their cycle on.  Below, order >= 14 as the K4-
-    # reduction needs (the only smaller bridgeless nonhamiltonian cubic
-    # graphs, Petersen and Tietze, contain no induced K4-)
+    # hamiltonian, and hand their cycle on.  The K4- reduction needs order
+    # >= 14, which holds: the smaller bridgeless nonhamiltonian cubic
+    # graphs, Petersen and Tietze, contain no induced K4-
     hyp = _blocktree_hypotheses(g)
     if hyp is not None:
         return _blocktree(g, *hyp), ["two-factor"]
-    if g.n >= 14:
-        hit = _find_reducible_k4minus(g)
-        if hit is not None:
-            return _cubic_k4minus(g, hit)
-    lad = ladder_decomposition(g)
-    if lad is not None:
-        return _cubic_ladder(g, lad)
+    hit = _find_reducible_k4minus(g)
+    if hit is not None:
+        return _cubic_k4minus(g, hit)
     f = two_factor_search(g)
     if f is None:
-        raise ConstructionError(
-            "3-connected cubic host without a 2-factor of long cycles")
+        raise ConstructionError("bridgeless cubic host with no reducible K4- "
+                                "and no 2-factor of long cycles")
     return _two_factor_reduction(g, f), ["two-factor"]
 
 
@@ -909,8 +888,9 @@ def _find_reducible_k4minus(g: Graph):
     """First induced K4- whose two outside neighbours are distinct and
     nonadjacent, with a connected remainder.
 
-    When the outside neighbours coincide or are adjacent the K4- hangs off
-    a bridge or a 2-edge-cut, which the other reductions handle."""
+    A K4- whose outside neighbours coincide hangs off a bridge, which the
+    bridge split handles; one whose outside neighbours are adjacent is
+    skipped."""
     for a, b, c, d in induced_k4minus_subgraphs(g):
         x0 = next(w for w in g.adj[a] if w not in (c, d))
         y0 = next(w for w in g.adj[b] if w not in (c, d))
@@ -970,107 +950,4 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
                 "K4- reduction could not separate the outside path ends")
     edges = _edges_up(p.edges, n2o)
     edges |= {tuple(sorted(e)) for e in ((x0, a), (a, c), (y0, b), (b, d))}
-    return Ipf.from_edges(g, edges), trace
-
-
-def _chain_edges(path) -> set[tuple[int, int]]:
-    return {tuple(sorted(e)) for e in zip(path, path[1:])}
-
-
-def _cubic_ladder(g: Graph, lad) -> tuple[Ipf, list[str]]:
-    """Reassemble across a 2-edge-cut (a ladder of s rungs between two
-    cubic-with-two-degree-2-vertices sides)."""
-    trace = ["two-edge-cut"]
-    s = lad.s
-    sides = []
-    for verts, x, y in ((lad.g1_vertices, lad.u_path[0], lad.v_path[0]),
-                        (lad.g2_vertices, lad.u_path[-1], lad.v_path[-1])):
-        sub, o2n, n2o = _sub(g, verts)
-        xl, yl = o2n[x], o2n[y]
-        ni = len(verts)
-        if ni in (4, 6):
-            p = _two_path_ipf_with_ends(sub, xl, yl)
-            distinct = True
-        else:
-            closed = sub.with_edges([(xl, yl)])
-            inner, tr = _cubic_recurse(closed)
-            trace += tr
-            xy = (min(xl, yl), max(xl, yl))
-            if xy in inner.edges:
-                p = Ipf.from_edges(sub, inner.edges - {xy})
-                distinct = True
-            else:
-                p = Ipf.from_edges(sub, inner.edges)
-                distinct = _ends_apart(p, xl, yl)
-            if 3 * p.path_count > ni + 2:
-                raise ConstructionError("ladder side exceeded (n+2)/3 paths")
-        sides.append({"p": p, "distinct": distinct, "verts": verts,
-                      "sub": sub, "o2n": o2n, "n2o": n2o, "ni": ni,
-                      "x": x, "y": y, "xl": xl, "yl": yl})
-    s1, s2 = sides
-    small = [3 * t["p"].path_count <= t["ni"] - 1 for t in sides]
-    if s1["distinct"] and s2["distinct"]:
-        edges = _edges_up(s1["p"].edges, s1["n2o"]) \
-            | _edges_up(s2["p"].edges, s2["n2o"]) \
-            | _chain_edges(lad.u_path) | _chain_edges(lad.v_path)
-        return Ipf.from_edges(g, edges), trace
-    if s <= 2 and small[0] and small[1]:
-        edges = _edges_up(s1["p"].edges, s1["n2o"]) \
-            | _edges_up(s2["p"].edges, s2["n2o"])
-        if s == 2:
-            edges |= {tuple(sorted((lad.u_path[1], lad.v_path[1])))}
-        return Ipf.from_edges(g, edges), trace
-    # mixed case: side1 has a small count but no usable ends; rebuild it
-    # with a K4- pasted over the first rung so the lift forces distinct
-    # path ends at u1 and v1
-    if not s1["distinct"]:
-        side1, side2 = s1, s2
-        upath, vpath = list(lad.u_path), list(lad.v_path)
-    else:
-        side1, side2 = s2, s1
-        upath, vpath = list(lad.u_path[::-1]), list(lad.v_path[::-1])
-    if not (side2["ni"] > 4 or s >= 2):
-        raise ConstructionError(
-            "order-4 far side across a single rung should have been "
-            "handled as a K4- reduction")
-    if side2["distinct"]:
-        p2 = side2["p"]
-    else:
-        # free the far ends: drop one IPF edge at each of x2, y2
-        p2 = None
-        x2l, y2l = side2["xl"], side2["yl"]
-        ex = [e for e in side2["p"].edges if x2l in e]
-        ey = [e for e in side2["p"].edges if y2l in e]
-        for rx in ex or [None]:
-            for ry in ey or [None]:
-                drop = {e for e in (rx, ry) if e is not None}
-                try:
-                    cand = Ipf.from_edges(side2["sub"],
-                                          side2["p"].edges - drop)
-                except IpfError:
-                    continue
-                if _ends_apart(cand, x2l, y2l):
-                    p2 = cand
-                    break
-            if p2 is not None:
-                break
-        if p2 is None:
-            raise ConstructionError("could not free the far-side path ends")
-        if not (small[sides.index(side2)] and s >= 3):
-            # freeing ends costs up to two paths; only affordable with a
-            # long ladder
-            raise ConstructionError("far side has neither usable ends nor "
-                                    "slack for freeing them")
-    u1, v1 = upath[1], vpath[1]
-    ext_verts = set(side1["verts"]) | {u1, v1}
-    sub_e, o2n_e, n2o_e = _sub(g, ext_verts)
-    u1l, v1l = o2n_e[u1], o2n_e[v1]
-    if not sub_e.has_edge(u1l, v1l):
-        sub_e = sub_e.with_edges([(u1l, v1l)])
-    pasted, rec = paste_k4minus(sub_e, u1l, v1l)
-    inner, tr = _cubic_recurse(pasted)
-    trace += tr
-    p1 = lift(sub_e, rec, inner)
-    edges = _edges_up(p1.edges, n2o_e) | _edges_up(p2.edges, side2["n2o"])
-    edges |= _chain_edges(upath[1:]) | _chain_edges(vpath[1:])
     return Ipf.from_edges(g, edges), trace

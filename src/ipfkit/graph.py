@@ -536,7 +536,8 @@ def two_factor_search(g: Graph) -> Optional[TwoFactor]:
 
     A 2-factor is obtained by deleting a perfect matching of the subgraph
     induced on the degree-3 vertices; every such matching is tried, the
-    lowest unmatched vertex first and its partners in `adj` order.
+    lowest unmatched vertex first and its partners in `adj` order, except
+    partners that leave an unmatched neighbour of either end with none.
     """
     if not g.is_23_graph():
         raise GraphError("two_factor_search requires a {2,3}-graph")
@@ -546,7 +547,8 @@ def two_factor_search(g: Graph) -> Optional[TwoFactor]:
     deg3 = sum(1 << v for v in range(n) if len(adj[v]) == 3)
     if deg3.bit_count() % 2:
         return None
-    left = list(g.adj_mask)  # per vertex, its edges outside the matching
+    masks = g.adj_mask
+    left = list(masks)  # per vertex, its edges outside the matching
     best, fewest = None, n + 1
 
     def search(unmatched: int) -> None:
@@ -569,12 +571,20 @@ def two_factor_search(g: Graph) -> Optional[TwoFactor]:
         v = (unmatched & -unmatched).bit_length() - 1
         rest = unmatched ^ (1 << v)
         for w in adj[v]:
-            if rest >> w & 1:
-                left[v] ^= 1 << w
-                left[w] ^= 1 << v
-                search(rest ^ (1 << w))
-                left[v] ^= 1 << w
-                left[w] ^= 1 << v
+            if not rest >> w & 1:
+                continue
+            after = rest ^ (1 << w)
+            # forward check: each unmatched neighbour of v, w needs a partner
+            near = (masks[v] | masks[w]) & after
+            while near and masks[(near & -near).bit_length() - 1] & after:
+                near &= near - 1
+            if near:
+                continue
+            left[v] ^= 1 << w
+            left[w] ^= 1 << v
+            search(after)
+            left[v] ^= 1 << w
+            left[w] ^= 1 << v
 
     search(deg3)
     return None if best is None else TwoFactor.from_cycles(best)

@@ -179,12 +179,19 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
+def check_budget(node_limit, time_limit) -> None:
+    """Raise ValueError unless both budgets are at least 0; NaN is refused."""
+    if not (node_limit >= 0 and time_limit >= 0):
+        raise ValueError(f"budgets must be at least 0, got node_limit="
+                         f"{node_limit}, time_limit={time_limit}")
+
+
 def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
               time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Exact rho by branch-and-bound; node_limit/time_limit of 0 disable
     the respective budget, and by default only the time budget is set.  On
     budget exhaustion the best solution found is returned with
-    optimal=False.
+    optimal=False.  A negative or NaN budget raises ValueError.
 
     The kernel branches on the lowest-indexed uncovered vertex, so it
     searches g relabelled in BFS order (``_bfs_order``), not in its input
@@ -192,6 +199,7 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
 
     ``stats`` holds the ``nodes`` the kernel counted in that search,
     ``seconds`` and the ``backend``."""
+    check_budget(node_limit, time_limit)
     t0 = time.monotonic()
     order = _bfs_order(g)
     label = [0] * g.n

@@ -162,6 +162,18 @@ def test_census_budget_exhaustion_reported():
     assert not rep.violations
 
 
+@pytest.mark.parametrize("kwargs", [{"mode": "neither"}, {"node_limit": -1},
+                                    {"time_limit": -1.0},
+                                    {"time_limit": float("nan")},
+                                    {"jobs": 0}, {"jobs": -2}])
+def test_census_bad_arguments_raise_before_reading(kwargs):
+    def lines():
+        raise AssertionError("input read despite a bad argument")
+        yield
+    with pytest.raises(ValueError):
+        census(lines(), **kwargs)
+
+
 def test_census_empty_input():
     rep = census([])
     assert rep.graphs_processed == 0 and not rep.errors

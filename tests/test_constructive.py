@@ -12,8 +12,8 @@ import pytest
 from ipfkit import (
     Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
-    is_triangle_ring, is_well_behaved, recognize_bad, rho_exact,
-    verify_ipf, write_graph6,
+    is_triangle_ring, is_well_behaved, parse_graph6, recognize_bad,
+    rho_exact, verify_ipf, write_graph6,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
@@ -285,32 +285,44 @@ def spy_hamilton(monkeypatch):
     return spy(monkeypatch, "hamilton_cycle", (graph, constructive))
 
 
-def test_cubic_two_edge_cut_between_petersen_halves(monkeypatch):
+def test_cubic_two_edge_cut_between_petersen_halves():
     # two copies of Petersen minus an edge, joined across a 2-edge-cut
     half = petersen_minus_edge().edges
     edges = list(half) + [(u + 10, v + 10) for u, v in half]
     g = Graph(20, edges + [(0, 10), (1, 11)])
-    ladders = spy(monkeypatch, "_cubic_ladder")
     cert = ipf_cubic(g)
     check_certificate(g, cert)
-    assert cert.trace == ["two-edge-cut", "two-factor", "two-factor"]
+    assert cert.trace == ["two-factor"]
     assert cert.ipf.path_count == 6
-    assert len(ladders) == 1
 
 
-def test_cubic_ladder_with_order_4_side(monkeypatch):
+def test_cubic_ladder_with_order_4_side():
     # Petersen minus an edge, a rung 14-15 and a K4- on 10..13 beyond it
     edges = list(petersen_minus_edge().edges)
     edges += [(10, 12), (10, 13), (11, 12), (11, 13), (12, 13),
               (10, 14), (11, 15), (14, 15), (14, 0), (15, 1)]
     g = Graph(16, edges)
     assert g.is_cubic()
-    ladders = spy(monkeypatch, "_cubic_ladder")
-    ends = spy(monkeypatch, "_two_path_ipf_with_ends")
     cert = ipf_cubic(g)
     check_certificate(g, cert)
-    assert len(ladders) == 1
-    assert [args[0].n for args, _ in ends] == [4]
+    assert cert.trace == ["two-factor"]
+    assert cert.ipf.path_count == 4
+
+
+@pytest.mark.parametrize("g6", [
+    "UhAAOWU_?_`B??????G?B??O@A_?C??CS??QG?AG",
+    "UJ?gCUCQKCAO????????F?@O??g?S??@C?AC??OW",
+    "YH?__UC_kAI@Q?B?????B??_??G????@???Q??Ao??J??C???@@???`_",
+    "[@OG_UC_k?K@S?H?_@????????G??_??S@?C??Gg?????B@??GA???A_?A_???AB",
+])
+def test_cubic_ring_of_two_edge_cuts(g6):
+    # rings of cubic pieces minus an edge, joined by 2-edge-cuts, that the
+    # K4- and 2-factor reductions certify
+    g = parse_graph6(g6)
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert "two-edge-cut" not in cert.trace
+    assert cert.ipf.path_count == 5
 
 
 def joined(a, b, x, y):

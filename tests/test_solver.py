@@ -232,6 +232,15 @@ def test_budget_truncation_reports_upper_bound():
     verify_ipf(g, res.witness.edges)
 
 
+@pytest.mark.parametrize("budget", [{"node_limit": -1},
+                                    {"node_limit": float("nan")},
+                                    {"time_limit": -1.0},
+                                    {"time_limit": float("nan")}])
+def test_bad_budget_raises(budget):
+    with pytest.raises(ValueError, match="must be at least 0"):
+        rho_exact(cycle(5), **budget)
+
+
 @pytest.fixture(params=["c", "python"])
 def kernel(request):
     if request.param == "c":

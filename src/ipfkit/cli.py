@@ -239,24 +239,19 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.ck is not None:
-        rep = ck_lower_report(args.ck)
-        if args.json:
-            _emit(args, _json_out(args, rep.to_json()))
+    try:
+        if args.ck is not None:
+            doc = ck_lower_report(args.ck).to_json()
+        elif args.tree:
+            k, h = args.tree
+            doc = {"k": k, "h": h, "value": str(rho_tree(k, h)),
+                   "formula": "tree_closed_form"}
         else:
-            _emit(args, str(rep.value))
-        return EXIT_OK
-    if args.tree:
-        k, h = args.tree
-        value = rho_tree(k, h)
-        if args.json:
-            _emit(args, _json_out(args, {"k": k, "h": h,
-                                         "value": str(value),
-                                         "formula": "tree_closed_form"}))
-        else:
-            _emit(args, str(value))
-        return EXIT_OK
-    raise CliError("bounds requires --ck K or --tree K H")
+            raise CliError("bounds requires --ck K or --tree K H")
+    except ValueError as exc:  # a parameter out of the formula's range
+        raise CliError(str(exc))
+    _emit(args, _json_out(args, doc) if args.json else doc["value"])
+    return EXIT_OK
 
 
 def _at_least(kind, low):

@@ -1,12 +1,15 @@
 """Constructive IPF pipeline with explicit path-count guarantees.
 
 Every operation returns a runtime-verified IPF together with the bound it
-promises.  The cubic pipeline (``ipf_cubic``) recursively reduces the input
-through bridge splits and K4-minus reductions until it reaches a bridgeless
-host with no reducible K4-minus, which is handled through a hamilton cycle
-or a 2-factor of long cycles and the block-tree construction for
-{2,3}-graphs.  Each assembly step re-verifies its output, so a faulty
-reduction fails loudly instead of producing an invalid certificate.
+promises.  The cubic pipeline (``ipf_cubic``) follows the proof of the
+(n-1)/3 bound.  It splits the host at a bridge, or cuts out a reducible
+K4-minus, repairs the degree-2 vertices either move leaves, recurses on
+the cubic result and lifts the IPF back.  A bridgeless host is covered
+through its hamilton cycle by the greedy construction of ``ipf_ham23``;
+a nonhamiltonian one with no reducible K4-minus goes through a 2-factor
+of long cycles and the block-tree construction for {2,3}-graphs.  Each
+assembly step re-verifies its output, so a faulty reduction fails loudly
+instead of producing an invalid certificate.
 """
 
 from __future__ import annotations
@@ -322,11 +325,8 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
     needed for k = 2 and k = 3."""
     n = g.n
     pos = {v: i for i, v in enumerate(cyc)}
-    chords = [e for e in g.sorted_edges()
-              if _cyclic_dist(pos[e[0]], pos[e[1]], n) > 1]
-    assert chords
-    k = min(_cyclic_dist(pos[u], pos[v], n) for u, v in chords)
-    u, v = min(e for e in chords if _cyclic_dist(pos[e[0]], pos[e[1]], n) == k)
+    k, (u, v) = min(c for c in ((_cyclic_dist(pos[a], pos[b], n), (a, b))
+                                for a, b in g.edges) if c[0] > 1)
 
     def labelled(start_v: int, step: int) -> list[int]:
         i = pos[start_v]
@@ -414,8 +414,9 @@ def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
     lab = _label_for_greedy(g, cyc)
     paths = _greedy_paths(g, lab)
     ipf = Ipf.from_paths(g, paths)
-    ring = is_triangle_ring(g)
-    if ipf.path_count * 3 <= n - 1 or ring:
+    if ipf.path_count * 3 <= n - 1:
+        return ipf
+    if is_triangle_ring(g):
         if ipf.path_count * 3 > n:
             raise ConstructionError("greedy construction exceeded n/3 paths")
         return ipf
@@ -834,13 +835,14 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     dec = block_decomposition(g)
     if dec.bridges:
         return _cubic_bridge_split(g, min(sorted(dec.bridges)))
-    # one block: the block-tree hypotheses hold exactly when the host is
-    # hamiltonian, and hand their cycle on.  The K4- reduction needs order
-    # >= 14, which holds: the smaller bridgeless nonhamiltonian cubic
-    # graphs, Petersen and Tietze, contain no induced K4-
-    hyp = _blocktree_hypotheses(g)
-    if hyp is not None:
-        return _blocktree(g, *hyp), ["two-factor"]
+    # a bridgeless cubic host is never bad and has no degree-2 vertex, so a
+    # hamilton cycle gives (n-1)/3 paths with nothing left to check
+    cyc = hamilton_cycle(g)
+    if cyc is not None:
+        return _ham23(g, cyc), ["two-factor"]
+    # the K4- reduction needs order >= 14, which holds: the smaller
+    # bridgeless nonhamiltonian cubic graphs, Petersen and Tietze, contain
+    # no induced K4-
     hit = _find_reducible_k4minus(g)
     if hit is not None:
         return _cubic_k4minus(g, hit)
@@ -849,6 +851,23 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
         raise ConstructionError("bridgeless cubic host with no reducible K4- "
                                 "and no 2-factor of long cycles")
     return _two_factor_reduction(g, f), ["two-factor"]
+
+
+def _repair_and_lift(g: Graph, zs: list[int]) -> tuple[Ipf, list[str]]:
+    """Make g cubic by repairing its degree-2 vertices zs in order, each by
+    augmenting a triangle at z or else suppressing z; recurse, and lift
+    the IPF back through the repairs in reverse.  Each lift ends a path at
+    its own z; a later lift may move the ends of earlier ones."""
+    if not zs:
+        return _cubic_recurse(g)
+    z, rest = zs[0], zs[1:]
+    tri = _triangle_of(g, z)
+    if tri is not None:
+        nxt, rec = augment_triangle(g, tri[0], tri[1], z)
+    else:
+        nxt, rec = suppress_vertex(g, z)
+    inner, trace = _repair_and_lift(nxt, [rec.old_to_new[w] for w in rest])
+    return lift(g, rec, inner), trace
 
 
 def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
@@ -870,14 +889,8 @@ def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
                 raise ConstructionError(
                     "small bridge side did not yield a 2-path IPF")
         else:
-            tri = _triangle_of(sub, xl)
-            if tri is not None:
-                nxt, rec = augment_triangle(sub, tri[0], tri[1], xl)
-            else:
-                nxt, rec = suppress_vertex(sub, xl)
-            inner, tr = _cubic_recurse(nxt)
+            p, tr = _repair_and_lift(sub, [xl])
             trace += tr
-            p = lift(sub, rec, inner)
             if 3 * p.path_count > ni + 1:
                 raise ConstructionError("bridge side exceeded (n+1)/3 paths")
         edges |= _edges_up(p.edges, n2o)
@@ -904,34 +917,12 @@ def _find_reducible_k4minus(g: Graph):
 
 
 def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
-    """Cut out an induced K4- and repair the two degree-2 leftovers, each
-    by a triangle augmentation or a suppression; recurse, lift both
-    repairs back, and route the K4- as two path ends."""
+    """Cut out an induced K4- and repair its two outside neighbours, which
+    are left with degree 2; route the K4- as two path ends."""
     a, b, c, d, x0, y0 = hit
-    trace = ["k4minus-reduction"]
     g0, o2n, n2o = _sub(g, set(range(g.n)) - {a, b, c, d})
-    graphs = [g0]
-    recs = []
-    y_cur = o2n[y0]
-    for z in (o2n[x0], None):
-        cur = graphs[-1]
-        if z is None:
-            z = y_cur
-        tri = _triangle_of(cur, z)
-        if tri is not None:
-            nxt, rec = augment_triangle(cur, tri[0], tri[1], z)
-        else:
-            nxt, rec = suppress_vertex(cur, z)
-        # y0 still needs repairing after x0's surgery; track its new index
-        y_cur = rec.old_to_new.get(y_cur, y_cur)
-        graphs.append(nxt)
-        recs.append(rec)
-    inner, tr = _cubic_recurse(graphs[-1])
-    trace += tr
-    p = inner
-    for i in range(len(recs) - 1, -1, -1):
-        p = lift(graphs[i], recs[i], p)
     x0l, y0l = o2n[x0], o2n[y0]
+    p, trace = _repair_and_lift(g0, [x0l, y0l])
     ends = p.endpoints()
     if x0l not in ends or y0l not in ends:
         raise ConstructionError(
@@ -950,4 +941,4 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
                 "K4- reduction could not separate the outside path ends")
     edges = _edges_up(p.edges, n2o)
     edges |= {tuple(sorted(e)) for e in ((x0, a), (a, c), (y0, b), (b, d))}
-    return Ipf.from_edges(g, edges), trace
+    return Ipf.from_edges(g, edges), ["k4minus-reduction"] + trace

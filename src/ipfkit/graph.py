@@ -97,7 +97,8 @@ class Graph:
         return all(len(a) == k for a in self.adj)
 
     def is_cubic(self) -> bool:
-        return self.is_k_regular(3)
+        # the null graph is vacuously 3-regular, but no cubic graph
+        return self.n > 0 and self.is_k_regular(3)
 
     def is_23_graph(self) -> bool:
         return all(len(a) in (2, 3) for a in self.adj)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ipfkit import (
-    Graph, GraphError, census, ck_lower, ck_lower_report, glue_lower_bound,
-    rho_exact, rho_tree, rho_tree_recurrence, write_graph6,
+    Graph, GraphError, Ipf, census, ck_lower, ck_lower_report,
+    glue_lower_bound, rho_exact, rho_tree, rho_tree_recurrence, write_graph6,
 )
+from ipfkit import constructive
 from ipfkit.families import (
     fig1_subcubic, odd_k_glued_tree, perfect_tree, petersen,
     subdivided_complete, triangle_ring,
@@ -138,12 +139,28 @@ def test_census_petersen_clean():
 
 
 def test_census_skips_and_errors():
+    # "?" is the null graph: vacuously 3-regular, but no cubic graph
     lines = [write_graph6(petersen()), "not graph6 %%%",
-             write_graph6(triangle_ring(6)), ""]
+             write_graph6(triangle_ring(6)), "", "?"]
     rep = census(lines, mode="exact_rho")
     assert rep.graphs_processed == 1
-    assert rep.skipped == 1  # triangle ring is not cubic
+    assert rep.skipped == 2  # the triangle ring and "?" are not cubic
     assert len(rep.errors) == 1
+
+
+def test_census_reports_an_overlong_construction(monkeypatch):
+    # one-vertex paths everywhere: n > (n-1)/3 paths on every host
+    def overlong(g):
+        return Ipf.from_edges(g, set()), ["two-factor"]
+    monkeypatch.setattr(constructive, "_cubic_recurse", overlong)
+    g6 = write_graph6(petersen())
+    rep = census([g6], mode="verify_theorem")
+    assert rep.graphs_processed == 1
+    (violation,) = rep.violations
+    assert violation["line"] == 1 and violation["graph6"] == g6
+    assert violation["detail"] == ("construction failed: cubic construction "
+                                   "used 10 paths, allowed 3")
+    assert rep.n_to_max_rho == {}
 
 
 def test_census_file_parallel_matches_serial():

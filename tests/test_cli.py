@@ -181,6 +181,17 @@ def test_construct_auto_small_cycle_is_exact(capsys, tmp_path, n):
     assert doc["method"] == "exact" and doc["ipf"]["path_count"] == 2
 
 
+def test_construct_null_graph_is_exact(capsys, tmp_path):
+    # "?" is the null graph, which is not cubic: it gets the exhaustive route
+    path = tmp_path / "null.g6"
+    path.write_text("?\n")
+    code, out, _ = run(capsys, ["construct", "--input", str(path),
+                                "--json", "--stable"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["method"] == "exact" and doc["ipf"]["path_count"] == 0
+
+
 def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
                                                         monkeypatch):
     # C90 plus a chord: auto mode would search for a 2-factor, and the
@@ -281,6 +292,16 @@ def test_census_json(capsys, petersen_file):
     assert doc["n_to_max_rho"] == {"10": 3}
 
 
+def test_census_skips_the_null_graph(capsys, tmp_path):
+    p = tmp_path / "null.g6"
+    p.write_text("?\n")
+    code, out, _ = run(capsys, ["census", "--input", str(p), "--json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["skipped"] == 1 and doc["graphs_processed"] == 0
+    assert doc["violations"] == []
+
+
 def test_census_parse_errors_keep_going(capsys, tmp_path):
     p = tmp_path / "mixed.g6"
     # "A\u00e9" would read as the edgeless "A?" if non-ASCII input were
@@ -305,6 +326,17 @@ def test_bounds_tree(capsys):
     code, out, _ = run(capsys, ["bounds", "--tree", "3", "2"])
     assert code == EXIT_OK
     assert out.strip() == "3"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--ck", "2"], "need k >= 3"),
+    (["--tree", "3", "-1"], "need k >= 3 and h >= 0"),
+    (["--tree", "2", "1", "--json"], "need k >= 3 and h >= 0"),
+])
+def test_bounds_out_of_range_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, ["bounds"] + argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_bounds_requires_a_selection(capsys):

@@ -246,6 +246,8 @@ def test_cubic_rejects_non_cubic():
         ipf_cubic(cycle(6))
     with pytest.raises(GraphError):
         ipf_cubic(subdivided_complete(4))
+    with pytest.raises(GraphError):
+        ipf_cubic(Graph(0))  # the null graph is not cubic
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +438,21 @@ def test_cubic_flower_snarks_use_a_multi_cycle_2factor(monkeypatch, k):
     assert len(factors) == 1 and len(factors[0][1].cycles) > 1
 
 
+def test_cubic_k4minus_reroutes_ends_on_one_path(monkeypatch):
+    # a bridgeless nonhamiltonian census graph of order 14 with a K4-
+    # inserted on its edge (2, 3): the repaired remainder's IPF ends one
+    # path at both outside neighbours, so the end edge at the second moves
+    g = parse_graph6("QI?G_UC_k?H@H??Qc??_???K??w")
+    repaired = spy(monkeypatch, "_repair_and_lift")
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert cert.trace == ["k4minus-reduction", "two-factor"]
+    assert cert.ipf.path_count == 5
+    (x0, y0), p = next((args[1], out[0]) for args, out in repaired
+                       if len(args[1]) == 2)
+    assert p.path_of[x0] == p.path_of[y0]
+
+
 def test_cubic_verifies_each_built_ipf_once(monkeypatch):
     calls = {"verify_ipf": 0, "from_edges": 0}
 
@@ -475,10 +492,17 @@ def test_lift_scans_the_host_k4minus_once(monkeypatch):
 
 
 def test_cubic_decides_hamiltonicity_once(monkeypatch):
+    # a hamiltonian cubic host is bridgeless, never bad and has no degree-2
+    # vertex, so none of the block-tree checks runs on it
     g = random_connected_cubic(random.Random(40), 40)
     searches = spy_hamilton(monkeypatch)
-    check_certificate(g, ipf_cubic(g))
+    checks = [spy(monkeypatch, name) for name in (
+        "_blocktree_hypotheses", "recognize_bad", "is_well_behaved")]
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert cert.trace == ["two-factor"]
     assert len(searches) == 1
+    assert checks == [[], [], []]
 
 
 def test_cubic_decomposes_each_host_once(monkeypatch):

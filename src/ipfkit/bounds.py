@@ -190,7 +190,6 @@ def _census_one(args):
         return out
     out["n"] = g.n
     limit = cubic_limit(g.n)
-    out["limit"] = limit
     if mode in ("verify_theorem", "both"):
         try:
             cert = ipf_cubic(g)
@@ -227,8 +226,10 @@ def census(lines, mode: str = "both", jobs: int = 1,
     tasks = [(i + 1, line.strip(), mode, node_limit, time_limit)
              for i, line in enumerate(lines) if line.strip()]
     if jobs > 1:
+        # four chunks per worker, as multiprocessing.Pool.map sizes them
+        chunk = max(1, len(tasks) // (4 * jobs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_one, tasks, chunksize=4))
+            results = list(pool.map(_census_one, tasks, chunksize=chunk))
     else:
         results = [_census_one(t) for t in tasks]
     report = CensusReport()

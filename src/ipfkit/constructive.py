@@ -18,15 +18,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graph import (
-    Graph, GraphError, TwoFactor, block_decomposition, hamilton_cycle,
-    is_hamiltonian, two_factor_search, write_graph6,
+    Graph, GraphError, TwoFactor, _bits, _reach, block_decomposition,
+    hamilton_cycle, is_hamiltonian, two_factor_search, write_graph6,
 )
 from .ipf import (
     Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
 )
 from .solver import rho_exhaustive
 from .surgery import (
-    SurgeryRecord, augment_triangle, paste_k4minus, suppress_vertex, surgery,
+    SurgeryRecord, augment_triangle, paste_k4minus, suppress_vertex,
 )
 
 
@@ -187,57 +187,49 @@ def _ends_apart(ipf: Ipf, x: int, y: int) -> bool:
 
 def lift(g: Graph, record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
     """Pull an IPF of the surgery's result back to g through an
-    augment/paste/suppress surgery.
+    augment/paste/suppress surgery.  The record must be that of a surgery
+    on g (its `source` equals g) and the IPF's host its `result`; a
+    surgery is deterministic, so this is the same as redoing it on g.
 
     Path count guarantees: unchanged for augment_triangle and
     paste_k4minus, at most one more for suppress_vertex.  Endpoint
     guarantees: a path ends at the triangle's degree-2 vertex (augment),
     two distinct paths end at the pasted edge's endpoints (paste), a path
     ends at the suppressed vertex (suppress)."""
-    redone, _ = surgery(g, record.kind, *record.args)
-    g_prime = ipf_prime.host
-    if redone.n != g_prime.n or redone.edges != g_prime.edges:
+    if record.source != g or record.result != ipf_prime.host:
         raise ConstructionError(
             f"surgery record {record.kind}{record.args} does not transform "
             "the graph into the IPF's host")
     star = standardise(ipf_prime)
-    if record.kind == "augment_triangle":
-        a, b, c = record.args
-        d = g.n
-        edges = {e for e in star.edges if d not in e}
-        out = Ipf.from_edges(g, edges)
-        if out.path_count > ipf_prime.path_count:
-            raise ConstructionError("augment lift increased the path count")
-        if c not in out.endpoints():
-            raise ConstructionError(f"augment lift: no path ends at {c}")
-        return out
-    if record.kind == "paste_k4minus":
+    kind, n = record.kind, g.n
+    if kind in ("augment_triangle", "paste_k4minus"):
+        # the surgery only appended vertices: keep the edges among g's own
+        edges = {(u, v) for u, v in star.edges if u < n and v < n}
+        allowed = ipf_prime.path_count
+    elif kind == "suppress_vertex":
+        n2o = {i: v for v, i in record.old_to_new.items()}
+        edges = {tuple(sorted((n2o[u], n2o[v]))) for u, v in star.edges}
+        c = record.args[0]
+        a, b = g.adj[c]
+        ab = (min(a, b), max(a, b))
+        if ab in edges:
+            edges = (edges - {ab}) | {tuple(sorted((c, a)))}
+        allowed = ipf_prime.path_count + 1
+    else:
+        raise ConstructionError(f"lift does not support surgery {kind!r}")
+    out = Ipf.from_edges(g, edges)
+    if out.path_count > allowed:
+        raise ConstructionError(
+            f"{kind} lift used {out.path_count} paths, allowed {allowed}")
+    z = record.args[-1]  # augment's degree-2 apex, or the suppressed vertex
+    if kind == "paste_k4minus":
         a, b = record.args
-        edges = {e for e in star.edges if e[0] < g.n and e[1] < g.n}
-        out = Ipf.from_edges(g, edges)
-        if out.path_count > ipf_prime.path_count:
-            raise ConstructionError("paste lift increased the path count")
         if not _ends_apart(out, a, b):
             raise ConstructionError(
                 f"paste lift: need distinct paths ending at {a} and {b}")
-        return out
-    if record.kind == "suppress_vertex":
-        (c,) = record.args
-        n2o = {i: v for v, i in record.old_to_new.items()}
-        mapped = {tuple(sorted((n2o[u], n2o[v]))) for u, v in star.edges}
-        a, b = g.adj[c]
-        ab = (min(a, b), max(a, b))
-        if ab in mapped:
-            edges = (mapped - {ab}) | {tuple(sorted((c, a)))}
-        else:
-            edges = mapped
-        out = Ipf.from_edges(g, edges)
-        if out.path_count > ipf_prime.path_count + 1:
-            raise ConstructionError("suppress lift exceeded count + 1")
-        if c not in out.endpoints():
-            raise ConstructionError(f"suppress lift: no path ends at {c}")
-        return out
-    raise ConstructionError(f"lift does not support surgery {record.kind!r}")
+    elif z not in out.endpoints():
+        raise ConstructionError(f"{kind} lift: no path ends at {z}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +506,14 @@ def _allowed_bound(g: Graph) -> int:
 
 
 def _bridge_sides(g: Graph, bridge):
-    parts = g.without_edges([bridge]).components()
-    assert len(parts) == 2
-    side0 = next(p for p in parts if bridge[0] in p)
-    side1 = next(p for p in parts if bridge[0] not in p)
-    return set(side0), set(side1)
+    """Vertex sets of the two sides of a bridge of connected g, the side
+    of bridge[0] first: a flood fill from bridge[0] that skips the bridge."""
+    a, b = bridge
+    masks = list(g.adj_mask)
+    masks[a] ^= 1 << b  # the fill never reaches b, so b's mask may keep a
+    side = _reach(masks, a)
+    assert not side >> b & 1, "a bridge separates its ends"
+    return set(_bits(side)), set(_bits(((1 << g.n) - 1) ^ side))
 
 
 def ipf_blocktree(g: Graph) -> Ipf:
@@ -603,20 +598,16 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     n = g.n
     # every bridge must hang a whole order-5 block off the centre
     leaves = []  # (x on C, y on leaf, leaf vertex set)
-    leaf_sets = []
     for bridge in sorted(dec.bridges):
-        s0, s1 = _bridge_sides(g, bridge)
-        if len(s0) == 5:
-            leaf, x = s0, (bridge[0] if bridge[0] in s1 else bridge[1])
-        elif len(s1) == 5:
-            leaf, x = s1, (bridge[0] if bridge[0] in s0 else bridge[1])
-        else:
+        sides = _bridge_sides(g, bridge)  # bridge[i] lies on sides[i]
+        i = 0 if len(sides[0]) == 5 else 1
+        if len(sides[i]) != 5:
             raise ConstructionError("star assembly expected order-5 leaf sides")
-        y = bridge[0] if bridge[0] in leaf else bridge[1]
-        if not any(leaf == set(b) for b in dec.blocks):
+        leaf = frozenset(sides[i])
+        if leaf not in dec.blocks:
             raise ConstructionError("leaf side is not a single block")
-        leaves.append((x, y, frozenset(leaf)))
-        leaf_sets.append(frozenset(leaf))
+        leaves.append((bridge[1 - i], bridge[i], leaf))
+    leaf_sets = [leaf for _, _, leaf in leaves]
     centre = [b for b in dec.blocks if b not in leaf_sets]
     if len(centre) != 1:
         raise ConstructionError("star assembly expected a single centre block")
@@ -834,7 +825,7 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
         return res.witness, ["base-small"]
     dec = block_decomposition(g)
     if dec.bridges:
-        return _cubic_bridge_split(g, min(sorted(dec.bridges)))
+        return _cubic_bridge_split(g, min(dec.bridges))
     # a bridgeless cubic host is never bad and has no degree-2 vertex, so a
     # hamilton cycle gives (n-1)/3 paths with nothing left to check
     cyc = hamilton_cycle(g)
@@ -873,11 +864,9 @@ def _repair_and_lift(g: Graph, zs: list[int]) -> tuple[Ipf, list[str]]:
 def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
     """Split at a bridge; each side has exactly one degree-2 vertex (the
     bridge endpoint) and contributes an IPF with a path ending there."""
-    s0, s1 = _bridge_sides(g, bridge)
     edges = {bridge}
     trace = ["bridge-split"]
-    for side in (s0, s1):
-        x = bridge[0] if bridge[0] in side else bridge[1]
+    for side, x in zip(_bridge_sides(g, bridge), bridge):
         sub, o2n, n2o = _sub(g, side)
         xl = o2n[x]
         ni = len(side)

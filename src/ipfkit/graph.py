@@ -37,6 +37,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _reach(masks: Sequence[int], start: int) -> int:
+    """Bit mask of the vertices reachable from `start` along `masks`."""
+    comp = frontier = 1 << start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -55,23 +69,30 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        masks = [0] * n
+        masks, pairs = [0] * n, []
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
+            bit = 1 << v
+            if masks[u] & bit:
+                continue  # a repeat of an edge already taken
+            masks[u] |= bit
             masks[v] |= 1 << u
+            adj[u].append(v)
+            adj[v].append(u)
+            pairs.append((u, v) if u < v else (v, u))
+        for row in adj:
+            row.sort()  # in place: sorted(row) would copy every row
         # tuples of lists, not of generators: tuple(generator) reallocs a
         # new tuple instead of reusing the interpreter's per-length free
         # lists, which then grew by one tuple per Graph (up to 2000 per length)
-        adj = [tuple(_bits(m)) for m in masks]
         self.n = n
         self.adj_mask = tuple(masks)
-        self.adj = tuple(adj)
-        self.edges = frozenset([(v, w) for v, row in enumerate(adj)
-                                for w in row if w > v])
+        self.adj = tuple([tuple(row) for row in adj])
+        self.edges = frozenset(pairs)
         self._blocks = None
         self._k4minus = None
 
@@ -88,7 +109,7 @@ class Graph:
             and self.adj_mask[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     def is_subcubic(self) -> bool:
         return self.max_degree() <= 3
@@ -107,8 +128,8 @@ class Graph:
         return sorted(self.edges)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph) and self.n == other.n
-                and self.edges == other.edges)
+        return other is self or isinstance(other, Graph) \
+            and self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -118,31 +139,17 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
-    def _component_mask(self, start: int) -> int:
-        """Bit mask of the vertices reachable from `start`."""
-        masks = self.adj_mask
-        comp = frontier = 1 << start
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~comp
-            comp |= frontier
-        return comp
-
     def components(self) -> list[list[int]]:
         comps = []
         left = (1 << self.n) - 1
         while left:
-            comp = self._component_mask((left & -left).bit_length() - 1)
+            comp = _reach(self.adj_mask, (left & -left).bit_length() - 1)
             comps.append(_bits(comp))
             left &= ~comp
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or self._component_mask(0) == (1 << self.n) - 1
+        return self.n <= 1 or _reach(self.adj_mask, 0) == (1 << self.n) - 1
 
     # -- derived graphs ------------------------------------------------
 

@@ -50,12 +50,15 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     Paths are reported endpoint-to-endpoint with the smaller endpoint first,
     sorted by their first vertex; trivial paths are singletons.  Raises
     IpfError naming the violation (over-degree vertex, cycle, or the
-    specific chord pair).
+    specific chord pair).  A frozenset inside the host's edges, such as an
+    ``Ipf``'s, is normalised already and is read as it is.
     """
-    es = _norm_edges(edges)
-    stray = es - g.edges
-    if stray:
-        raise IpfError(f"edges not in host: {sorted(stray)}", "edges", sorted(stray))
+    es = edges
+    if not (isinstance(es, frozenset) and es <= g.edges):
+        es = _norm_edges(edges)
+        stray = es - g.edges
+        if stray:
+            raise IpfError(f"edges not in host: {sorted(stray)}", "edges", sorted(stray))
     deg = [0] * g.n
     nbr: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in es:

@@ -1,9 +1,11 @@
 """Local graph surgeries with records for lifting IPFs back.
 
 Every operation returns (new_graph, SurgeryRecord).  The record carries the
+graph the surgery took (`source`) and the graph it returned (`result`), the
 old-to-new vertex map (vertices absent from the map were deleted) and the
-indices of freshly created vertices, which is exactly what the IPF lift
-operations need to translate edge sets between the two graphs.
+indices of freshly created vertices.  That is exactly what the IPF lift
+needs: it checks that it lifts from `result` to `source`, since a surgery
+is deterministic, and translates edge sets between the two graphs.
 
 Vertex numbering: new vertices are appended after the existing ones in
 creation order; deletions shift higher indices down to keep indices dense.
@@ -24,6 +26,8 @@ class SurgeryError(ValueError):
 class SurgeryRecord:
     kind: str
     args: tuple
+    source: Graph
+    result: Graph
     old_to_new: dict  # old index -> new index; deleted vertices absent
     new_vertices: tuple[int, ...] = ()
     # for glue_at_vertex: map from the second graph's indices
@@ -44,8 +48,9 @@ def subdivide_edge(g: Graph, u: int, v: int) -> tuple[Graph, SurgeryRecord]:
     _require(g.has_edge(u, v), f"{u}{v} is an edge")
     w = g.n
     edges = (g.edges - {(min(u, v), max(u, v))}) | {(u, w), (v, w)}
-    rec = SurgeryRecord("subdivide_edge", (u, v), _identity(g.n), (w,))
-    return Graph(g.n + 1, edges), rec
+    h = Graph(g.n + 1, edges)
+    return h, SurgeryRecord("subdivide_edge", (u, v), g, h, _identity(g.n),
+                            (w,))
 
 
 def suppress_vertex(g: Graph, c: int) -> tuple[Graph, SurgeryRecord]:
@@ -57,8 +62,8 @@ def suppress_vertex(g: Graph, c: int) -> tuple[Graph, SurgeryRecord]:
     old_to_new = {v: (v if v < c else v - 1) for v in range(g.n) if v != c}
     edges = [(old_to_new[x], old_to_new[y]) for x, y in g.edges if c not in (x, y)]
     edges.append((old_to_new[a], old_to_new[b]))
-    rec = SurgeryRecord("suppress_vertex", (c,), old_to_new)
-    return Graph(g.n - 1, edges), rec
+    h = Graph(g.n - 1, edges)
+    return h, SurgeryRecord("suppress_vertex", (c,), g, h, old_to_new)
 
 
 def paste_k4minus(g: Graph, a: int, b: int) -> tuple[Graph, SurgeryRecord]:
@@ -70,8 +75,9 @@ def paste_k4minus(g: Graph, a: int, b: int) -> tuple[Graph, SurgeryRecord]:
     c, d = g.n, g.n + 1
     edges = (g.edges - {(min(a, b), max(a, b))}) \
         | {(a, c), (a, d), (b, c), (b, d), (c, d)}
-    rec = SurgeryRecord("paste_k4minus", (a, b), _identity(g.n), (c, d))
-    return Graph(g.n + 2, edges), rec
+    h = Graph(g.n + 2, edges)
+    return h, SurgeryRecord("paste_k4minus", (a, b), g, h, _identity(g.n),
+                            (c, d))
 
 
 def augment_triangle(g: Graph, a: int, b: int, c: int) -> tuple[Graph, SurgeryRecord]:
@@ -84,8 +90,9 @@ def augment_triangle(g: Graph, a: int, b: int, c: int) -> tuple[Graph, SurgeryRe
     _require(g.degree(c) == 2, f"deg({c}) = 2")
     d = g.n
     edges = (g.edges - {(min(a, b), max(a, b))}) | {(a, d), (b, d), (c, d)}
-    rec = SurgeryRecord("augment_triangle", (a, b, c), _identity(g.n), (d,))
-    return Graph(g.n + 1, edges), rec
+    h = Graph(g.n + 1, edges)
+    return h, SurgeryRecord("augment_triangle", (a, b, c), g, h,
+                            _identity(g.n), (d,))
 
 
 def glue_at_vertex(g: Graph, h: Graph, vg: int, vh: int) -> tuple[Graph, SurgeryRecord]:
@@ -104,25 +111,25 @@ def glue_at_vertex(g: Graph, h: Graph, vg: int, vh: int) -> tuple[Graph, Surgery
             aux[v] = nxt
             nxt += 1
     edges = list(g.edges) + [(aux[x], aux[y]) for x, y in h.edges]
-    rec = SurgeryRecord("glue_at_vertex", (vg, vh), _identity(g.n),
-                        tuple(sorted(set(aux.values()) - set(range(g.n)))),
-                        aux_to_new=aux)
-    return Graph(nxt, edges), rec
+    glued = Graph(nxt, edges)
+    return glued, SurgeryRecord("glue_at_vertex", (vg, vh), g, glued,
+                                _identity(g.n), tuple(range(g.n, nxt)), aux)
 
 
 def add_edge(g: Graph, u: int, v: int) -> tuple[Graph, SurgeryRecord]:
     _require(u != v, f"{u} and {v} are distinct")
     _require(not g.has_edge(u, v), f"{u}{v} is not already an edge")
-    rec = SurgeryRecord("add_edge", (u, v), _identity(g.n))
-    return g.with_edges([(u, v)]), rec
+    h = g.with_edges([(u, v)])
+    return h, SurgeryRecord("add_edge", (u, v), g, h, _identity(g.n))
 
 
 def delete_edges(g: Graph, edges) -> tuple[Graph, SurgeryRecord]:
     es = [(min(u, v), max(u, v)) for u, v in edges]
     for u, v in es:
         _require(g.has_edge(u, v), f"{u}{v} is an edge")
-    rec = SurgeryRecord("delete_edges", (tuple(sorted(es)),), _identity(g.n))
-    return g.without_edges(es), rec
+    h = g.without_edges(es)
+    return h, SurgeryRecord("delete_edges", (tuple(sorted(es)),), g, h,
+                            _identity(g.n))
 
 
 def delete_vertices(g: Graph, vertices) -> tuple[Graph, SurgeryRecord]:
@@ -131,8 +138,8 @@ def delete_vertices(g: Graph, vertices) -> tuple[Graph, SurgeryRecord]:
         _require(0 <= v < g.n, f"{v} is a vertex")
     keep = [v for v in range(g.n) if v not in vs]
     sub, old_to_new = g.induced_subgraph(keep)
-    rec = SurgeryRecord("delete_vertices", (tuple(sorted(vs)),), old_to_new)
-    return sub, rec
+    return sub, SurgeryRecord("delete_vertices", (tuple(sorted(vs)),), g, sub,
+                              old_to_new)
 
 
 _KINDS = {

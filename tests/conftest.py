@@ -96,6 +96,33 @@ def random_connected_regular(rng: random.Random, n: int, d: int,
     raise RuntimeError(f"no connected {d}-regular sample found")
 
 
+def _subdivided(rng: random.Random, edges: list, w: int) -> list:
+    """edges with a random one of them, uv, replaced by the path u-w-v."""
+    edges = sorted(edges)
+    u, v = edges.pop(rng.randrange(len(edges)))
+    return edges + [(u, w), (v, w)]
+
+
+def random_bridged_cubic(rng: random.Random, n_max: int = 62) -> Graph:
+    """Connected cubic graph with bridges: random cubic blocks of even
+    order 4..14 joined into a tree, of order at most n_max.  Each join
+    subdivides one edge of the new block and one edge of the graph so far
+    and makes the two subdivision vertices the ends of a bridge; blocks
+    are added while the next drawn order still fits."""
+    n = rng.randrange(4, 15, 2)
+    edges = sorted(random_connected_cubic(rng, n).edges)
+    while True:
+        m = rng.randrange(4, 15, 2)
+        if n + m + 2 > n_max:
+            return Graph(n, edges)
+        x, y = n, n + m + 1
+        block = [(u + n + 1, v + n + 1)
+                 for u, v in random_connected_cubic(rng, m).edges]
+        edges = (_subdivided(rng, edges, x) + _subdivided(rng, block, y)
+                 + [(x, y)])
+        n = y + 1
+
+
 def hamiltonian_23_graphs(n: int) -> list:
     """Every hamiltonian graph with all degrees 2 or 3 on n vertices, as
     a cycle 0..n-1 plus a matching of chords (labelled enumeration; every

@@ -24,7 +24,8 @@ from ipfkit.families import (
 )
 
 from conftest import (
-    DATA, census_graphs, hamiltonian_23_graphs, random_connected_cubic,
+    DATA, census_graphs, hamiltonian_23_graphs, random_bridged_cubic,
+    random_connected_cubic,
 )
 
 
@@ -546,6 +547,42 @@ def test_pinned_cubic_certificates():
     for g in hosts:
         code = write_graph6(g)
         assert certificate_digest(g) == pinned[code], code
+
+
+# certificate_digest of random_bridged_cubic(random.Random(seed)) for seed
+# 0..19, taken before the bridge-split recursion stopped rebuilding graphs
+BRIDGED_DIGESTS = [
+    "544fc33e851c7a556f72c8b3dc71ea06a15103a8f22d602f44ec1a5e7629e590",
+    "8c011d868d48b717e8ceeabb651e4a5e64ec1a3ac3133ba4e910f6f3ffd73dc6",
+    "7b342c68b43fe2337b4f45ca5b8c458a15071ef6a12db44bfb4c613bf303b69d",
+    "71416ddecab793b9edc0efd388df1379181279805dd926165a28a88d3d3b805a",
+    "acfa3aacb937bc255a629a0f1d8bddd7934ad364af2e98d34580eb1c5f87884d",
+    "cc64cb337ec2f879f5d03a027a39e47fb3ef8c6dece189c168bbe6582bef5e95",
+    "05642c9463009117d23132bb3e076a5ddffce4224b05bd31f512d0804b38d0fc",
+    "ab9f2751670427a64072ebd5f9630c8db94251b92b5c48fb5692c971679c3090",
+    "eec03c45eb8aaf4ab2aa3687abf888df25b8a2ab80feb423efc74f039fa1820e",
+    "b9dd4434e30c5c870faf4932a9cde1690c3ef487d5323b76157371101e5a39c4",
+    "2d6862eb1674414522aea077d096e448c685487f469823d41efc5963394b56b4",
+    "edc885cf23da42c344be4d8c70607a4f4f9ff75e6da4445a467bec30dba1d669",
+    "f656068ecd7aa19999a8bfed8dde5305aaa90190f4bc4fff958bf5f89cbe6222",
+    "7a0a4ca33b2b0a7c7d6911fec3fae2b69c71fb935b9eddb54aeee3369a7b19f6",
+    "f25f3f986a73fdf0e49a5885a1ba189f75744936c6d7914b78d36d83cee1029d",
+    "42867d196e137d024d3de9715c09cfbf5ad7fe6effa9918424523063a618443d",
+    "167b001acc27b403d5f8ffb77473205b40976ea0b2a7745dcbe51b40fa9c8886",
+    "d81e0275af3fd33f06b68837cbd50104e18aba14be2e9e9b2db7f9e49f3f2b63",
+    "9ed46ad22a78da763f14cfe41988737fe51c4e4b019f964eced7f5b9ff3c8acb",
+    "cb1abeec6f0f0e54c589d988e65ba53841f5f849cd5f7f9e4d8f54cb3a748e6a",
+]
+
+
+def test_pinned_bridged_certificates():
+    """Hosts of order 48..62 whose certificates pass through two or more
+    bridge-split levels, with repairs and lifts on each: a change that only
+    saves work in that recursion may move no edge set and no route."""
+    for seed, pinned in enumerate(BRIDGED_DIGESTS):
+        g = random_bridged_cubic(random.Random(seed))
+        assert ipf_cubic(g).trace.count("bridge-split") >= 2, seed
+        assert certificate_digest(g) == pinned, seed
 
 
 def test_cubic_rejects_beyond_graph6_before_searching(monkeypatch):

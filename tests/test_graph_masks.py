@@ -1,6 +1,6 @@
-"""Property checks of the answers a Graph reads from its adjacency masks:
-each is compared with a plain definition over ``g.edges`` on random graphs
-with n = 0..62."""
+"""Property checks of a Graph's construction and of the answers read from
+its adjacency masks: each is compared with a plain definition on random
+graphs with n = 0..62."""
 
 import random
 
@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipfkit import (
-    Graph, IpfError, induced_k4minus_subgraphs, parse_graph6, verify_ipf,
-    write_graph6,
+    Graph, GraphError, IpfError, induced_k4minus_subgraphs, parse_graph6,
+    verify_ipf, write_graph6,
 )
+from ipfkit.constructive import _bridge_sides
+from ipfkit.graph import bridges
+
+from conftest import random_bridged_cubic, random_connected_subcubic
 
 DENSITIES = (0.0, 0.03, 0.1, 0.3, 0.7)
 
@@ -45,6 +49,60 @@ def plain_graph6(g: Graph) -> str:
     for i in range(0, len(bits), 6):
         out.append(chr(63 + int("".join(map(str, bits[i:i + 6])), 2)))
     return "".join(out)
+
+
+def plain_graph(n: int, edges) -> tuple | str:
+    """(adj, adj_mask, edges) of the graph by definition, or the message
+    of the GraphError that the first bad pair raises."""
+    nb = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        nb[u].add(v)
+        nb[v].add(u)
+    return (tuple(tuple(sorted(s)) for s in nb),
+            tuple(sum(1 << w for w in s) for s in nb),
+            frozenset((u, w) for u in range(n) for w in nb[u] if u < w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 62), st.integers(0, 10 ** 9))
+def test_construction_matches_plain_definition(n, seed):
+    # pairs in both orientations with repeats, and now and then an end out
+    # of range or a self-loop somewhere in the list
+    rng = random.Random(seed)
+    p = rng.choice(DENSITIES)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges += rng.choices(edges, k=len(edges) // 3) if edges else []
+    rng.shuffle(edges)
+    if rng.random() < 0.4:
+        u = rng.randrange(max(n, 1))
+        bad = rng.choice([(u, u), (-1, u), (u, n), (n + 5, -2)])
+        edges.insert(rng.randrange(len(edges) + 1), bad)
+    expected = plain_graph(n, edges)
+    if isinstance(expected, str):
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert str(info.value) == expected
+    else:
+        g = Graph(n, edges)
+        assert (g.adj, g.adj_mask, g.edges) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_bridge_sides_match_components(seed):
+    rng = random.Random(seed)
+    hosts = [random_bridged_cubic(rng, rng.randrange(10, 63)),
+             random_connected_subcubic(rng, rng.randrange(2, 40))]
+    for g in hosts:
+        for bridge in bridges(g):
+            parts = g.without_edges([bridge]).components()
+            first = next(set(p) for p in parts if bridge[0] in p)
+            assert _bridge_sides(g, bridge) == (first, set(range(g.n)) - first)
 
 
 @settings(max_examples=60, deadline=None)

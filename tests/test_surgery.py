@@ -5,9 +5,10 @@ import random
 import pytest
 
 from ipfkit import (
-    Graph, SurgeryError, add_edge, augment_triangle, delete_edges,
-    delete_vertices, glue_at_vertex, is_well_behaved, lift, paste_k4minus,
-    rho_exact, subdivide_edge, suppress_vertex, surgery, verify_ipf,
+    ConstructionError, Graph, Ipf, SurgeryError, add_edge, augment_triangle,
+    delete_edges, delete_vertices, glue_at_vertex, is_well_behaved, lift,
+    paste_k4minus, rho_exact, subdivide_edge, suppress_vertex, surgery,
+    verify_ipf,
 )
 from ipfkit.families import triangle_ring
 
@@ -136,6 +137,26 @@ def test_lift_suppress_vertex_contract():
     g = cycle(6)
     h, rec = suppress_vertex(g, 3)
     check_lift(g, h, rec, slack=1, must_end=[3])
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_lift_rejects_a_record_of_another_graph():
+    h, rec = suppress_vertex(cycle(6), 3)
+    prime = rho_exact(h).witness
+    # suppressing 3 in the path 0..5 gives a path, not the cycle h
+    with pytest.raises(ConstructionError, match="does not transform"):
+        lift(path_graph(6), rec, prime)
+
+
+def test_lift_rejects_an_ipf_of_another_host():
+    g = cycle(6)
+    _, rec = suppress_vertex(g, 3)
+    prime = Ipf.from_paths(path_graph(5), [[0, 1, 2, 3, 4]])
+    with pytest.raises(ConstructionError, match="does not transform"):
+        lift(g, rec, prime)
 
 
 def triangles_with_degree_2_apex(g):

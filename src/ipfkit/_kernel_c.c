@@ -48,6 +48,24 @@
  * order of incumbents stay those of the full enumeration; the Python twin
  * proves the weight and the monotonicity in full.
  *
+ * Seen states: with seen_cap > 0, solve keeps a table from each covered
+ * set it entered to the lowest count at which it entered it, and returns
+ * from a state already entered at a count no higher, after the count + 1
+ * cut and before the state is counted.  The earlier visit searched that
+ * state with an incumbent no tighter than today's, so the later one can
+ * find nothing strictly better (the Python twin gives the argument).  The
+ * table inserts until it holds seen_cap states and after that only lowers
+ * the count of states already in it, so which states it holds depends on
+ * the visiting order alone and the twins prune identically.  It is an
+ * open-addressing hash table of u64 keys (covered + 1; 0 marks a free
+ * slot) and u8 counts that doubles while it is at most half full: at
+ * seen_cap states it takes 2 * seen_cap slots of 9 bytes, rounded up to a
+ * power of two, or 18.9 MB at seen_cap = 2^20.
+ *
+ * Upper bound: upper > 0 starts best_count there (at n when larger); when
+ * no cover with fewer paths is found, upper comes back with no edges and
+ * the caller's IPF of that count is the witness.
+ *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
  */
@@ -69,6 +87,14 @@ static int CTZ(u64 x)
 
 #define MAXN 62
 
+/* The seen-state table: slot i holds the covered set keys[i] - 1 (a free
+ * slot holds 0) and the lowest count at which solve entered it. */
+typedef struct {
+    u64 *keys;
+    unsigned char *counts;
+    size_t mask, used, cap;  /* slots - 1, states held, most states held */
+} Seen;
+
 typedef struct {
     u64 adj[MAXN];
     u64 full;
@@ -78,6 +104,7 @@ typedef struct {
     double deadline;
     int eu[MAXN], ev[MAXN];    /* edges of the partial IPF being built */
     int beu[MAXN], bev[MAXN];  /* edges of the best IPF found */
+    Seen seen;
 } Solver;
 
 /* The node being enumerated: its uncovered set avail, branch vertex v and
@@ -120,6 +147,74 @@ static int out_of_time(Solver *s)
                          && (now(s) > s->deadline || PyErr_Occurred())))
         s->truncated = 1;
     return s->truncated;
+}
+
+static size_t seen_slot(const Seen *t, u64 key)
+{
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> 32) & t->mask;
+    while (t->keys[i] && t->keys[i] != key)
+        i = (i + 1) & t->mask;
+    return i;
+}
+
+/* Allocate a table of the given power-of-two number of slots and move the
+ * states of t into it; 0, with MemoryError set, if the memory is not
+ * there. */
+static int seen_resize(Seen *t, size_t slots)
+{
+    Seen nt = *t;
+    size_t i;
+    nt.keys = PyMem_Calloc(slots, sizeof(u64));
+    nt.counts = PyMem_Malloc(slots);
+    if (nt.keys == NULL || nt.counts == NULL) {
+        PyMem_Free(nt.keys);
+        PyMem_Free(nt.counts);
+        PyErr_NoMemory();
+        return 0;
+    }
+    nt.mask = slots - 1;
+    for (i = 0; t->keys && i <= t->mask; i++)
+        if (t->keys[i]) {
+            size_t j = seen_slot(&nt, t->keys[i]);
+            nt.keys[j] = t->keys[i];
+            nt.counts[j] = t->counts[i];
+        }
+    PyMem_Free(t->keys);
+    PyMem_Free(t->counts);
+    *t = nt;
+    return 1;
+}
+
+/* Whether the state was entered before at a count no higher; if not, note
+ * it at count: lower its count, or insert it while the table holds fewer
+ * than cap states.  Sets truncated when the table cannot grow. */
+static int seen_before(Solver *s, u64 covered, int count)
+{
+    Seen *t = &s->seen;
+    u64 key = covered + 1;
+    size_t i;
+    if (!t->cap)
+        return 0;
+    i = seen_slot(t, key);
+    if (t->keys[i]) {
+        if (t->counts[i] <= count)
+            return 1;
+        t->counts[i] = (unsigned char)count;
+        return 0;
+    }
+    if (t->used == t->cap)
+        return 0;
+    if (2 * (t->used + 1) > t->mask + 1) {
+        if (!seen_resize(t, 2 * (t->mask + 1))) {
+            s->truncated = 1;
+            return 1;
+        }
+        i = seen_slot(t, key);
+    }
+    t->keys[i] = key;
+    t->counts[i] = (unsigned char)count;
+    t->used++;
+    return 0;
 }
 
 /* One path must cover avail: record count + 1 when G[avail] is a path,
@@ -280,7 +375,7 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     }
     if (s->truncated)
         return;
-    if (count + 1 >= s->best_count)
+    if (count + 1 >= s->best_count || seen_before(s, covered, count))
         return;
     s->nodes++;
     if ((s->node_limit && s->nodes > s->node_limit)
@@ -326,20 +421,26 @@ static void solve(Solver *s, u64 covered, int count, int depth)
 
 static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"n", "adj", "node_limit", "time_limit", NULL};
-    int n, i;
-    long long node_limit = 0;
+    static char *kwlist[] = {"n", "adj", "node_limit", "time_limit",
+                             "upper", "seen_cap", NULL};
+    int n, i, upper = 0;
+    long long node_limit = 0, seen_cap = 0;
     double time_limit = 0.0;
     PyObject *adj, *edges;
     Solver s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO|Ld:solve_min_ipf",
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO|LdiL:solve_min_ipf",
                                      kwlist, &n, &adj, &node_limit,
-                                     &time_limit))
+                                     &time_limit, &upper, &seen_cap))
         return NULL;
     if (n < 0 || n > MAXN) {
         PyErr_SetString(PyExc_ValueError,
                         "kernel supports at most 62 vertices");
+        return NULL;
+    }
+    if (upper < 0 || seen_cap < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "upper and seen_cap must be at least 0");
         return NULL;
     }
     memset(&s, 0, sizeof s);
@@ -354,23 +455,22 @@ static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
     }
     s.full = (1ULL << n) - 1;
     s.node_limit = node_limit;
-    s.best_count = n;
+    s.best_count = upper && upper < n ? upper : n;
+    s.seen.cap = (size_t)seen_cap;
     if (time_limit != 0.0) {
         PyObject *time = PyImport_ImportModule("time");
-        if (time == NULL)
-            return NULL;
-        s.monotonic = PyObject_GetAttrString(time, "monotonic");
-        Py_DECREF(time);
-        if (s.monotonic == NULL)
-            return NULL;
-        s.deadline = now(&s) + time_limit;
-        if (PyErr_Occurred()) {
-            Py_DECREF(s.monotonic);
-            return NULL;
+        if (time != NULL) {
+            s.monotonic = PyObject_GetAttrString(time, "monotonic");
+            Py_DECREF(time);
         }
+        if (s.monotonic != NULL)
+            s.deadline = now(&s) + time_limit;
     }
-    solve(&s, 0, 0, 0);
+    if (!PyErr_Occurred() && (!seen_cap || seen_resize(&s.seen, 1024)))
+        solve(&s, 0, 0, 0);
     Py_XDECREF(s.monotonic);
+    PyMem_Free(s.seen.keys);
+    PyMem_Free(s.seen.counts);
     if (PyErr_Occurred())
         return NULL;
     edges = PyList_New(s.best_len);
@@ -391,7 +491,8 @@ static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
 static PyMethodDef methods[] = {
     {"solve_min_ipf", (PyCFunction)(void (*)(void))solve_min_ipf,
      METH_VARARGS | METH_KEYWORDS,
-     "solve_min_ipf(n, adj, node_limit=0, time_limit=0.0)\n--\n\n"
+     "solve_min_ipf(n, adj, node_limit=0, time_limit=0.0, upper=0,"
+     " seen_cap=0)\n--\n\n"
      "Return (best_count, best_edges, nodes, truncated)."},
     {NULL, NULL, 0, NULL}
 };

@@ -89,6 +89,29 @@ count + 1 + ceil(f_S / 2) >= best.  Both prunes drop only children that
 cannot beat the incumbent: rho, the witness edge sets and the order of
 incumbents stay those of the full enumeration, and node counts fall.
 
+Seen states: with ``seen_cap`` > 0, ``solve`` keeps a table from each
+covered set it entered to the lowest count at which it entered it, and a
+state already entered at a count no higher is returned from after the
+count + 1 cut, before it is counted.  Say it was entered at c0 <= count,
+under an incumbent b0 >= best_count, and that r is the fewest induced
+paths covering what it leaves uncovered.  That visit has ended, since
+every state below it covers more, and not by the budget, or the search
+would be over.  Every prune above drops only children that cannot beat
+the incumbent, so if c0 + r < b0 the visit found a cover with c0 + r
+paths or fewer; either way best_count <= c0 + r <= count + r, and the
+later visit can find nothing strictly better.  rho, the witness edge
+sets and the order of incumbents stay those of the search without the
+table, and node counts only fall.  The table inserts until it holds
+``seen_cap`` states; after that it only lowers the count of states
+already in it.  Which states it holds is then a matter of visiting order
+alone, not of hashing, so the twins prune identically.  Here it is a
+dict, about 76 MB at 2^20 states.
+
+Upper bound: ``upper`` > 0 is the path count of an IPF the caller already
+has, and starts best_count there instead of at n.  The search then looks
+only for covers with strictly fewer paths; when it finds none, it returns
+``upper`` with no edges, and the caller's IPF is the witness.
+
 Budget: the clock is read on every 4096th counted node and, when a time
 limit is set, on every 4096th growth step; once a time limit is set and
 the budget is out, no path grows further.  Without a time limit growth
@@ -100,18 +123,50 @@ from __future__ import annotations
 import time
 
 
+class _EndWeights(dict):
+    """End weight by free-neighbour mask nb, computed on first use: 2 for
+    no free neighbour, 1 when they are pairwise adjacent, else 0."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: tuple[int, ...]):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, nb: int) -> int:
+        w = 1 if nb else 2
+        if nb & (nb - 1):
+            bits = nb
+            while bits:
+                ybit = bits & -bits
+                bits ^= ybit
+                if nb & ~self.adj[ybit.bit_length() - 1] != ybit:
+                    w = 0
+                    break
+        self[nb] = w
+        return w
+
+
 def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
-                  time_limit: float = 0.0):
+                  time_limit: float = 0.0, upper: int = 0,
+                  seen_cap: int = 0):
     """Return (best_count, best_edges, nodes, truncated).
 
     best_edges is the list of (u, v) edges of an optimal IPF; truncated is
     True when a budget was exhausted (best found so far is returned).
-    node_limit/time_limit of 0 mean unlimited.
+    node_limit/time_limit of 0 mean unlimited.  upper > 0 starts the
+    incumbent at that path count (n when larger): when no cover with fewer
+    paths is found, (upper, [], ...) comes back.  seen_cap > 0 turns on
+    the seen-state table, holding at most that many states.
     """
     if n > 62:
         raise ValueError("kernel supports at most 62 vertices")
+    if upper < 0 or seen_cap < 0:
+        raise ValueError("upper and seen_cap must be at least 0")
     full = (1 << n) - 1
-    best_count = n
+    best_count = min(upper, n) if upper else n
+    seen: dict[int, int] = {}
+    weight = _EndWeights(adj)
     best_edges: list[tuple[int, int]] = []
     edges_acc: list[tuple[int, int]] = []
     nodes = 0
@@ -149,18 +204,6 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             best_count = count + 1
             best_edges = edges_acc + walk
 
-    def weight(nb: int) -> int:
-        # the end weight of a vertex whose free neighbours are nb
-        if not nb & (nb - 1):
-            return 1 if nb else 2
-        bits = nb
-        while bits:
-            ybit = bits & -bits
-            bits ^= ybit
-            if nb & ~adj[ybit.bit_length() - 1] != ybit:
-                return 0
-        return 1
-
     def solve(covered: int, count: int) -> None:
         nonlocal nodes, best_count, best_edges, truncated
         if covered == full:
@@ -172,6 +215,14 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             return
         if count + 1 >= best_count:
             return
+        if seen_cap:
+            prev = seen.get(covered)
+            if prev is not None:
+                if prev <= count:
+                    return  # searched before, from a count no higher
+                seen[covered] = count
+            elif len(seen) < seen_cap:
+                seen[covered] = count
         nodes += 1
         if node_limit and nodes > node_limit:
             truncated = True
@@ -223,13 +274,13 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                 xbit = bits & -bits
                 bits ^= xbit
                 nb = adj[xbit.bit_length() - 1] & rest
-                f += weight(nb) - weight(nb | (1 << tip))
+                f += weight[nb] - weight[nb | (1 << tip)]
             bits = fresh & rest & ~settled
             settled |= bits
             while bits:
                 xbit = bits & -bits
                 bits ^= xbit
-                f += weight(adj[xbit.bit_length() - 1] & rest)
+                f += weight[adj[xbit.bit_length() - 1] & rest]
             if f > 2 * (best_count - count) - 4:
                 return  # the settled ends need count + 1 + ceil(f/2) paths
             cands = adj[tip] & rest
@@ -278,7 +329,7 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                 while bits:
                     xbit = bits & -bits
                     bits ^= xbit
-                    f += weight(adj[xbit.bit_length() - 1] & rest)
+                    f += weight[adj[xbit.bit_length() - 1] & rest]
                 if f > 2 * (best_count - count) - 4:
                     return  # the ends left need too many paths
             solve(covered | pathmask, count + 1)

@@ -200,7 +200,8 @@ def _census_one(args):
             out["violation"] = f"construction failed: {exc}"
             return out
     if mode in ("exact_rho", "both"):
-        res = rho_exact(g, node_limit=node_limit, time_limit=time_limit)
+        res = rho_exact(g, node_limit=node_limit, time_limit=time_limit,
+                        incumbent=cert.ipf if mode == "both" else None)
         out["rho"] = res.rho
         out["optimal"] = res.optimal
         if not res.optimal:
@@ -217,7 +218,14 @@ def census(lines, mode: str = "both", jobs: int = 1,
 
     Graphs that are not connected and cubic are counted as skipped; parse
     errors are reported per line and processing continues.  A bad mode,
-    budget or jobs < 1 raises ValueError before any line is read."""
+    budget or jobs < 1 raises ValueError before any line is read.
+
+    Mode "both" hands each host's certificate to ``rho_exact`` as its
+    incumbent, so the exact search looks only for IPFs with fewer paths
+    and, finding none, reports the certificate's count.  The report is
+    the one the unseeded search gives whenever the search ends; under a
+    budget more hosts end proved, and none reports a rho above its
+    certificate's."""
     if mode not in ("verify_theorem", "exact_rho", "both"):
         raise ValueError(f"unknown census mode: {mode!r}")
     check_budget(node_limit, time_limit)

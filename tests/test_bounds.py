@@ -6,15 +6,16 @@ import pytest
 
 from ipfkit import (
     Graph, GraphError, Ipf, census, ck_lower, ck_lower_report,
-    glue_lower_bound, rho_exact, rho_tree, rho_tree_recurrence, write_graph6,
+    glue_lower_bound, parse_graph6, rho_exact, rho_tree, rho_tree_recurrence,
+    write_graph6,
 )
-from ipfkit import constructive
+from ipfkit import bounds, constructive
 from ipfkit.families import (
     fig1_subcubic, odd_k_glued_tree, perfect_tree, petersen,
     subdivided_complete, triangle_ring,
 )
 
-from conftest import census_path
+from conftest import CENSUS_COUNTS, census_path
 
 
 def test_tree_formula_values():
@@ -194,3 +195,43 @@ def test_census_bad_arguments_raise_before_reading(kwargs):
 def test_census_empty_input():
     rep = census([])
     assert rep.graphs_processed == 0 and not rep.errors
+
+
+def _unseeded(monkeypatch):
+    """Make census call rho_exact without the certificate as incumbent."""
+    def rho_exact_unseeded(g, node_limit, time_limit, incumbent=None):
+        return rho_exact(g, node_limit, time_limit)
+    monkeypatch.setattr(bounds, "rho_exact", rho_exact_unseeded)
+
+
+@pytest.mark.parametrize("mode", ["verify_theorem", "exact_rho", "both"])
+def test_census_seeding_changes_no_report(mode, monkeypatch):
+    """Mode both seeds the exact search with the certificate; the reports
+    on the n=4..14 census stay those of the unseeded search, serial and in
+    a pool."""
+    lines = [line for n in CENSUS_COUNTS
+             for line in census_path(n).read_text().splitlines()]
+    seeded = [census(lines, mode=mode, jobs=jobs).to_json()
+              for jobs in (1, 2)]
+    _unseeded(monkeypatch)
+    unseeded = census(lines, mode=mode).to_json()
+    assert unseeded["graphs_processed"] == 621
+    assert seeded == [unseeded, unseeded]
+
+
+def test_census_seeded_search_under_node_limit(monkeypatch):
+    """Under a node budget of 2, the seeded search of mode both proves 73
+    of the 85 n=12 hosts, where the unseeded one proves none; its rho
+    never exceeds the certificate's path count and is the true rho when it
+    is reported optimal."""
+    lines = census_path(12).read_text().splitlines()
+    outs = [bounds._census_one((i, line, "both", 2, 0))
+            for i, line in enumerate(lines)]
+    for out, line in zip(outs, lines):
+        assert out["rho"] <= out["construct_paths"]
+        if out["optimal"]:
+            assert out["rho"] == rho_exact(parse_graph6(line)).rho
+    assert sum(out["optimal"] for out in outs) == 73
+    assert census(lines, mode="both", node_limit=2).budget_exhausted == 12
+    _unseeded(monkeypatch)
+    assert census(lines, mode="both", node_limit=2).budget_exhausted == 85

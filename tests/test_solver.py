@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from ipfkit import (Graph, Ipf, parse_graph6, rho_exact, rho_exhaustive,
-                    verify_ipf)
-from ipfkit.solver import _bfs_order, longest_induced_path_order
+from ipfkit import (Graph, Ipf, IpfError, parse_graph6, rho_exact,
+                    rho_exhaustive, verify_ipf)
+from ipfkit.solver import SEEN_CAP, _bfs_order, longest_induced_path_order
 from ipfkit import _kernel_py, solver
+from ipfkit.constructive import ipf_cubic
 from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
-                             triangle_ring)
+                             petersen, triangle_ring)
 
 from conftest import (DATA, census_graphs, random_connected_bounded,
                       random_connected_cubic, random_connected_regular,
@@ -144,20 +145,21 @@ def test_pinned_node_counts(kernel, monkeypatch):
     """Node counts of the search on the BFS relabelling, with the count + 1
     bound, the counting identity's prune of the last two paths and the
     end-count bound; the last-path closure, the stop at dead nodes and the
-    skipped left arms must change no count.  The identity and the end-count
-    bound only drop children that cannot beat the incumbent, so no census
-    host may take more nodes than the search without them took
-    (``census_node_caps.json``, summing to 252, 2,569 and 36,656).  Run
-    on each twin, the compiled one built from the source in the tree."""
+    skipped left arms must change no count.  The identity, the end-count
+    bound and the seen-state table only drop children that cannot beat the
+    incumbent, so no census host may take more nodes than the search
+    without them took (``census_node_caps.json``, summing to 252, 2,569
+    and 36,656).  Run on each twin, the compiled one built from the source
+    in the tree."""
     monkeypatch.setattr(solver, "_kernel", kernel)
     caps = json.loads((DATA / "census_node_caps.json").read_text())
-    for n, nodes in ((10, 109), (12, 626), (14, 5240)):
+    for n, nodes in ((10, 109), (12, 626), (14, 5204)):
         got = [rho_exact(g).stats["nodes"] for g in census_graphs(n)]
         assert sum(got) == nodes
         assert len(got) == len(caps[str(n)])
         assert all(a <= b for a, b in zip(got, caps[str(n)])), n
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
-    assert (res.rho, res.stats["nodes"]) == (2, 69)
+    assert (res.rho, res.stats["nodes"]) == (2, 65)
 
 
 def test_search_scale_guard():
@@ -248,10 +250,26 @@ def kernel(request):
     return _kernel_py
 
 
+def twins_agree(kernel_c, g, *args):
+    """Run both kernels on g with the same arguments and check that they
+    give the same count, witness edge set, node count and truncation."""
+    got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, *args)
+    got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, *args)
+    assert got_c[0] == got_py[0]
+    assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
+    assert got_c[2] == got_py[2]
+    assert got_c[3] == got_py[3]
+    return got_py
+
+
 def test_kernel_backends_bit_identical(kernel_c):
     """The compiled and pure-Python kernels must agree on the result, the
     witness edge set, and the explored node count (same branching order),
-    on each host and on its BFS relabelling, which rho_exact searches."""
+    on each host and on its BFS relabelling, which rho_exact searches:
+    without the seen-state table, with it at full size and capped at three
+    states, and from an upper bound of rho (nothing better to find) or of
+    rho + 1.  The capped table must prune differently from both others on
+    some host, so that its cap rule is part of the check."""
     rng = random.Random(23)
     hosts = census_graphs(8) + census_graphs(10)[:6] + census_graphs(12)
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
@@ -261,13 +279,21 @@ def test_kernel_backends_bit_identical(kernel_c):
               for cap in (4, 5) for _ in range(15)]
     hosts += CLOSURE_HOSTS + END_BOUND_HOSTS + FAMILY_HOSTS
     hosts += [relabel(g, _bfs_order(g)) for g in hosts]
+    cap_bites = False
     for g in hosts:
-        got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
-        got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, 10 ** 8, 0)
-        assert got_c[0] == got_py[0]
-        assert sorted(map(tuple, got_c[1])) == sorted(map(tuple, got_py[1]))
-        assert got_c[2] == got_py[2]
-        assert got_c[3] == got_py[3]
+        rho, _edges, plain, _ = twins_agree(kernel_c, g, 10 ** 8, 0)
+        full = twins_agree(kernel_c, g, 10 ** 8, 0, 0, SEEN_CAP)[2]
+        capped = twins_agree(kernel_c, g, 10 ** 8, 0, 0, 3)[2]
+        assert full <= capped <= plain
+        cap_bites |= full < capped < plain
+        count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
+                                              rho, 3)
+        assert count == rho and (edges == [] or rho == g.n)
+        count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
+                                              rho + 1, SEEN_CAP)
+        assert count == rho
+        assert Ipf.from_edges(g, edges).path_count == rho
+    assert cap_bites
 
 
 def test_kernel_backends_identical_under_budget(kernel_c):
@@ -278,12 +304,9 @@ def test_kernel_backends_identical_under_budget(kernel_c):
              random_connected_bounded(rng, 18, 5)] + FAMILY_HOSTS
     for g in hosts:
         for limit in (1, 5, 50, 500):
-            got_c = kernel_c.solve_min_ipf(g.n, g.adj_mask, limit, 0)
-            got_py = _kernel_py.solve_min_ipf(g.n, g.adj_mask, limit, 0)
-            assert got_c[0] == got_py[0] and got_c[2] == got_py[2]
-            assert (sorted(map(tuple, got_c[1]))
-                    == sorted(map(tuple, got_py[1])))
-            assert got_c[3] == got_py[3]
+            twins_agree(kernel_c, g, limit, 0)
+            for seen_cap in (3, SEEN_CAP):
+                twins_agree(kernel_c, g, limit, 0, g.n // 3 + 1, seen_cap)
 
 
 def test_kernel_time_budget(kernel):
@@ -293,7 +316,7 @@ def test_kernel_time_budget(kernel):
     g = random_connected_cubic(random.Random(48023), 62)
     t0 = time.monotonic()
     count, edges, _nodes, truncated = kernel.solve_min_ipf(
-        g.n, g.adj_mask, 0, 0.3)
+        g.n, g.adj_mask, 0, 0.3, 0, SEEN_CAP)
     assert truncated
     assert time.monotonic() - t0 < 2.0
     assert Ipf.from_edges(g, edges).path_count == count
@@ -327,7 +350,7 @@ def test_kernel_time_budget_inside_growth(kernel):
     g = Graph(62, edges)
     t0 = time.monotonic()
     count, edges, nodes, truncated = kernel.solve_min_ipf(
-        g.n, g.adj_mask, 0, 0.3)
+        g.n, g.adj_mask, 0, 0.3, 0, SEEN_CAP)
     assert time.monotonic() - t0 < 1.0
     assert truncated and nodes == 3
     assert Ipf.from_edges(g, edges).path_count == count
@@ -345,22 +368,26 @@ def test_left_arm_without_right_start_is_not_grown(kernel):
               + [(u + 3, v + 3) for u, v in h.sorted_edges()])
     t0 = time.monotonic()
     count, edges, nodes, truncated = kernel.solve_min_ipf(
-        g.n, g.adj_mask, 2, 2.0)
+        g.n, g.adj_mask, 2, 2.0, 0, SEEN_CAP)
     assert time.monotonic() - t0 < 0.25
     assert truncated and nodes == 3
     assert Ipf.from_edges(g, edges).path_count == count
 
 
-@pytest.mark.parametrize("g, rho, nodes", [(perfect_tree(3, 4), 11, 2166),
-                                           (triangle_ring(30), 10, 22314)])
+@pytest.mark.parametrize("g, rho, nodes", [
+    (perfect_tree(3, 4), 11, 1308), (triangle_ring(30), 10, 422),
+    (triangle_ring(60), 20, 6507), (bad_graph(18, (0, 2, 4)), 12, 8538)])
 def test_end_bound_proves_high_rho_hosts(kernel, g, rho, nodes):
     """Hosts with rho n/3 and more, where the count + 1 bound alone makes
-    the search enumerate nearly every induced path (110M and 1.1M nodes):
-    with the end-count bound each kernel proves them on the BFS
-    relabelling in the pinned number of nodes."""
+    the search enumerate nearly every induced path (110M and 1.1M nodes
+    on the first two).  The end-count bound cut those two to 2,166 and
+    22,314 nodes, and the same covered set still came back from many
+    orders of the paths before it; with the seen-state table as well each
+    kernel proves all four on the BFS relabelling in the pinned number of
+    nodes (the last two took 2.7M nodes and no proof in 20 s before)."""
     h = relabel(g, _bfs_order(g))
     count, edges, got, truncated = kernel.solve_min_ipf(
-        h.n, h.adj_mask, 4 * nodes, 0)
+        h.n, h.adj_mask, 4 * nodes, 0, 0, SEEN_CAP)
     assert (count, got, truncated) == (rho, nodes, False)
     assert Ipf.from_edges(h, edges).path_count == rho
 
@@ -368,3 +395,49 @@ def test_end_bound_proves_high_rho_hosts(kernel, g, rho, nodes):
 def test_kernel_input_guard(kernel):
     with pytest.raises(ValueError):
         kernel.solve_min_ipf(63, (0,) * 63)
+
+
+def test_incumbent_is_the_witness_when_optimal():
+    """Seeded with an optimal IPF the search finds nothing better and
+    hands the incumbent back; seeded with a worse one it returns its own
+    witness.  rho is that of the unseeded search either way."""
+    for g in census_graphs(10) + census_graphs(12)[:20]:
+        plain = rho_exact(g)
+        res = rho_exact(g, incumbent=plain.witness)
+        assert res.witness is plain.witness
+        assert (res.rho, res.optimal) == (plain.rho, True)
+        one_edge = Ipf.from_edges(g, g.sorted_edges()[:1])
+        res = rho_exact(g, incumbent=one_edge)
+        assert (res.rho, res.optimal) == (plain.rho, True)
+        assert res.witness is not one_edge
+        assert len(verify_ipf(g, res.witness.edges)) == plain.rho
+    # an equal host, not the same object, is the same host
+    g = census_graphs(10)[0]
+    ipf = rho_exact(g).witness
+    assert rho_exact(Graph(g.n, g.edges), incumbent=ipf).witness is ipf
+
+
+def test_incumbent_under_node_limit_stays_honest():
+    """Under a node budget the seeded search returns the incumbent or
+    better, and claims optimality only for the true rho."""
+    for g in census_graphs(12):
+        rho = rho_exact(g).rho
+        cert = ipf_cubic(g).ipf
+        for limit in (1, 2, 5, 20):
+            res = rho_exact(g, node_limit=limit, incumbent=cert)
+            assert rho <= res.rho <= cert.path_count
+            assert not res.optimal or res.rho == rho
+            assert len(verify_ipf(g, res.witness.edges)) == res.rho
+
+
+def test_incumbent_of_another_host_raises():
+    g = petersen()
+    other = Ipf.from_edges(cycle(10), [(0, 1)])
+    with pytest.raises(ValueError, match="another host"):
+        rho_exact(g, incumbent=other)
+    with pytest.raises(ValueError, match="another host"):
+        rho_exact(cycle(9), incumbent=Ipf.from_edges(cycle(10), []))
+    # an unchecked Ipf is verified before it can become the witness
+    with pytest.raises(IpfError, match="cycle"):
+        rho_exact(cycle(5), incumbent=Ipf(cycle(5), frozenset(
+            cycle(5).edges)))

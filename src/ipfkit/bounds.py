@@ -225,7 +225,10 @@ def census(lines, mode: str = "both", jobs: int = 1,
     and, finding none, reports the certificate's count.  The report is
     the one the unseeded search gives whenever the search ends; under a
     budget more hosts end proved, and none reports a rho above its
-    certificate's."""
+    certificate's.  So mode "both" no longer checks the kernel
+    independently of the constructor: a kernel that missed covers would
+    report the certificate's count rather than a rho above it.  Mode
+    "exact_rho" runs the search unseeded and keeps that check."""
     if mode not in ("verify_theorem", "exact_rho", "both"):
         raise ValueError(f"unknown census mode: {mode!r}")
     check_budget(node_limit, time_limit)

@@ -91,7 +91,17 @@ def recognize_bad(g: Graph) -> BadnessReport:
 
     A bad graph is a triangle ring in which some set of non-triangle edges
     was each subdivided by a vertex carrying a bridge to a hamiltonian
-    {2,3}-graph of order 5."""
+    {2,3}-graph of order 5.
+
+    Computed on the first call and kept in g's `_bad` slot, as
+    `block_decomposition` keeps the blocks; later calls return that same
+    report."""
+    if g._bad is None:
+        g._bad = _recognize_bad(g)
+    return g._bad
+
+
+def _recognize_bad(g: Graph) -> BadnessReport:
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("badness is defined for connected {2,3}-graphs")
     if is_triangle_ring(g):
@@ -498,12 +508,9 @@ def _blocktree_hypotheses(g: Graph):
     return dec, cycles
 
 
-def _allowed_bound(g: Graph, bad: BadnessReport | None = None) -> int:
-    """Maximum path count promised for a block-tree host; bad is the
-    verdict of recognize_bad(g) when the caller has it already."""
-    if bad is None and g.n >= 7:
-        bad = recognize_bad(g)
-    if g.n >= 7 and not bad.is_bad:
+def _allowed_bound(g: Graph) -> int:
+    """Maximum path count promised for a block-tree host."""
+    if g.n >= 7 and not recognize_bad(g).is_bad:
         return (g.n - 1) // 3
     return g.n // 3
 
@@ -519,28 +526,24 @@ def _bridge_sides(g: Graph, bridge):
     return set(_bits(side)), set(_bits(((1 << g.n) - 1) ^ side))
 
 
-def ipf_blocktree(g: Graph, bad: BadnessReport | None = None) -> Ipf:
+def ipf_blocktree(g: Graph) -> Ipf:
     """Well-behaved IPF of a connected {2,3}-graph whose blocks are
     hamiltonian, have order >= 5 and partition the vertex set.
 
     Path count is at most (n-1)/3 when n >= 7 and the host is not bad,
-    and at most n/3 otherwise.  A caller that has run recognize_bad(g)
-    passes its verdict as bad, so that g is not tested again."""
+    and at most n/3 otherwise."""
     hyp = _blocktree_hypotheses(g)
     if hyp is None:
         raise GraphError("host does not satisfy the block-tree hypotheses")
-    return _blocktree(g, *hyp, bad)
+    return _blocktree(g, *hyp)
 
 
-def _blocktree(g: Graph, dec, cycles, bad=None) -> Ipf:
-    if bad is None and g.n >= 7:
-        bad = recognize_bad(g)  # for the bound, and the star assembly
-    out = _blocktree_inner(g, dec, cycles, bad)
-    limit = _allowed_bound(g, bad)
-    if out.path_count > limit:
+def _blocktree(g: Graph, dec, cycles) -> Ipf:
+    out = _blocktree_inner(g, dec, cycles)
+    if out.path_count > _allowed_bound(g):
         raise ConstructionError(
             f"block-tree construction used {out.path_count} paths, "
-            f"allowed {limit}")
+            f"allowed {_allowed_bound(g)}")
     wb = is_well_behaved(out)
     if not wb.verdict:
         raise ConstructionError(
@@ -548,7 +551,7 @@ def _blocktree(g: Graph, dec, cycles, bad=None) -> Ipf:
     return out
 
 
-def _blocktree_inner(g: Graph, dec, cycles, bad) -> Ipf:
+def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
     n = g.n
     if len(dec.blocks) == 1:
         return _ham23(g, cycles[0])
@@ -556,43 +559,43 @@ def _blocktree_inner(g: Graph, dec, cycles, bad) -> Ipf:
         (bridge,) = dec.bridges
         return _bridge_assembly(g, bridge, {})
     # a bridge whose larger side is not bad lets the two sides recurse
-    # freely; the verdicts on the bad sides go on to _bridge_assembly
-    verdicts = {}
+    # freely; the bad sides built here go on to _bridge_assembly
+    built = {}
     for bridge in sorted(dec.bridges):
         s0, s1 = _bridge_sides(g, bridge)
         for sa, sb in ((s0, s1), (s1, s0)):
             if len(sa) < 7 or len(sb) < 6:
                 continue
-            ga, _, a_n2o = _sub(g, sa)
-            bad = recognize_bad(ga)
-            if bad.is_bad:
-                verdicts[frozenset(sa)] = bad
+            side = _sub(g, sa)
+            ga, _, a_n2o = side
+            if recognize_bad(ga).is_bad:
+                built[frozenset(sa)] = side
                 continue
             gb, _, b_n2o = _sub(g, sb)
-            pa = ipf_blocktree(ga, bad)
+            pa = ipf_blocktree(ga)
             pb = ipf_blocktree(gb)
             edges = _edges_up(pa.edges, a_n2o) | _edges_up(pb.edges, b_n2o)
             return Ipf.from_edges(g, edges)
     # a bridge with both sides of order >= 6: each side is order 6 or bad
     for bridge in sorted(dec.bridges):
         if min(map(len, _bridge_sides(g, bridge))) >= 6:
-            return _bridge_assembly(g, bridge, verdicts)
-    return _star_assembly(g, dec, bad)
+            return _bridge_assembly(g, bridge, built)
+    return _star_assembly(g, dec)
 
 
-def _bridge_assembly(g: Graph, bridge, verdicts) -> Ipf:
+def _bridge_assembly(g: Graph, bridge, built) -> Ipf:
     """IPF with the bridge on a path.  A side of order <= 7 gets a small
     hamiltonian IPF with a path ending at its bridge endpoint; a larger
     side must be bad with that endpoint in a triangle of its hub, and is
-    covered without the endpoint.  verdicts maps the vertex sets of sides
-    already tested to their recognize_bad reports."""
+    covered without the endpoint.  built maps the vertex sets of sides
+    the caller already built to their _sub triples."""
     edges = {bridge}
     for side, x in zip(_bridge_sides(g, bridge), bridge):
-        sub, o2n, n2o = _sub(g, side)
+        sub, o2n, n2o = built.get(frozenset(side)) or _sub(g, side)
         if len(side) <= 7:
             p = ipf_small_ham(sub, o2n[x])
         else:
-            bad = verdicts.get(frozenset(side)) or recognize_bad(sub)
+            bad = recognize_bad(sub)
             if not bad.is_bad or o2n[x] not in bad.hub \
                     or _triangle_of(sub, o2n[x]) is None:
                 raise ConstructionError(
@@ -604,10 +607,9 @@ def _bridge_assembly(g: Graph, bridge, verdicts) -> Ipf:
     return Ipf.from_edges(g, edges)
 
 
-def _star_assembly(g: Graph, dec, bad: BadnessReport) -> Ipf:
+def _star_assembly(g: Graph, dec) -> Ipf:
     """Host shaped as a central block C with order-5 leaf blocks attached
-    by bridges (the only shape left once bridge splits are exhausted);
-    bad is the recognize_bad verdict on g."""
+    by bridges (the only shape left once bridge splits are exhausted)."""
     n = g.n
     # every bridge must hang a whole order-5 block off the centre
     leaves = []  # (x on C, y on leaf, leaf vertex set)
@@ -679,9 +681,8 @@ def _star_assembly(g: Graph, dec, bad: BadnessReport) -> Ipf:
     x1, y1, l1 = leaves[0]
     g0, o2n0, n2o0 = _sub(g, set(range(n)) - l1)
     g0p, rec = suppress_vertex(g0, o2n0[x1])
-    bad0 = recognize_bad(g0p)
-    if not bad0.is_bad or bad.is_bad:
-        p0 = lift(g0, rec, ipf_blocktree(g0p, bad0))
+    if not recognize_bad(g0p).is_bad or recognize_bad(g).is_bad:
+        p0 = lift(g0, rec, ipf_blocktree(g0p))
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
         return Ipf.from_edges(g, edges)
     # suppression produced a bad graph while the host is not bad: the
@@ -767,10 +768,9 @@ def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
         reduced = g.without_edges(removed)
         if not reduced.is_connected():
             raise ConstructionError("swap disconnected the host")
-        bad = recognize_bad(reduced)
-        if bad.is_bad:
+        if recognize_bad(reduced).is_bad:
             raise ConstructionError("swap did not remove badness")
-    p = ipf_blocktree(reduced, bad)
+    p = ipf_blocktree(reduced)
     out = Ipf.from_edges(g, p.edges)  # re-verify against the full edge set
     limit = _allowed_bound(g)
     if out.path_count > limit:

@@ -58,13 +58,15 @@ class Graph:
     same neighbours in ascending order.  Adjacency, connectivity and graph6
     coding read the masks.
 
-    The `_blocks` and `_k4minus` slots hold the graph's `BlockDecomposition`
-    and its induced K4-minus list once `block_decomposition` and
-    `ipf.induced_k4minus_subgraphs` have computed them.  Caching is safe
+    The `_blocks`, `_k4minus` and `_bad` slots hold the graph's
+    `BlockDecomposition`, its induced K4-minus list and its badness report
+    once `block_decomposition`, `ipf.induced_k4minus_subgraphs` and
+    `constructive.recognize_bad` have computed them.  Caching is safe
     because nothing changes a Graph after construction; every derived graph
     is a new object with empty slots."""
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks", "_k4minus")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks", "_k4minus",
+                 "_bad")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -95,6 +97,7 @@ class Graph:
         self.edges = frozenset(pairs)
         self._blocks = None
         self._k4minus = None
+        self._bad = None
 
     # -- basic queries -------------------------------------------------
 

@@ -235,3 +235,16 @@ def test_census_seeded_search_under_node_limit(monkeypatch):
     assert census(lines, mode="both", node_limit=2).budget_exhausted == 12
     _unseeded(monkeypatch)
     assert census(lines, mode="both", node_limit=2).budget_exhausted == 85
+
+
+def test_census_exact_rho_mode_runs_unseeded(monkeypatch):
+    """Mode exact_rho passes no incumbent, so its rho is the kernel's own
+    and still checks the kernel against the (n-1)/3 bound."""
+    incumbents = []
+
+    def rho_exact_spy(g, node_limit, time_limit, incumbent=None):
+        incumbents.append(incumbent)
+        return rho_exact(g, node_limit, time_limit)
+    monkeypatch.setattr(bounds, "rho_exact", rho_exact_spy)
+    census(census_path(10).read_text().splitlines(), mode="exact_rho")
+    assert len(incumbents) == 19 and set(incumbents) == {None}

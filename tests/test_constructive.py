@@ -408,24 +408,26 @@ def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
 
 
 def test_blocktree_tests_each_graph_for_badness_once(monkeypatch):
-    # the host is tested once, for its bound and the star assembly; the
-    # free split tests both bad sides and the bridge assembly reuses those
-    # verdicts; each side minus its bridge endpoint is tested for its own
-    # bound (the two sides are equal graphs, but different subgraphs)
+    # recognize_bad keeps its report in the graph's _bad slot, so each
+    # graph is computed once: the host for its bound; the free split tests
+    # both bad sides and the bridge assembly reuses those side graphs; each
+    # side minus its bridge endpoint is tested for its own bound (the two
+    # sides are equal graphs, but different subgraphs)
     bad = bad_graph(6, (0,), 1)
     g = joined(bad, bad, 0, 0)
-    tested = spy(monkeypatch, "recognize_bad")
+    tested = spy(monkeypatch, "_recognize_bad")
     ipf_blocktree(g)
     assert sorted(args[0].n for args, _ in tested) == [11, 11, 12, 12, 24]
     assert len({id(args[0]) for args, _ in tested}) == 5
+    assert recognize_bad(g) is tested[-1][1] and len(tested) == 5
     # the star host of test_blocktree_star_suppression_leaving_a_bad_host:
-    # the host, the suppressed rest and the order-11 rest
+    # the suppressed rest, the host and the order-11 rest
     ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
     hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
     g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
     tested.clear()
     ipf_blocktree(g)
-    assert [args[0].n for args, _ in tested] == [18, 12, 11]
+    assert [args[0].n for args, _ in tested] == [12, 18, 11]
 
 
 def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):

@@ -1,70 +1,24 @@
 /* Compiled branch-and-bound kernel for minimum induced path factors.
  *
  * Mirrors _kernel_py.solve_min_ipf exactly: same branching order, same
- * bounds (count + 1 and the end count), same budget handling.  Results
- * (count, witness edges, node count, truncated) must be identical to the
- * pure-Python kernel on every input; that module describes the search, the
- * left arms that can get no right arm and are not grown, the bounds, the
- * last-path closure (close_last) and the budget checks on counted nodes
- * and on growth steps.
+ * prunes, same budget handling.  Results (count, witness edges, node
+ * count, truncated) must be identical to the pure-Python kernel on every
+ * input.  The docstring of _kernel_py describes each mechanism and proves
+ * it changes no result; the sections are named there as here:
  *
- * Dead nodes: grow returns once count + 2 >= best_count.  From then on the
- * bound cuts every child before it is counted, except a path covering all
- * of avail; that path exists only when G[avail] is itself a path, and it
- * is then the first path the enumeration closes (both arms grow to their
- * ends before any close), so it was tried before the incumbent fell.
+ *   search and left arms   the opening paragraphs (solve, grow, grow_right)
+ *   last-path closure      "Last-path closure" (close_last)
+ *   dead nodes             "Dead nodes" (the count + 2 return in grow)
+ *   counting identity      "Counting identity" (close_path, Node.target)
+ *   end-count bound        "End-count bound" (weight, close_path, grow)
+ *   seen states            "Seen states" (seen_before)
+ *   upper bound            "Upper bound"
+ *   budget                 "Budget" (out_of_time and the check in solve)
  *
- * Counting identity: while count + 3 == best_count, a child improves only
- * if avail minus the closed path A is one induced path B, and then the sum
- * of c(x) = deg_U(x) - 2 over A equals target = e(U) - |U| on any host
- * (U = avail; the degrees over A sum to 2e(A) + e(A, B), and e(U) = e(A) +
- * e(B) + e(A, B) with e(A) = |A| - 1 and e(B) = |B| - 1).  solve computes
- * target, the arms carry the running sum p, close_path drops a path with
- * p != target that leaves vertices uncovered, and grow stops once
- * p - 2 > target on the left arm or p - 1 > target on the right arm (a
- * later vertex has c >= -1, and one with c = -1 ends its arm).  The
- * condition is tested on every call, because best_count falls while a
- * node enumerates.  Only children whose close_last would fail are
- * dropped, so rho, witnesses and the order of incumbents stay those of
- * the full enumeration; the Python twin gives the proof in full.
- *
- * End-count bound: in U' = the uncovered set a child keeps, a vertex x of
- * end weight w(x) = 2 (no neighbour in U') or 1 (its neighbours in U'
- * pairwise adjacent) is never interior to an induced path, and one of
- * weight 2 is a whole path, so U' needs at least ceil(f / 2) paths, f the
- * sum of w over U'.  close_path computes f(avail - path) when count + 4
- * <= best_count and drops the child when count + 1 + ceil(f / 2) >=
- * best_count.  In grow, a vertex off the path that is adjacent to a path
- * vertex other than the tip (on the left arm, other than v as well) is
- * settled: it can join the path neither from the tip nor as a right-arm
- * start, so every child keeps it, and its weight in avail - path can only
- * rise as the path grows (what is left of pairwise adjacent neighbours
- * stays pairwise adjacent, and no neighbour left is weight 2).  grow
- * carries the weight f of the settled set: on the step to a new tip it
- * re-weighs the settled neighbours of the tip and adds the free
- * neighbours of the previous tip (fresh), and it returns once
- * count + 1 + ceil(f / 2) >= best_count.  Both prunes drop only
- * children that cannot beat the incumbent, so rho, witnesses and the
- * order of incumbents stay those of the full enumeration; the Python twin
- * proves the weight and the monotonicity in full.
- *
- * Seen states: with seen_cap > 0, solve keeps a table from each covered
- * set it entered to the lowest count at which it entered it, and returns
- * from a state already entered at a count no higher, after the count + 1
- * cut and before the state is counted.  The earlier visit searched that
- * state with an incumbent no tighter than today's, so the later one can
- * find nothing strictly better (the Python twin gives the argument).  The
- * table inserts until it holds seen_cap states and after that only lowers
- * the count of states already in it, so which states it holds depends on
- * the visiting order alone and the twins prune identically.  It is an
- * open-addressing hash table of u64 keys (covered + 1; 0 marks a free
- * slot) and u8 counts that doubles while it is at most half full: at
- * seen_cap states it takes 2 * seen_cap slots of 9 bytes, rounded up to a
- * power of two, or 18.9 MB at seen_cap = 2^20.
- *
- * Upper bound: upper > 0 starts best_count there (at n when larger); when
- * no cover with fewer paths is found, upper comes back with no edges and
- * the caller's IPF of that count is the witness.
+ * The seen-state table is C's own: an open-addressing hash table of u64
+ * keys (covered + 1; 0 marks a free slot) and u8 counts that doubles while
+ * it is at most half full.  At seen_cap states it takes 2 * seen_cap slots
+ * of 9 bytes, rounded up to a power of two, or 18.9 MB at seen_cap = 2^20.
  *
  * A plain CPython extension, built by setup.py with any C compiler:
  *     python3 setup.py build_ext --inplace
@@ -322,10 +276,7 @@ static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
     u64 rest, bits, cands, blocked, tipbit = 1ULL << tip;
     int count = nd->count;
     if (out_of_time(s) || count + 2 >= s->best_count)
-        return;  /* out of time, or a dead node (see the header) */
-    if (count + 3 == s->best_count
-            && p - (rstarts ? 2 : 1) > nd->target)
-        return;  /* every later vertex adds at least -1, an arm's end */
+        return;  /* out of time, or a dead node (see _kernel_py) */
     rest = nd->avail & ~path;
     for (bits = settled & s->adj[tip]; bits; bits &= bits - 1) {
         u64 nb = s->adj[CTZ(bits)] & rest;
@@ -394,7 +345,7 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     nd.avail = avail;
     nd.count = count;
     nd.v = v;
-    /* the counting identity's target e(U) - |U| (see the header) */
+    /* the counting identity's target e(U) - |U| (see _kernel_py) */
     nd.target = 0;
     for (bits = avail; bits; bits &= bits - 1)
         nd.target += POPCNT(s->adj[CTZ(bits)] & avail);

@@ -46,18 +46,14 @@ A is one induced path B.  Then, with c(x) = deg_U(x) - 2,
 on any host: the degrees over A sum to 2e(A) + e(A, B) with e(A) =
 |A| - 1, and e(U) = e(A) + e(B) + e(A, B) with e(B) = |B| - 1.  Each
 node that enumerates computes c and the target T = e(U) - |U| in O(|U|),
-and the arms carry the running sum p.  ``close`` drops a path with
-p != T unless it covers U, and ``grow`` stops once p - 2 > T on the left
-arm or p - 1 > T on the right arm: a vertex added later has c >= -1, and
-one with c = -1 ends its arm.  A path covering U exists only when G[U]
-is a path, and then no partial sum exceeds 0 while T = -1, so no prune
-touches it.  best falls during a node's enumeration (on rho=3 hosts the
-incumbent reaches 3 while the root still enumerates), so count + 3 ==
-best is checked on every call, not once per node.  Only children whose
-close_last would fail are dropped: rho, the witness edge sets and the
-order in which incumbents are found are those of the full enumeration,
-node counts fall and never rise, and where a budget cuts the search may
-move.
+the arms carry the running sum p, and ``close`` drops a path with p != T
+unless it covers U.  best falls during a node's enumeration (on rho=3
+hosts the incumbent reaches 3 while the root still enumerates), so
+count + 3 == best is checked on every close, not once per node.  Only
+children whose close_last would fail are dropped: rho, the witness edge
+sets and the order in which incumbents are found are those of the full
+enumeration, node counts fall and never rise, and where a budget cuts the
+search may move.
 
 End-count bound: for a set W of uncovered vertices, give x in W the end
 weight w(x) = 2 if x has no neighbour in W, 1 if its neighbours in W are
@@ -265,9 +261,6 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                     return
             if count + 2 >= best_count:
                 return  # a dead node: the bound cuts every remaining child
-            if (count + 3 == best_count
-                    and p - (2 if rstarts else 1) > target):
-                return  # every later vertex adds at least -1, an arm's end
             rest = avail & ~pathmask
             bits = settled & adj[tip]
             while bits:

@@ -194,7 +194,6 @@ def _census_one(args):
         try:
             cert = ipf_cubic(g)
             out["construct_paths"] = cert.ipf.path_count
-            out["trace"] = cert.trace
         except (ConstructionError, GraphError) as exc:
             # ipf_cubic raises ConstructionError above cubic_limit(n) paths
             out["violation"] = f"construction failed: {exc}"
@@ -244,7 +243,7 @@ def census(lines, mode: str = "both", jobs: int = 1,
     else:
         results = [_census_one(t) for t in tasks]
     report = CensusReport()
-    for out in sorted(results, key=lambda r: r["line"]):
+    for out in results:  # in line order, as map returns them
         if "error" in out:
             report.errors.append(out["error"])
             continue

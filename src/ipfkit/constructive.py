@@ -330,19 +330,13 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
     k, (u, v) = min(c for c in ((_cyclic_dist(pos[a], pos[b], n), (a, b))
                                 for a, b in g.edges) if c[0] > 1)
 
-    def labelled(start_v: int, step: int) -> list[int]:
-        i = pos[start_v]
-        return [cyc[(i + step * t) % n] for t in range(n)]
-
-    # two labellings place the chord as x_n x_k with the short arc between
+    # two labellings place the chord as x_n x_k with the short arc between:
+    # x_n = a (index n-1), and x_1..x_k runs along the short arc towards b
     options = []
     for a, b in ((u, v), (v, u)):
-        # x_n = a, x_1..x_k runs along the short arc towards b
-        step = 1 if (pos[a] + k) % n == pos[b] else -1
-        if (pos[a] + step * k) % n == pos[b]:
-            lab = labelled(a, step)
-            options.append(lab[1:] + [lab[0]])  # shift so a is x_n (index n-1)
-    assert options
+        i = pos[a]
+        step = 1 if (i + k) % n == pos[b] else -1
+        options.append([cyc[(i + step * t) % n] for t in range(1, n + 1)])
     if k == 2:
         half = (n + 1) // 2
         for lab in options:
@@ -354,11 +348,11 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
         raise ConstructionError("no orientation satisfies the k=2 condition")
     if k == 3:
         lab = options[0]
+        # every shift keeps a chord x_n x_3: shift 0 by construction, and
+        # shift s + 1 is tried only when x_1 x_4 of shift s, its x_n x_3,
+        # is an edge
         for shift in range(3):
             cur = lab[shift:] + lab[:shift]
-            # the chord x_n x_3 must still be present after the shift
-            if not g.has_edge(cur[n - 1], cur[2]):
-                continue
             if not g.has_edge(cur[0], cur[3]):
                 return cur
         raise ConstructionError("no shift satisfies the k=3 condition")
@@ -751,20 +745,16 @@ def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
     if bad.is_bad:
         # swap: re-add one removed inter-cycle edge and cut the bridge that
         # ties its order-5 block to the hub, leaving a degree-2 hub vertex
-        # outside any triangle
-        u, v = S_prime[0]
+        # outside any triangle.  Every hub vertex of a bad graph has degree
+        # 3, as in g, so both ends of a removed edge lie in order-5 blocks
+        u = S_prime[0][0]
         dec = block_decomposition(reduced)
-        blk_u = next((b for b in dec.blocks if u in b), None)
-        if blk_u is None or len(blk_u) != 5:
-            u, v = v, u
-            blk_u = next((b for b in dec.blocks if u in b), None)
-        if blk_u is None or len(blk_u) != 5:
-            raise ConstructionError("swap edge has no order-5 endpoint block")
+        blk_u = next(b for b in dec.blocks if u in b)
         wx = next(br for br in sorted(dec.bridges)
                   if (br[0] in bad.hub) != (br[0] in blk_u)
                   and (br[0] in blk_u or br[1] in blk_u)
                   and (br[0] in bad.hub or br[1] in bad.hub))
-        removed = (removed | {wx}) - {(min(u, v), max(u, v))}
+        removed = (removed | {wx}) - {S_prime[0]}
         reduced = g.without_edges(removed)
         if not reduced.is_connected():
             raise ConstructionError("swap disconnected the host")

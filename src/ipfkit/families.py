@@ -143,30 +143,21 @@ def perfect_tree(k: int, h: int) -> Graph:
     degree 1."""
     if k < 3 or h < 0:
         raise GraphError("perfect tree needs k >= 3 and h >= 0")
-    edges = []
-    frontier = [0]
-    nxt = 1
-    for _ in range(h):
-        new_frontier = []
-        for p in frontier:
-            for _ in range(k - 1):
-                edges.append((p, nxt))
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    return Graph(nxt, edges)
+    layers = _tree_layers(k, h)
+    edges = [(p, c) for up, down in zip(layers, layers[1:])
+             for i, p in enumerate(up)
+             for c in down[i * (k - 1):(i + 1) * (k - 1)]]
+    return Graph(layers[-1][-1] + 1, edges)
 
 
 def _tree_layers(k: int, h: int) -> list[list[int]]:
+    """The vertices of ``perfect_tree(k, h)`` by depth, each layer in
+    breadth-first order: the children of a layer's i-th vertex are the
+    next layer's i-th run of k-1."""
     layers = [[0]]
-    nxt = 1
     for _ in range(h):
-        layer = []
-        for _ in layers[-1]:
-            for _ in range(k - 1):
-                layer.append(nxt)
-                nxt += 1
-        layers.append(layer)
+        start = layers[-1][-1] + 1
+        layers.append(list(range(start, start + len(layers[-1]) * (k - 1))))
     return layers
 
 

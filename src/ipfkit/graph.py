@@ -5,6 +5,11 @@ ladder decomposition, hamilton cycles, and 2-factors of {2,3}-graphs.
 Vertices are dense integer indices 0..n-1.  All search routines iterate
 neighbours in ascending order, so results are deterministic for a fixed
 labelling.
+
+``ladder_decomposition`` has no caller in the package, and
+``find_2_edge_cut`` none but it; nor have ``solver.longest_induced_path_order``
+and ``surgery.surgery``.  They stay only because the benchmark's tracer,
+``perfbench/tracing.py``, wraps them by name.
 """
 
 from __future__ import annotations
@@ -459,7 +464,8 @@ def hamilton_cycle(g: Graph, start: int = 0) -> Optional[list[int]]:
 
     A path that is not yet spanning is dropped as soon as it provably has
     no hamiltonian completion:
-    (a) `start` has no unvisited neighbour left to close the cycle;
+    (a) `start` has no unvisited neighbour left to close the cycle (so the
+        last vertex appended closes it);
     (b) an unvisited neighbour of the old tip has fewer than two
         neighbours among the unvisited vertices, the new tip and `start`.
     Every unvisited vertex still has to be entered and left, so both rules
@@ -479,9 +485,7 @@ def hamilton_cycle(g: Graph, start: int = 0) -> Optional[list[int]]:
             if not free >> w & 1:
                 continue
             if len(path) == n - 1:
-                if masks[w] >> start & 1:
-                    return path + [w]
-                continue
+                return path + [w]  # by (a), the last vertex w meets start
             rest = free ^ (1 << w)
             if not masks[start] & rest:
                 continue  # (a)
@@ -556,8 +560,6 @@ def two_factor_search(g: Graph) -> Optional[TwoFactor]:
         raise GraphError("two_factor_search requires a connected graph")
     n, adj = g.n, g.adj
     deg3 = sum(1 << v for v in range(n) if len(adj[v]) == 3)
-    if deg3.bit_count() % 2:
-        return None
     masks = g.adj_mask
     left = list(masks)  # per vertex, its edges outside the matching
     best, fewest = None, n + 1

@@ -32,6 +32,13 @@ def _norm_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u < v else (v, u) for u, v in edges)
 
 
+def _check_in_host(g: Graph, es: frozenset[tuple[int, int]]) -> None:
+    stray = es - g.edges
+    if stray:
+        raise IpfError(f"edges not in host: {sorted(stray)}", "edges",
+                       sorted(stray))
+
+
 def _raise_first_chord(g: Graph, path: list[int]) -> None:
     """Raise the IpfError naming the first chord (i, j) of path, by i then j."""
     k = len(path)
@@ -56,9 +63,7 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     es = edges
     if not (isinstance(es, frozenset) and es <= g.edges):
         es = _norm_edges(edges)
-        stray = es - g.edges
-        if stray:
-            raise IpfError(f"edges not in host: {sorted(stray)}", "edges", sorted(stray))
+        _check_in_host(g, es)
     deg = [0] * g.n
     nbr: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in es:
@@ -120,8 +125,10 @@ class Ipf:
 
     ``from_edges`` and ``from_paths`` verify the edge set against the host
     once, raising IpfError if it is no IPF, and keep its paths.
-    ``Ipf(host, edges)`` takes a normalised edge set unchecked and verifies
-    it when its paths are first read, so ``paths()`` raises IpfError then.
+    ``Ipf(host, edges)`` takes an edge set unchecked and verifies it when
+    its paths are first read, so ``paths()`` raises IpfError then; an edge
+    not in ``host.edges``, such as one written (v, u) with u < v, is of
+    kind "edges", since ``path_count`` counts the set as given.
     """
 
     host: Graph
@@ -143,6 +150,7 @@ class Ipf:
     @cached_property
     def _paths(self) -> list[list[int]]:
         # read, never changed: paths() hands out copies
+        _check_in_host(self.host, self.edges)
         return verify_ipf(self.host, self.edges)
 
     @cached_property
@@ -176,7 +184,6 @@ class Ipf:
 @dataclass
 class WellBehavedReport:
     verdict: bool
-    exceptions_allowed: frozenset[int]
     # one entry per failing path: (path, offending low-degree pair)
     witnesses: list[tuple[tuple[int, ...], tuple[int, int]]] = field(default_factory=list)
 
@@ -188,8 +195,7 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
     g = ipf.host
     if not g.is_subcubic():
         raise ValueError("well-behavedness is defined for subcubic hosts")
-    Rset = frozenset(R)
-    S = {v for v in range(g.n) if g.degree(v) <= 2} - Rset
+    S = {v for v in range(g.n) if g.degree(v) <= 2}.difference(R)
     dec = block_decomposition(g)
     witnesses: list[tuple[tuple[int, ...], tuple[int, int]]] = []
     for path in ipf._paths:
@@ -212,7 +218,7 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
                     ok = True
         if not ok:
             witnesses.append((tuple(path), (vs[0], vs[1])))
-    return WellBehavedReport(not witnesses, Rset, witnesses)
+    return WellBehavedReport(not witnesses, witnesses)
 
 
 def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]:

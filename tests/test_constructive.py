@@ -61,11 +61,23 @@ def test_small_ham_order_6_cubic():
 
 
 def test_small_ham_order_7():
-    g = cycle(7)
-    for x in range(7):
-        ipf = ipf_small_ham(g, x)
-        assert ipf.path_count == 2
-        assert x in ipf.endpoints()
+    # every labelled host and degree-2 x: 28 of the 259 pairs mirror the
+    # cycle, and the 7 that need 3 paths suppress x to a triangle ring
+    three = 0
+    for g in hamiltonian_23_graphs(7):
+        for x in range(7):
+            if g.degree(x) != 2:
+                continue
+            ipf = ipf_small_ham(g, x)
+            assert x in ipf.endpoints()
+            if ipf.path_count == 3:
+                a, b = g.adj[x]
+                assert not g.has_edge(a, b)
+                assert is_triangle_ring(suppress_vertex(g, x)[0])
+                three += 1
+            else:
+                assert ipf.path_count == 2
+    assert three == 7
 
 
 def test_small_ham_rejects_other_orders():
@@ -148,6 +160,20 @@ def test_blocktree_cycle_hosts():
     for n in range(7, 13):
         ipf = ipf_blocktree(cycle(n))
         assert ipf.path_count <= (n - 1) // 3
+
+
+def test_blocktree_rejects_small_or_uncovering_blocks():
+    # two triangles joined by a bridge: blocks of order 3
+    triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                          (4, 5)])
+    # two C5 joined through a degree-2 vertex that lies in no block
+    apart = joined(joined(cycle(5), Graph(1), 0, 0), cycle(5), 5, 0)
+    for g in (triangles, apart):
+        assert _blocktree_hypotheses(g) is None
+        with pytest.raises(GraphError, match="block-tree hypotheses"):
+            ipf_blocktree(g)
+    # no 2-factor covers the vertex between the bridges
+    assert ipf_23_with_2factor(apart) is None
 
 
 def test_2factor_assembly_single_cycle():
@@ -377,8 +403,10 @@ def test_blocktree_c5_centre_with_leaves_at_distance_2(monkeypatch):
     pasted = spy(monkeypatch, "paste_k4minus")
     recursed = spy(monkeypatch, "ipf_blocktree")
     stars = spy(monkeypatch, "_star_assembly")
-    assert check_blocktree(c5_star(0, 2)).path_count == 4
-    assert len(stars) == 1 and pasted == [] and recursed == []
+    # the centre's cycle 0-1-2-3-4 reaches 3 at distance 2 only mirrored
+    for x2 in (2, 3):
+        assert check_blocktree(c5_star(0, x2)).path_count == 4
+    assert len(stars) == 2 and pasted == [] and recursed == []
 
 
 def test_blocktree_c5_centre_with_adjacent_leaves(monkeypatch):

@@ -73,6 +73,12 @@ def test_stray_edge_rejected():
     with pytest.raises(IpfError) as exc:
         raw.paths()
     assert exc.value.kind == "edges"
+    # a host edge written backwards is no edge of the IPF's set either:
+    # path_count would count it, and (0, 1) in edges would be False
+    raw = Ipf(Graph(2, [(0, 1)]), frozenset({(1, 0)}))
+    with pytest.raises(IpfError) as exc:
+        raw.paths()
+    assert exc.value.kind == "edges" and exc.value.detail == [(1, 0)]
 
 
 def test_from_paths_roundtrip():

@@ -441,3 +441,10 @@ def test_incumbent_of_another_host_raises():
     with pytest.raises(IpfError, match="cycle"):
         rho_exact(cycle(5), incumbent=Ipf(cycle(5), frozenset(
             cycle(5).edges)))
+    # one edge written both ways counts twice in path_count: 1 path, where
+    # rho is 2, would be reported optimal
+    g = Graph(3, [(0, 1)])
+    assert rho_exhaustive(g).rho == 2
+    with pytest.raises(IpfError) as exc:
+        rho_exact(g, incumbent=Ipf(g, frozenset({(0, 1), (1, 0)})))
+    assert exc.value.kind == "edges"

@@ -745,11 +745,16 @@ def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
     if bad.is_bad:
         # swap: re-add one removed inter-cycle edge and cut the bridge that
         # ties its order-5 block to the hub, leaving a degree-2 hub vertex
-        # outside any triangle.  Every hub vertex of a bad graph has degree
-        # 3, as in g, so both ends of a removed edge lie in order-5 blocks
-        u = S_prime[0][0]
+        # outside any triangle.  A removed edge may end at a triangle's
+        # degree-2 tip in the hub, so take the endpoint in an order-5 block
+        u, v = S_prime[0]
         dec = block_decomposition(reduced)
-        blk_u = next(b for b in dec.blocks if u in b)
+        blk_u = next((b for b in dec.blocks if u in b), None)
+        if blk_u is None or len(blk_u) != 5:
+            u, v = v, u
+            blk_u = next((b for b in dec.blocks if u in b), None)
+        if blk_u is None or len(blk_u) != 5:
+            raise ConstructionError("swap edge has no order-5 endpoint block")
         wx = next(br for br in sorted(dec.bridges)
                   if (br[0] in bad.hub) != (br[0] in blk_u)
                   and (br[0] in blk_u or br[1] in blk_u)

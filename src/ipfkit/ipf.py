@@ -32,13 +32,6 @@ def _norm_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u < v else (v, u) for u, v in edges)
 
 
-def _check_in_host(g: Graph, es: frozenset[tuple[int, int]]) -> None:
-    stray = es - g.edges
-    if stray:
-        raise IpfError(f"edges not in host: {sorted(stray)}", "edges",
-                       sorted(stray))
-
-
 def _raise_first_chord(g: Graph, path: list[int]) -> None:
     """Raise the IpfError naming the first chord (i, j) of path, by i then j."""
     k = len(path)
@@ -57,13 +50,14 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     Paths are reported endpoint-to-endpoint with the smaller endpoint first,
     sorted by their first vertex; trivial paths are singletons.  Raises
     IpfError naming the violation (over-degree vertex, cycle, or the
-    specific chord pair).  A frozenset inside the host's edges, such as an
-    ``Ipf``'s, is normalised already and is read as it is.
+    specific chord pair).  Any iterable but a frozenset is normalised
+    first; a frozenset, such as an ``Ipf``'s, is read as given, so an edge
+    written (v, u) with u < v is not in the host and is of kind "edges".
     """
-    es = edges
-    if not (isinstance(es, frozenset) and es <= g.edges):
-        es = _norm_edges(edges)
-        _check_in_host(g, es)
+    es = edges if isinstance(edges, frozenset) else _norm_edges(edges)
+    if not es <= g.edges:
+        stray = sorted(es - g.edges)
+        raise IpfError(f"edges not in host: {stray}", "edges", stray)
     deg = [0] * g.n
     nbr: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in es:
@@ -150,7 +144,6 @@ class Ipf:
     @cached_property
     def _paths(self) -> list[list[int]]:
         # read, never changed: paths() hands out copies
-        _check_in_host(self.host, self.edges)
         return verify_ipf(self.host, self.edges)
 
     @cached_property

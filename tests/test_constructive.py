@@ -479,6 +479,28 @@ def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):
     assert not bad_swapped.is_bad
 
 
+def test_2factor_reduction_swaps_at_the_far_end_of_a_hub_tip_edge(monkeypatch):
+    """The smallest host whose removed edge starts in the hub: a ring of two
+    triangles (1, 2, 3) and (4, 5, 0) with the joining edge 2-4 subdivided
+    by s = 6, s bridged to x = 7 of a C5 7-8-9-10-11, and the degree-2 tip
+    0 joined to 9.  The only 2-factor with long cycles is {hub 7-cycle,
+    C5}; S' is (0, 9) alone and leaves a bad graph whose hub holds the
+    edge's first end 0, a degree-2 tip, so the swap takes the other end 9,
+    whose order-5 block hangs from the bridge (6, 7), and cuts that."""
+    g = Graph(12, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 0), (4, 0), (2, 6),
+                   (6, 4), (5, 1), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+                   (11, 7), (0, 9)])
+    assert _blocktree_hypotheses(g) is None and hamilton_cycle(g) is None
+    badness = spy(monkeypatch, "recognize_bad")
+    ipf = ipf_23_with_2factor(g)
+    assert len(verify_ipf(g, ipf.edges)) == ipf.path_count == _allowed_bound(g)
+    (first, bad_first), (swapped, bad_swapped) = badness[:2]
+    assert first[0] == g.without_edges([(0, 9)]) and bad_first.is_bad
+    assert 0 in bad_first.hub and g.degree(0) == 3
+    assert swapped[0] == g.without_edges([(6, 7)])
+    assert not bad_swapped.is_bad
+
+
 @pytest.mark.parametrize("k", [5, 7])
 def test_cubic_flower_snarks_use_a_multi_cycle_2factor(monkeypatch, k):
     g = flower_snark(k)

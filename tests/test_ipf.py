@@ -79,6 +79,11 @@ def test_stray_edge_rejected():
     with pytest.raises(IpfError) as exc:
         raw.paths()
     assert exc.value.kind == "edges" and exc.value.detail == [(1, 0)]
+    # verify_ipf reads a frozenset as given and normalises anything else
+    with pytest.raises(IpfError) as exc:
+        verify_ipf(raw.host, raw.edges)
+    assert exc.value.kind == "edges" and exc.value.detail == [(1, 0)]
+    assert verify_ipf(raw.host, {(1, 0)}) == [[0, 1]]
 
 
 def test_from_paths_roundtrip():

@@ -8,11 +8,12 @@
  *
  *   search and left arms   the opening paragraphs (solve, grow, grow_right)
  *   last-path closure      "Last-path closure" (close_last)
- *   dead nodes             "Dead nodes" (the count + 2 return in grow)
+ *   dead nodes             "Dead nodes" (the Node.stop return in grow)
  *   counting identity      "Counting identity" (close_path, Node.target)
  *   end-count bound        "End-count bound" (weight, close_path, grow)
  *   seen states            "Seen states" (seen_before)
  *   upper bound            "Upper bound"
+ *   lower bound            "Lower bound" (the stop in solve, Node.stop)
  *   budget                 "Budget" (out_of_time and the check in solve)
  *
  * The seen-state table is C's own: an open-addressing hash table of u64
@@ -52,7 +53,7 @@ typedef struct {
 typedef struct {
     u64 adj[MAXN];
     u64 full;
-    int best_count, best_len, truncated;
+    int best_count, best_len, truncated, lower;
     long long node_limit, nodes, steps;
     PyObject *monotonic;  /* time.monotonic, or NULL without a time limit */
     double deadline;
@@ -61,11 +62,12 @@ typedef struct {
     Seen seen;
 } Solver;
 
-/* The node being enumerated: its uncovered set avail, branch vertex v and
- * the counting identity's target e(U) - |U|. */
+/* The node being enumerated: its uncovered set avail, branch vertex v,
+ * the counting identity's target e(U) - |U|, and stop = max(count + 2,
+ * lower): grow returns once best_count <= stop. */
 typedef struct {
     u64 covered, avail;
-    int count, v, target;
+    int count, v, target, stop;
 } Node;
 
 static void solve(Solver *s, u64 covered, int count, int depth);
@@ -275,8 +277,8 @@ static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
 {
     u64 rest, bits, cands, blocked, tipbit = 1ULL << tip;
     int count = nd->count;
-    if (out_of_time(s) || count + 2 >= s->best_count)
-        return;  /* out of time, or a dead node (see _kernel_py) */
+    if (out_of_time(s) || s->best_count <= nd->stop)
+        return;  /* out of time, a dead node or the lower bound met */
     rest = nd->avail & ~path;
     for (bits = settled & s->adj[tip]; bits; bits &= bits - 1) {
         u64 nb = s->adj[CTZ(bits)] & rest;
@@ -315,6 +317,8 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     u64 avail, nbrs, lbits, bits;
     int v, pv;
     Node nd;
+    if (s->best_count <= s->lower)
+        return;  /* a cover meets the lower bound: stop */
     if (covered == s->full) {
         if (count < s->best_count) {
             s->best_count = count;
@@ -345,6 +349,7 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     nd.avail = avail;
     nd.count = count;
     nd.v = v;
+    nd.stop = count + 2 > s->lower ? count + 2 : s->lower;
     /* the counting identity's target e(U) - |U| (see _kernel_py) */
     nd.target = 0;
     for (bits = avail; bits; bits &= bits - 1)
@@ -373,25 +378,25 @@ static void solve(Solver *s, u64 covered, int count, int depth)
 static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "node_limit", "time_limit",
-                             "upper", "seen_cap", NULL};
-    int n, i, upper = 0;
+                             "upper", "seen_cap", "lower", NULL};
+    int n, i, upper = 0, lower = 0;
     long long node_limit = 0, seen_cap = 0;
     double time_limit = 0.0;
     PyObject *adj, *edges;
     Solver s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO|LdiL:solve_min_ipf",
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO|LdiLi:solve_min_ipf",
                                      kwlist, &n, &adj, &node_limit,
-                                     &time_limit, &upper, &seen_cap))
+                                     &time_limit, &upper, &seen_cap, &lower))
         return NULL;
     if (n < 0 || n > MAXN) {
         PyErr_SetString(PyExc_ValueError,
                         "kernel supports at most 62 vertices");
         return NULL;
     }
-    if (upper < 0 || seen_cap < 0) {
+    if (upper < 0 || seen_cap < 0 || lower < 0) {
         PyErr_SetString(PyExc_ValueError,
-                        "upper and seen_cap must be at least 0");
+                        "upper, seen_cap and lower must be at least 0");
         return NULL;
     }
     memset(&s, 0, sizeof s);
@@ -407,6 +412,7 @@ static PyObject *solve_min_ipf(PyObject *self, PyObject *args, PyObject *kw)
     s.full = (1ULL << n) - 1;
     s.node_limit = node_limit;
     s.best_count = upper && upper < n ? upper : n;
+    s.lower = lower;
     s.seen.cap = (size_t)seen_cap;
     if (time_limit != 0.0) {
         PyObject *time = PyImport_ImportModule("time");
@@ -443,7 +449,7 @@ static PyMethodDef methods[] = {
     {"solve_min_ipf", (PyCFunction)(void (*)(void))solve_min_ipf,
      METH_VARARGS | METH_KEYWORDS,
      "solve_min_ipf(n, adj, node_limit=0, time_limit=0.0, upper=0,"
-     " seen_cap=0)\n--\n\n"
+     " seen_cap=0, lower=0)\n--\n\n"
      "Return (best_count, best_edges, nodes, truncated)."},
     {NULL, NULL, 0, NULL}
 };

@@ -108,6 +108,20 @@ has, and starts best_count there instead of at n.  The search then looks
 only for covers with strictly fewer paths; when it finds none, it returns
 ``upper`` with no edges, and the caller's IPF is the witness.
 
+Lower bound: ``lower`` > 0 is a number of paths that the caller knows no
+cover beats.  The search stops as soon as best_count <= lower: ``solve``
+returns at once, before it records a cover or counts a node, and ``grow``
+at its dead-node test, which a node makes against max(count + 2, lower).
+So the node count and the witness are those of the moment the cover was
+found; only the clock, read on growth steps while the search unwinds, may
+still mark it truncated, as after a dead node.  Below a certified lower
+bound there is no cover to find, so the stop loses none.  A search from
+``upper`` = t + 1 with ``lower`` = t asks only whether t paths suffice;
+``rho_exact`` probes its two lowest levels that way (see its docstring).
+With ``lower`` = 0 the stop fires only on the null graph, whose search
+has nothing to do, so node counts, witnesses and truncation are those of
+the search without it.
+
 Budget: the clock is read on every 4096th counted node and, when a time
 limit is set, on every 4096th growth step; once a time limit is set and
 the budget is out, no path grows further.  Without a time limit growth
@@ -145,7 +159,7 @@ class _EndWeights(dict):
 
 def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                   time_limit: float = 0.0, upper: int = 0,
-                  seen_cap: int = 0):
+                  seen_cap: int = 0, lower: int = 0):
     """Return (best_count, best_edges, nodes, truncated).
 
     best_edges is the list of (u, v) edges of an optimal IPF; truncated is
@@ -153,12 +167,13 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
     node_limit/time_limit of 0 mean unlimited.  upper > 0 starts the
     incumbent at that path count (n when larger): when no cover with fewer
     paths is found, (upper, [], ...) comes back.  seen_cap > 0 turns on
-    the seen-state table, holding at most that many states.
+    the seen-state table, holding at most that many states.  The search
+    stops as soon as it holds a cover with at most ``lower`` paths.
     """
     if n > 62:
         raise ValueError("kernel supports at most 62 vertices")
-    if upper < 0 or seen_cap < 0:
-        raise ValueError("upper and seen_cap must be at least 0")
+    if upper < 0 or seen_cap < 0 or lower < 0:
+        raise ValueError("upper, seen_cap and lower must be at least 0")
     full = (1 << n) - 1
     best_count = min(upper, n) if upper else n
     seen: dict[int, int] = {}
@@ -202,6 +217,8 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
 
     def solve(covered: int, count: int) -> None:
         nonlocal nodes, best_count, best_edges, truncated
+        if best_count <= lower:
+            return  # a cover meets the lower bound: stop
         if covered == full:
             if count < best_count:
                 best_count = count
@@ -244,6 +261,7 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             c[w] = d - 2
             degsum += d
         target = degsum // 2 - avail.bit_count()
+        stop = max(count + 2, lower)  # grow returns once best_count <= stop
 
         def grow(pathmask: int, tip: int, rstarts: int, p: int,
                  settled: int, f: int, fresh: int) -> None:
@@ -259,8 +277,8 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                                  and time.monotonic() > deadline):
                     truncated = True
                     return
-            if count + 2 >= best_count:
-                return  # a dead node: the bound cuts every remaining child
+            if best_count <= stop:
+                return  # a dead node, or a cover meets the lower bound
             rest = avail & ~pathmask
             bits = settled & adj[tip]
             while bits:

@@ -121,7 +121,7 @@ def _cmd_construct(args) -> int:
                 if g.n > EXHAUSTIVE_CAP:
                     raise CliError("no construction applies to this input",
                                    EXIT_VIOLATION)
-                ipf, method = rho_exhaustive(g).witness, "exact"
+                ipf, method = rho_exact(g).witness, "exact"
             payload = {"graph6": g6, "n": g.n,
                        "method": method, "ipf": ipf.to_json_fragment(),
                        "verified": True}

@@ -24,7 +24,7 @@ from .graph import (
 from .ipf import (
     Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
 )
-from .solver import rho_exhaustive
+from .solver import rho_exact
 from .surgery import (
     SurgeryRecord, augment_triangle, paste_k4minus, suppress_vertex,
 )
@@ -266,7 +266,7 @@ def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
     if x is None:
         if not (n == 6 and c.is_cubic()):
             raise GraphError("x may be omitted only for order-6 cubic hosts")
-        res = rho_exhaustive(c)
+        res = rho_exact(c)
         if res.rho != 2:
             raise ConstructionError("order-6 cubic host has no 2-path IPF")
         return res.witness
@@ -828,7 +828,7 @@ def ipf_cubic(g: Graph) -> Certificate:
 
 def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     if g.n <= 6:
-        res = rho_exhaustive(g)
+        res = rho_exact(g)
         if res.rho != 2:
             raise ConstructionError(
                 f"small cubic host needs {res.rho} paths, expected 2")

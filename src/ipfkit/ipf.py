@@ -90,8 +90,6 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
             seen[w] = True
             path.append(w)
             prev, v = v, w
-        if path[-1] < path[0]:
-            path.reverse()
         paths.append(path)
     if not all(seen):
         cyc = [v for v in range(g.n) if not seen[v]]
@@ -202,9 +200,6 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
         if len(vs) == 2:
             x, y = vs
             i, j = path.index(x), path.index(y)
-            if i > j:
-                i, j = j, i
-                x, y = y, x
             if j - i == 3:
                 mid = (min(path[i + 1], path[i + 2]), max(path[i + 1], path[i + 2]))
                 if mid in dec.bridges:

@@ -8,7 +8,8 @@ Two independent methods:
   Small graphs only; serves as the cross-validation oracle.
 * ``rho_exact``: branch-and-bound over covered-vertex states, delegated to
   the compiled C kernel (``_kernel_c.c``) when it is built and imports,
-  and otherwise to its pure-Python twin (``_kernel_py``).
+  and otherwise to its pure-Python twin (``_kernel_py``).  It probes the
+  two lowest levels above a certified lower bound before any open search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, _reach
 from .ipf import Ipf
 
 try:  # pragma: no cover - depends on whether the extension was built
@@ -183,11 +184,43 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
+def _bfs_relabel(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """The BFS order of g and the adjacency masks of g relabelled by it,
+    the vertex ``order[i]`` becoming i."""
+    order = _bfs_order(g)
+    label = [0] * g.n
+    for i, u in enumerate(order):
+        label[u] = i
+    return order, tuple([sum([1 << label[w] for w in g.adj[u]])
+                         for u in order])
+
+
 def check_budget(node_limit, time_limit) -> None:
     """Raise ValueError unless both budgets are at least 0; NaN is refused."""
     if not (node_limit >= 0 and time_limit >= 0):
         raise ValueError(f"budgets must be at least 0, got node_limit="
                          f"{node_limit}, time_limit={time_limit}")
+
+
+def _lower_bound(g: Graph) -> int:
+    """A certified lower bound on rho(g): one path per component, and two
+    for a component that is not itself an induced path, since one path
+    covering a component is the component.  A component is an induced
+    path exactly when it has a vertex of degree at most 1 and none of
+    degree 3 or more."""
+    ends = wide = 0
+    for v, nbrs in enumerate(g.adj):
+        if len(nbrs) < 2:
+            ends |= 1 << v
+        elif len(nbrs) > 2:
+            wide |= 1 << v
+    total = 0
+    left = (1 << g.n) - 1
+    while left:
+        comp = _reach(g.adj_mask, (left & -left).bit_length() - 1)
+        left ^= comp
+        total += 1 if comp & ends and not comp & wide else 2
+    return total
 
 
 def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
@@ -204,38 +237,74 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
     none the incumbent itself is the witness.  Without one it starts from
     the trivial bound n.  Either way rho is the same once proved optimal.
 
+    Lower bound and level probes: rho is at least L, one path per
+    component and two for a component that is not an induced path
+    (``_lower_bound``).  An incumbent with at most L paths is optimal as it
+    stands, and the kernel is not called.  Otherwise the kernel first
+    probes level t = L, then t = L + 1: from ``upper`` = min(incumbent,
+    t + 1) with ``lower`` = t, it asks only whether t paths suffice.  A
+    cover found proves rho = t; a probe that finds none raises L to t + 1.
+    Only then does the open search run, from the incumbent with ``lower``
+    = L, stopping at a cover with L paths.  One node budget and one
+    deadline cover all calls; a call cut by either ends the search, and
+    the best IPF held is returned, optimal only if it meets L.  Once
+    proved, the witness is the first cover with rho paths in the kernel's
+    enumeration order, as without the probes: a probe's upper bound cuts
+    only subtrees without a cover of its level.
+
     The kernel branches on the lowest-indexed uncovered vertex, so it
     searches g relabelled in BFS order (``_bfs_order``), not in its input
     labelling; the witness is mapped back to the input labels.  It skips
     states it has already searched, in a table of at most ``SEEN_CAP``
-    states.
+    states, one table per call.
 
-    ``stats`` holds the ``nodes`` the kernel counted in that search,
-    ``seconds`` and the ``backend``."""
+    ``stats`` holds the ``nodes`` the kernel counted in all calls,
+    ``lower``, the final certified L (rho, once proved), ``probes``, the
+    probed levels with their node counts as [t, nodes] pairs, ``seconds``
+    and the ``backend``."""
     check_budget(node_limit, time_limit)
     if incumbent is not None:
         if incumbent.host != g:
             raise ValueError("the incumbent is an IPF of another host")
         incumbent._paths  # verifies a raw Ipf(host, edges), once
     t0 = time.monotonic()
-    order = _bfs_order(g)
-    label = [0] * g.n
-    for i, u in enumerate(order):
-        label[u] = i
-    adj = tuple([sum([1 << label[w] for w in g.adj[u]]) for u in order])
-    upper = 0 if incumbent is None else incumbent.path_count
-    count, edges, nodes, truncated = _kernel.solve_min_ipf(
-        g.n, adj, node_limit, time_limit, upper, SEEN_CAP)
-    if incumbent is not None and count == upper:
-        witness = incumbent  # nothing better found
+    deadline = t0 + time_limit
+    lower = _lower_bound(g)
+    # best held: the incumbent's count (edges None: it is the witness), or
+    # n with no edges, the one-vertex paths
+    best, edges = ((g.n, []) if incumbent is None
+                   else (incumbent.path_count, None))
+    order, adj = _bfs_relabel(g) if best > lower else ([], ())
+    nodes = 0
+    probes = []
+    for probe in (True, True, False):
+        if best <= lower:
+            break  # optimal
+        nodes_left = node_limit - nodes if node_limit else 0
+        time_left = deadline - time.monotonic() if time_limit else 0.0
+        if (node_limit and nodes_left <= 0) or (time_limit and time_left <= 0):
+            break  # the budget is out; 0 would mean no limit to the kernel
+        upper = min(best, lower + 1) if probe else best
+        count, found, used, truncated = _kernel.solve_min_ipf(
+            g.n, adj, nodes_left, time_left, upper, SEEN_CAP, lower)
+        nodes += used
+        if probe:
+            probes.append([lower, used])
+        if count < upper:
+            best, edges = count, found
+        if truncated:
+            break
+        lower = count  # no cover has fewer paths
+    if edges is None:
+        witness = incumbent
     else:
         witness = Ipf.from_edges(g, [(order[a], order[b]) for a, b in edges])
-    assert witness.path_count == count
+    assert witness.path_count == best
     return SolveResult(
-        rho=count,
+        rho=best,
         witness=witness,
         method="bnb",
-        optimal=not truncated,
-        stats={"nodes": nodes, "seconds": time.monotonic() - t0,
-               "backend": KERNEL_BACKEND},
+        optimal=best <= lower,
+        stats={"nodes": nodes, "lower": lower, "probes": probes,
+               "seconds": time.monotonic() - t0, "backend": KERNEL_BACKEND},
     )

@@ -174,8 +174,11 @@ def test_census_file_parallel_matches_serial():
 
 
 def test_census_budget_exhaustion_reported():
+    """A budget of one node cuts the first level probe on every host (a
+    host with rho 2 takes at least the root and the child that closes
+    it)."""
     lines = census_path(12).read_text().splitlines()[:4]
-    rep = census(lines, mode="exact_rho", node_limit=2)
+    rep = census(lines, mode="exact_rho", node_limit=1)
     assert rep.budget_exhausted == 4
     assert not rep.violations
 
@@ -221,9 +224,10 @@ def test_census_seeding_changes_no_report(mode, monkeypatch):
 
 def test_census_seeded_search_under_node_limit(monkeypatch):
     """Under a node budget of 2, the seeded search of mode both proves 73
-    of the 85 n=12 hosts, where the unseeded one proves none; its rho
-    never exceeds the certificate's path count and is the true rho when it
-    is reported optimal."""
+    of the 85 n=12 hosts, where the unseeded one, which probes level 2
+    from an upper bound of 3, proves 56; its rho never exceeds the
+    certificate's path count and is the true rho when it is reported
+    optimal."""
     lines = census_path(12).read_text().splitlines()
     outs = [bounds._census_one((i, line, "both", 2, 0))
             for i, line in enumerate(lines)]
@@ -234,7 +238,7 @@ def test_census_seeded_search_under_node_limit(monkeypatch):
     assert sum(out["optimal"] for out in outs) == 73
     assert census(lines, mode="both", node_limit=2).budget_exhausted == 12
     _unseeded(monkeypatch)
-    assert census(lines, mode="both", node_limit=2).budget_exhausted == 85
+    assert census(lines, mode="both", node_limit=2).budget_exhausted == 29
 
 
 def test_census_exact_rho_mode_runs_unseeded(monkeypatch):

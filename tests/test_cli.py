@@ -6,11 +6,14 @@ import json
 import pytest
 
 from ipfkit import Graph, write_adjlist, write_graph6
-from ipfkit import cli, constructive
+from ipfkit import cli, constructive, solver
+from ipfkit.constructive import ipf_cubic, ipf_small_ham
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
 from ipfkit.families import petersen, triangle_ring
+
+from conftest import census_graphs
 
 
 @pytest.fixture
@@ -182,7 +185,7 @@ def test_construct_auto_small_cycle_is_exact(capsys, tmp_path, n):
 
 
 def test_construct_null_graph_is_exact(capsys, tmp_path):
-    # "?" is the null graph, which is not cubic: it gets the exhaustive route
+    # "?" is the null graph, which is not cubic: it gets the exact route
     path = tmp_path / "null.g6"
     path.write_text("?\n")
     code, out, _ = run(capsys, ["construct", "--input", str(path),
@@ -190,6 +193,28 @@ def test_construct_null_graph_is_exact(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["method"] == "exact" and doc["ipf"]["path_count"] == 0
+
+
+def test_construct_keeps_the_oracle_out(capsys, tmp_path, monkeypatch):
+    """The cubic hosts with n <= 6, the order-6 cubic hosts of
+    ipf_small_ham and the construct fallback get their IPF from rho_exact;
+    rho_exhaustive serves only solve --exhaustive and the tests."""
+    def oracle(*args):
+        raise AssertionError("rho_exhaustive called")
+    for module in (solver, constructive, cli):
+        monkeypatch.setattr(module, "rho_exhaustive", oracle, raising=False)
+    for n in (4, 6):
+        for g in census_graphs(n):
+            cert = ipf_cubic(g)
+            assert (cert.ipf.path_count, cert.trace) == (2, ["base-small"])
+            if n == 6:
+                assert ipf_small_ham(g).path_count == 2
+    path = tmp_path / "claw.g6"
+    path.write_text(write_graph6(Graph(4, [(0, 1), (0, 2), (0, 3)])) + "\n")
+    code, out, _ = run(capsys, ["construct", "--input", str(path), "--json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["method"] == "exact" and doc["ipf"]["path_count"] == 2
 
 
 def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
@@ -200,7 +225,7 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     path = tmp_path / "big.txt"
     path.write_text(write_adjlist(g))
     called = []
-    for name in ("ipf_cubic", "ipf_23_with_2factor", "rho_exhaustive"):
+    for name in ("ipf_cubic", "ipf_23_with_2factor", "rho_exact"):
         monkeypatch.setattr(cli, name,
                             lambda *a, name=name, **k: called.append(name))
     code, _, err = run(capsys, ["construct", "--input", str(path),

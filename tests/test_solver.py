@@ -4,12 +4,14 @@ backend parity, and budget handling."""
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from ipfkit import (Graph, Ipf, IpfError, parse_graph6, rho_exact,
                     rho_exhaustive, verify_ipf)
-from ipfkit.solver import SEEN_CAP, _bfs_order, longest_induced_path_order
+from ipfkit.solver import (SEEN_CAP, _bfs_order, _lower_bound,
+                           longest_induced_path_order)
 from ipfkit import _kernel_py, solver
 from ipfkit.constructive import ipf_cubic
 from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
@@ -99,20 +101,46 @@ def test_witness_is_valid_and_counts_match():
         assert len(paths) == res.rho
 
 
+def agrees_with_the_oracle(g):
+    """rho_exact, which probes levels L and L + 1 before any open search,
+    against rho_exhaustive; its stats name the probed levels, the
+    certified lower bound is rho once optimal, and only a host with
+    rho >= L + 2 runs the open search, which it returns."""
+    res = rho_exact(g)
+    assert res.optimal and res.rho == rho_exhaustive(g).rho
+    assert len(verify_ipf(g, res.witness.edges)) == res.rho
+    low = _lower_bound(g)
+    levels = [t for t, _ in res.stats["probes"]]
+    assert levels == ([] if g.n <= low
+                      else list(range(low, min(res.rho, low + 1) + 1)))
+    assert res.stats["lower"] == res.rho
+    probed = sum(nodes for _, nodes in res.stats["probes"])
+    assert probed <= res.stats["nodes"]
+    assert res.rho >= low + 2 or probed == res.stats["nodes"]
+    return res.rho >= low + 2
+
+
 def test_oracle_agreement_on_census():
-    for n in (4, 6, 8):
+    for n in (4, 6, 8, 10, 12):
         for g in census_graphs(n):
-            assert rho_exact(g).rho == rho_exhaustive(g).rho
+            agrees_with_the_oracle(g)
 
 
 def test_oracle_agreement_on_random_subcubic():
     rng = random.Random(7)
     for _ in range(60):
-        g = random_connected_subcubic(rng, rng.randrange(2, 10))
-        a = rho_exact(g)
-        b = rho_exhaustive(g)
-        assert a.rho == b.rho
-        assert a.optimal and b.optimal
+        agrees_with_the_oracle(random_connected_subcubic(
+            rng, rng.randrange(2, 10)))
+
+
+def test_oracle_agreement_on_disconnected_hosts_and_paths():
+    rng = random.Random(41)
+    for _ in range(40):
+        agrees_with_the_oracle(union(*(
+            random_connected_subcubic(rng, rng.randrange(1, 5))
+            for _ in range(rng.randrange(2, 4)))))
+    for n in range(13):
+        agrees_with_the_oracle(path(n))
 
 
 def test_oracle_agreement_on_random_degree_4_and_5():
@@ -135,31 +163,35 @@ def test_oracle_agreement_where_last_path_closes():
 
 
 def test_oracle_agreement_where_end_bound_prunes():
-    for g in END_BOUND_HOSTS:
-        res = rho_exact(g)
-        assert res.rho == rho_exhaustive(g).rho
-        assert len(verify_ipf(g, res.witness.edges)) == res.rho
+    """triangle_ring(12) (rho 4) and fig1_subcubic(12) (rho 5), with
+    L = 2, also run the open search after both probes."""
+    assert [agrees_with_the_oracle(g) for g in END_BOUND_HOSTS].count(
+        True) == 2
 
 
 def test_pinned_node_counts(kernel, monkeypatch):
-    """Node counts of the search on the BFS relabelling, with the count + 1
-    bound, the counting identity's prune of the last two paths and the
-    end-count bound; the last-path closure, the stop at dead nodes and the
-    skipped left arms must change no count.  The identity, the end-count
-    bound and the seen-state table only drop children that cannot beat the
+    """Node counts of the search on the BFS relabelling, summed over the
+    level probes and the open search, with the count + 1 bound, the
+    counting identity's prune of the last two paths and the end-count
+    bound; the last-path closure, the stop at dead nodes and the skipped
+    left arms must change no count.  The identity, the end-count bound and
+    the seen-state table only drop children that cannot beat the
     incumbent, so no census host may take more nodes than the search
     without them took (``census_node_caps.json``, summing to 252, 2,569
-    and 36,656).  Run on each twin, the compiled one built from the source
-    in the tree."""
+    and 36,656).  A probe that refutes its level adds its nodes to the
+    next call's, so under the probes that cap is checked here, not
+    proved.  The probe of level 2 from an upper bound of 3 cut the sums
+    from 109, 626 and 5,204, and the n=24 host from 65 nodes.  Run on
+    each twin, the compiled one built from the source in the tree."""
     monkeypatch.setattr(solver, "_kernel", kernel)
     caps = json.loads((DATA / "census_node_caps.json").read_text())
-    for n, nodes in ((10, 109), (12, 626), (14, 5204)):
+    for n, nodes in ((10, 44), (12, 254), (14, 1959)):
         got = [rho_exact(g).stats["nodes"] for g in census_graphs(n)]
         assert sum(got) == nodes
         assert len(got) == len(caps[str(n)])
         assert all(a <= b for a, b in zip(got, caps[str(n)])), n
     res = rho_exact(random_connected_cubic(random.Random(24), 24))
-    assert (res.rho, res.stats["nodes"]) == (2, 65)
+    assert (res.rho, res.stats["nodes"]) == (2, 3)
 
 
 def test_search_scale_guard():
@@ -175,9 +207,12 @@ def test_search_scale_guard():
 
 def test_pinned_census_witnesses(kernel, monkeypatch):
     """The witness edge sets of the n=10 and n=12 census, mapped back from
-    the search on the BFS relabelling: the kernel's bounds and closures cut
-    only subtrees holding no strictly better cover, so a change to them may
-    move no witness.  Run on each twin."""
+    the search on the BFS relabelling.  The witness is the first cover with
+    rho paths in the kernel's fixed enumeration order: the kernel's bounds
+    and closures cut only subtrees holding no strictly better cover, and a
+    level probe's tighter upper bound cuts only subtrees without a cover of
+    its level.  So neither may move a witness, and the level probes of
+    ``rho_exact`` moved none.  Run on each twin."""
     monkeypatch.setattr(solver, "_kernel", kernel)
     pinned = json.loads((DATA / "census_witnesses.json").read_text())
     assert len(pinned) == 19 + 85
@@ -226,9 +261,13 @@ def test_longest_induced_path_order():
 
 
 def test_budget_truncation_reports_upper_bound():
+    """The probe of level 2 proves this host in 3 nodes; a budget of 1
+    cuts that probe, which held no cover yet, so the one-vertex paths come
+    back, not optimal."""
     g = census_graphs(12)[0]
     full = rho_exact(g)
-    res = rho_exact(g, node_limit=3)
+    assert (full.rho, full.stats["nodes"]) == (2, 3)
+    res = rho_exact(g, node_limit=1)
     assert not res.optimal
     assert res.rho >= full.rho
     verify_ipf(g, res.witness.edges)
@@ -267,9 +306,12 @@ def test_kernel_backends_bit_identical(kernel_c):
     witness edge set, and the explored node count (same branching order),
     on each host and on its BFS relabelling, which rho_exact searches:
     without the seen-state table, with it at full size and capped at three
-    states, and from an upper bound of rho (nothing better to find) or of
-    rho + 1.  The capped table must prune differently from both others on
-    some host, so that its cap rule is part of the check."""
+    states, from an upper bound of rho (nothing better to find) or of
+    rho + 1, and with a lower bound of 0, rho - 1 or rho.  The capped
+    table must prune differently from both others on some host, so that
+    its cap rule is part of the check.  A lower bound that no cover meets
+    (0 or rho - 1) changes nothing; at rho the search stops at its first
+    optimal cover, with the same witness and no more nodes."""
     rng = random.Random(23)
     hosts = census_graphs(8) + census_graphs(10)[:6] + census_graphs(12)
     hosts += [random_connected_subcubic(rng, rng.randrange(3, 12))
@@ -282,17 +324,27 @@ def test_kernel_backends_bit_identical(kernel_c):
     cap_bites = False
     for g in hosts:
         rho, _edges, plain, _ = twins_agree(kernel_c, g, 10 ** 8, 0)
-        full = twins_agree(kernel_c, g, 10 ** 8, 0, 0, SEEN_CAP)[2]
+        got = twins_agree(kernel_c, g, 10 ** 8, 0, 0, SEEN_CAP)
+        full = got[2]
+        for lower in (0, rho - 1):
+            assert twins_agree(kernel_c, g, 10 ** 8, 0, 0, SEEN_CAP,
+                               lower) == got
+        count, edges, nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0, 0,
+                                             SEEN_CAP, rho)
+        assert (count, sorted(edges), nodes <= full) == (
+            rho, sorted(got[1]), True)
         capped = twins_agree(kernel_c, g, 10 ** 8, 0, 0, 3)[2]
         assert full <= capped <= plain
         cap_bites |= full < capped < plain
-        count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
-                                              rho, 3)
-        assert count == rho and (edges == [] or rho == g.n)
-        count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
-                                              rho + 1, SEEN_CAP)
-        assert count == rho
-        assert Ipf.from_edges(g, edges).path_count == rho
+        for lower in (0, rho - 1):
+            count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
+                                                  rho, 3, lower)
+            assert count == rho and (edges == [] or rho == g.n)
+        for lower in (0, rho):
+            count, edges, _nodes, _ = twins_agree(kernel_c, g, 10 ** 8, 0,
+                                                  rho + 1, SEEN_CAP, lower)
+            assert count == rho
+            assert Ipf.from_edges(g, edges).path_count == rho
     assert cap_bites
 
 
@@ -307,6 +359,8 @@ def test_kernel_backends_identical_under_budget(kernel_c):
             twins_agree(kernel_c, g, limit, 0)
             for seen_cap in (3, SEEN_CAP):
                 twins_agree(kernel_c, g, limit, 0, g.n // 3 + 1, seen_cap)
+                twins_agree(kernel_c, g, limit, 0, g.n // 3 + 1, seen_cap,
+                            g.n // 3)
 
 
 def test_kernel_time_budget(kernel):
@@ -395,6 +449,8 @@ def test_end_bound_proves_high_rho_hosts(kernel, g, rho, nodes):
 def test_kernel_input_guard(kernel):
     with pytest.raises(ValueError):
         kernel.solve_min_ipf(63, (0,) * 63)
+    with pytest.raises(ValueError, match="lower"):
+        kernel.solve_min_ipf(3, (0,) * 3, 0, 0.0, 0, 0, -1)
 
 
 def test_incumbent_is_the_witness_when_optimal():
@@ -428,6 +484,95 @@ def test_incumbent_under_node_limit_stays_honest():
             assert rho <= res.rho <= cert.path_count
             assert not res.optimal or res.rho == rho
             assert len(verify_ipf(g, res.witness.edges)) == res.rho
+
+
+def test_lower_bound():
+    """One path per component, two for one that is not an induced path."""
+    assert _lower_bound(Graph(0)) == 0
+    assert _lower_bound(path(1)) == _lower_bound(path(7)) == 1
+    assert _lower_bound(cycle(3)) == _lower_bound(CLAW) == 2
+    assert _lower_bound(Graph(3)) == 3
+    assert _lower_bound(union(path(3), cycle(4), path(1), CLAW)) == 6
+
+
+def test_incumbent_at_the_lower_bound_skips_the_kernel(monkeypatch):
+    """An incumbent with L paths is optimal as it stands: the census hosts
+    whose certificate has 2 paths, and a disconnected host covered by one
+    path per component."""
+    def no_kernel(*args):
+        raise AssertionError("kernel called")
+    monkeypatch.setattr(solver, "_kernel",
+                        SimpleNamespace(solve_min_ipf=no_kernel))
+    certs = [ipf_cubic(g).ipf for g in census_graphs(10)]
+    g = union(path(3), path(1), cycle(4))
+    certs = [c for c in certs if c.path_count == 2] + [
+        Ipf.from_edges(g, [(0, 1), (1, 2), (4, 5), (6, 7)])]
+    assert len(certs) > 5
+    for cert in certs:
+        res = rho_exact(cert.host, incumbent=cert)
+        assert res.witness is cert and res.optimal
+        assert res.stats["nodes"] == 0 and res.stats["probes"] == []
+
+
+class RecordingKernel:
+    """The Python twin, recording the budgets of each call and its node
+    count, and advancing a fake clock, if given, by one second per call."""
+
+    def __init__(self, clock=None):
+        self.calls = []
+        self.clock = clock
+
+    def solve_min_ipf(self, n, adj, node_limit, time_limit, *rest):
+        out = _kernel_py.solve_min_ipf(n, adj, node_limit, time_limit, *rest)
+        self.calls.append((node_limit, time_limit, out[2]))
+        if self.clock is not None:
+            self.clock.now += 1.0
+        return out
+
+
+def test_node_budget_is_shared_across_probes(monkeypatch):
+    """triangle_ring(12), rho 4 over L = 2, takes 1, 10 and 4 nodes in its
+    two probes and the open search.  Each call gets what the earlier ones
+    left, and none gets 0, which would mean no limit: a budget used up by
+    the first probe ends the search there, with L raised to 3.  A call cut
+    by the budget returns a verified IPF, not optimal."""
+    g = triangle_ring(12)
+    kern = RecordingKernel()
+    monkeypatch.setattr(solver, "_kernel", kern)
+    res = rho_exact(g, node_limit=15)
+    assert (res.rho, res.optimal, res.stats["nodes"]) == (4, True, 15)
+    assert [(lim, nodes) for lim, _, nodes in kern.calls] == [
+        (15, 1), (14, 10), (4, 4)]
+    assert res.stats["probes"] == [[2, 1], [3, 10]]
+    for limit, calls, nodes, lower in ((1, 1, 1, 3), (6, 2, 7, 3),
+                                       (14, 3, 15, 4)):
+        kern.calls.clear()
+        res = rho_exact(g, node_limit=limit)
+        assert len(kern.calls) == calls
+        assert all(lim > 0 for lim, _, _ in kern.calls)
+        assert (res.optimal, res.stats["nodes"]) == (False, nodes)
+        assert res.stats["lower"] == lower
+        assert len(verify_ipf(g, res.witness.edges)) == res.rho >= 4
+
+
+def test_time_budget_is_shared_across_probes(monkeypatch):
+    """One deadline covers all calls: with a clock that advances one second
+    per kernel call, each call gets the time the earlier ones left, and a
+    deadline reached between calls ends the search, not optimal."""
+    clock = SimpleNamespace(now=100.0)
+    monkeypatch.setattr(solver, "time",
+                        SimpleNamespace(monotonic=lambda: clock.now))
+    kern = RecordingKernel(clock)
+    monkeypatch.setattr(solver, "_kernel", kern)
+    g = triangle_ring(12)
+    res = rho_exact(g, time_limit=2.5)
+    assert res.optimal and res.rho == 4
+    assert [lim for _, lim, _ in kern.calls] == [2.5, 1.5, 0.5]
+    kern.calls.clear()
+    res = rho_exact(g, time_limit=2.0)
+    assert [lim for _, lim, _ in kern.calls] == [2.0, 1.0]
+    assert not res.optimal
+    assert len(verify_ipf(g, res.witness.edges)) == res.rho
 
 
 def test_incumbent_of_another_host_raises():

@@ -14,8 +14,7 @@ from fractions import Fraction
 from .constructive import ConstructionError, cubic_limit, ipf_cubic
 from .graph import Graph, Graph6Error, GraphError, parse_graph6
 from .solver import (
-    DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, EXHAUSTIVE_CAP, check_budget,
-    rho_exact,
+    DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, check_budget, rho_exact,
 )
 
 
@@ -83,50 +82,16 @@ def ck_lower_report(k: int) -> BoundReport:
 # Lower bounds by vertex-gluing
 # ---------------------------------------------------------------------------
 
-def _is_subdivided_complete(g: Graph) -> int | None:
-    """If g is K_m with one edge subdivided, return m, else None."""
-    n = g.n
-    m = n - 1
-    if m < 3:
-        return None
-    for x in range(n):
-        if g.degree(x) != 2:
-            continue
-        u, v = g.adj[x]
-        if g.has_edge(u, v):
-            continue
-        rest = [w for w in range(n) if w != x]
-        ok = all(g.has_edge(a, b) or {a, b} == {u, v}
-                 for i, a in enumerate(rest) for b in rest[i + 1:])
-        if ok:
-            return m
-    return None
-
-
-def _component_rho_lower(sub: Graph) -> int:
-    """Certified lower bound on the induced path number of one component."""
-    m = _is_subdivided_complete(sub)
-    if m is not None:
-        # a subdivided K_m needs at least ceil(m/2) paths; for small m the
-        # exact value can only be larger
-        lower = (m + 1) // 2
-        if sub.n <= EXHAUSTIVE_CAP:
-            lower = max(lower, rho_exact(sub).rho)
-        return lower
-    res = rho_exact(sub)
-    if not res.optimal:
-        raise GraphError("component too large for an exact lower bound")
-    return res.rho
-
-
 def glue_lower_bound(g: Graph, components) -> int:
     """Lower bound on the induced path number of g from a decomposition
     into components glued at shared vertices.
 
     components: vertex sets whose union covers g, pairwise overlapping in
     at most one vertex, with every edge of g inside some component.  Each
-    gluing costs one path, so the bound is sum of component lower bounds
-    minus the number of gluings (total overlap)."""
+    gluing costs one path, so the bound is the sum of the components' rho
+    minus the number of gluings (total overlap).  Each component's rho is
+    proved by ``rho_exact``; one it cannot prove within the default budget
+    raises GraphError."""
     comps = [frozenset(c) for c in components]
     covered: set[int] = set()
     overlap = 0
@@ -144,8 +109,10 @@ def glue_lower_bound(g: Graph, components) -> int:
             raise GraphError(f"edge {u}{v} crosses the decomposition")
     total = 0
     for c in comps:
-        sub, _ = g.induced_subgraph(c)
-        total += _component_rho_lower(sub)
+        res = rho_exact(g.induced_subgraph(c)[0])
+        if not res.optimal:
+            raise GraphError("component too large for an exact lower bound")
+        total += res.rho
     return total - overlap
 
 

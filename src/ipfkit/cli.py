@@ -285,18 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stable", action="store_true",
                        help="suppress timing fields in JSON output")
 
+    def budgets(p, time_budget):
+        p.add_argument("--nodes", type=_at_least(int, 0),
+                       default=DEFAULT_NODE_LIMIT,
+                       help="node budget of the exact search; 0 (the default) "
+                            "for no node budget")
+        p.add_argument("--budget", type=_at_least(float, 0),
+                       default=DEFAULT_TIME_LIMIT,
+                       help=time_budget + " of the exact search in seconds; "
+                            "0 for none (default %(default)s)")
+
     p = sub.add_parser("solve", help="exact minimum IPF")
     common(p)
     p.add_argument("--exhaustive", action="store_true",
                    help="use the edge-subset oracle instead of the kernel")
-    p.add_argument("--nodes", type=_at_least(int, 0),
-                   default=DEFAULT_NODE_LIMIT,
-                   help="node budget of the exact search; 0 (the default) "
-                        "for no node budget")
-    p.add_argument("--budget", type=_at_least(float, 0),
-                   default=DEFAULT_TIME_LIMIT,
-                   help="time budget of the exact search in seconds; 0 for "
-                        "none (default %(default)s)")
+    budgets(p, "time budget")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("construct", help="certified IPF construction")
@@ -320,14 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="both",
                    choices=("verify_theorem", "exact_rho", "both"))
     p.add_argument("--jobs", type=_at_least(int, 1), default=1)
-    p.add_argument("--nodes", type=_at_least(int, 0),
-                   default=DEFAULT_NODE_LIMIT,
-                   help="node budget of the exact search; 0 (the default) "
-                        "for no node budget")
-    p.add_argument("--budget", type=_at_least(float, 0),
-                   default=DEFAULT_TIME_LIMIT,
-                   help="per-graph time budget of the exact search in "
-                        "seconds; 0 for none (default %(default)s)")
+    budgets(p, "per-graph time budget")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("bounds", help="closed-form bound values")

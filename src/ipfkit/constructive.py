@@ -251,25 +251,29 @@ def _rotate_to(cycle: list[int], x: int) -> list[int]:
     return cycle[i:] + cycle[:i]
 
 
-def ipf_small_ham(c: Graph, x: int | None = None) -> Ipf:
+def _small_cubic(g: Graph) -> Ipf:
+    """A 2-path IPF of a cubic graph of order 4 or 6, proved by rho_exact."""
+    res = rho_exact(g)
+    if res.rho != 2:
+        raise ConstructionError(
+            f"small cubic host needs {res.rho} paths, expected 2")
+    return res.witness
+
+
+def ipf_small_ham(c: Graph, x: int) -> Ipf:
     """Two-path IPFs of hamiltonian {2,3}-graphs of order 5, 6 or 7, with
     a path ending at the degree-2 vertex x.
 
-    Order-6 cubic hosts take x=None and get any 2-path IPF.  The single
-    order-7 exception (a 6-vertex triangle ring with a non-triangle edge
-    subdivided) yields 3 paths."""
+    The single order-7 exception (a 6-vertex triangle ring with a
+    non-triangle edge subdivided) yields 3 paths.  Order-6 cubic hosts
+    have no degree-2 vertex; ``ipf_ham23`` covers them."""
     n = c.n
     if n not in (5, 6, 7):
         raise GraphError(f"host order must be 5, 6 or 7, got {n}")
     if not c.is_23_graph():
         raise GraphError("host must be a {2,3}-graph")
-    if x is None:
-        if not (n == 6 and c.is_cubic()):
-            raise GraphError("x may be omitted only for order-6 cubic hosts")
-        res = rho_exact(c)
-        if res.rho != 2:
-            raise ConstructionError("order-6 cubic host has no 2-path IPF")
-        return res.witness
+    if not 0 <= x < n:
+        raise GraphError(f"vertex {x} is not in 0..{n - 1}")
     if c.degree(x) != 2:
         raise GraphError(f"vertex {x} must have degree 2")
     cyc = hamilton_cycle(c)
@@ -393,15 +397,14 @@ def ipf_ham23(g: Graph) -> Ipf:
 
 
 def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
-    """ipf_ham23 on g's hamilton cycle cyc (None if g has none)."""
+    """ipf_ham23 on g's hamilton cycle cyc (None if g has none).  Order 6
+    goes to ``_small_cubic`` when g is cubic, and otherwise to
+    ``ipf_small_ham`` at g's lowest degree-2 vertex."""
     n = g.n
     if n == 6:
         if g.is_cubic():
-            out = ipf_small_ham(g)
-        else:
-            x = next(v for v in range(n) if g.degree(v) == 2)
-            out = ipf_small_ham(g, x)
-        return out
+            return _small_cubic(g)
+        return ipf_small_ham(g, next(v for v in range(n) if g.degree(v) == 2))
     if cyc is None:
         raise GraphError("ipf_ham23 requires a hamiltonian host")
     if len(g.edges) == n:
@@ -828,11 +831,7 @@ def ipf_cubic(g: Graph) -> Certificate:
 
 def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     if g.n <= 6:
-        res = rho_exact(g)
-        if res.rho != 2:
-            raise ConstructionError(
-                f"small cubic host needs {res.rho} paths, expected 2")
-        return res.witness, ["base-small"]
+        return _small_cubic(g), ["base-small"]
     dec = block_decomposition(g)
     if dec.bridges:
         return _cubic_bridge_split(g, min(dec.bridges))

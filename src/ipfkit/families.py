@@ -131,9 +131,8 @@ def subdivided_complete(m: int) -> Graph:
     Any IPF of this graph needs at least ceil(m/2) paths."""
     if m < 3:
         raise GraphError("subdivided complete graph needs m >= 3")
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)
-             if (i, j) != (0, 1)]
-    edges += [(0, m), (1, m)]
+    edges = []
+    _glue_subdivided_complete(edges, m, m, 0)
     return Graph(m + 1, edges)
 
 

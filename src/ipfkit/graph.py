@@ -1,6 +1,7 @@
 """Immutable simple graphs with graph6 I/O and the structural queries used
-by the constructive pipeline: bridges/blocks, 2-edge-cuts and the cubic
-ladder decomposition, hamilton cycles, and 2-factors of {2,3}-graphs.
+by the constructive pipeline: bridges and blocks (``block_decomposition``),
+hamilton cycles (``hamilton_cycle``) and 2-factors of {2,3}-graphs with
+long cycles (``two_factor_search``).
 
 Vertices are dense integer indices 0..n-1.  All search routines iterate
 neighbours in ascending order, so results are deterministic for a fixed

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graph import Graph, _reach
+from .graph import Graph
 from .ipf import Ipf
 
 try:  # pragma: no cover - depends on whether the extension was built
@@ -208,18 +208,10 @@ def _lower_bound(g: Graph) -> int:
     covering a component is the component.  A component is an induced
     path exactly when it has a vertex of degree at most 1 and none of
     degree 3 or more."""
-    ends = wide = 0
-    for v, nbrs in enumerate(g.adj):
-        if len(nbrs) < 2:
-            ends |= 1 << v
-        elif len(nbrs) > 2:
-            wide |= 1 << v
     total = 0
-    left = (1 << g.n) - 1
-    while left:
-        comp = _reach(g.adj_mask, (left & -left).bit_length() - 1)
-        left ^= comp
-        total += 1 if comp & ends and not comp & wide else 2
+    for comp in g.components():
+        degrees = [len(g.adj[v]) for v in comp]
+        total += 1 if min(degrees) < 2 and max(degrees) < 3 else 2
     return total
 
 

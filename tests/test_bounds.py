@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from ipfkit import (
-    Graph, GraphError, Ipf, census, ck_lower, ck_lower_report,
-    glue_lower_bound, parse_graph6, rho_exact, rho_tree, rho_tree_recurrence,
-    write_graph6,
+    Graph, GraphError, Ipf, block_decomposition, census, ck_lower,
+    ck_lower_report, glue_lower_bound, parse_graph6, rho_exact, rho_tree,
+    rho_tree_recurrence, write_graph6,
 )
 from ipfkit import bounds, constructive
 from ipfkit.families import (
-    fig1_subcubic, odd_k_glued_tree, perfect_tree, petersen,
-    subdivided_complete, triangle_ring,
+    c4_binary_tree, even_k_glued_cycle, fig1_subcubic, odd_k_glued_tree,
+    perfect_tree, petersen, subdivided_complete, triangle_ring,
 )
 
 from conftest import CENSUS_COUNTS, census_path
@@ -76,7 +76,29 @@ def test_ck_lower_report_formula_names():
 
 def test_glue_lower_bound_subdivided_k5():
     g = subdivided_complete(5)
-    assert glue_lower_bound(g, [set(range(g.n))]) >= 3
+    assert glue_lower_bound(g, [set(range(g.n))]) == 3
+
+
+@pytest.mark.parametrize("m", [*range(3, 14), 20, 40, 61])
+def test_glue_lower_bound_subdivided_complete(m):
+    # a subdivided K_m needs ceil(m/2) paths, and rho_exact proves it up
+    # to the graph6 limit of 62 vertices
+    g = subdivided_complete(m)
+    assert glue_lower_bound(g, [set(range(g.n))]) == (m + 1) // 2
+
+
+@pytest.mark.parametrize("host, bound", [
+    (odd_k_glued_tree(3, 3), 9),
+    (c4_binary_tree(3), 24),
+    (odd_k_glued_tree(5, 1), 17),
+    (even_k_glued_cycle(4, 6), 14),
+], ids=["odd_k_glued_tree(3,3)", "c4_binary_tree(3)",
+        "odd_k_glued_tree(5,1)", "even_k_glued_cycle(4,6)"])
+def test_glue_lower_bound_over_blocks_and_bridges(host, bound):
+    # each block and each bridge is one component
+    dec = block_decomposition(host)
+    comps = [set(b) for b in dec.blocks] + [set(e) for e in dec.bridges]
+    assert glue_lower_bound(host, comps) == bound
 
 
 def test_glue_lower_bound_fig1():

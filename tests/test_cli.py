@@ -7,7 +7,7 @@ import pytest
 
 from ipfkit import Graph, write_adjlist, write_graph6
 from ipfkit import cli, constructive, solver
-from ipfkit.constructive import ipf_cubic, ipf_small_ham
+from ipfkit.constructive import ipf_cubic, ipf_ham23
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
@@ -196,8 +196,8 @@ def test_construct_null_graph_is_exact(capsys, tmp_path):
 
 
 def test_construct_keeps_the_oracle_out(capsys, tmp_path, monkeypatch):
-    """The cubic hosts with n <= 6, the order-6 cubic hosts of
-    ipf_small_ham and the construct fallback get their IPF from rho_exact;
+    """The cubic hosts with n <= 6, the order-6 cubic hosts of ipf_ham23
+    and the construct fallback get their IPF from rho_exact;
     rho_exhaustive serves only solve --exhaustive and the tests."""
     def oracle(*args):
         raise AssertionError("rho_exhaustive called")
@@ -208,7 +208,7 @@ def test_construct_keeps_the_oracle_out(capsys, tmp_path, monkeypatch):
             cert = ipf_cubic(g)
             assert (cert.ipf.path_count, cert.trace) == (2, ["base-small"])
             if n == 6:
-                assert ipf_small_ham(g).path_count == 2
+                assert ipf_ham23(g).path_count == 2
     path = tmp_path / "claw.g6"
     path.write_text(write_graph6(Graph(4, [(0, 1), (0, 2), (0, 3)])) + "\n")
     code, out, _ = run(capsys, ["construct", "--input", str(path), "--json"])

@@ -57,7 +57,7 @@ def test_small_ham_order_6_cubic():
     for g in census_graphs(6):
         if hamilton_cycle(g) is None:
             continue
-        assert ipf_small_ham(g).path_count == 2
+        assert ipf_ham23(g).path_count == 2
 
 
 def test_small_ham_order_7():
@@ -82,7 +82,10 @@ def test_small_ham_order_7():
 
 def test_small_ham_rejects_other_orders():
     with pytest.raises(GraphError):
-        ipf_small_ham(cycle(8))
+        ipf_small_ham(cycle(8), 0)
+    for x in (-1, 5, 7):  # not a vertex of the host
+        with pytest.raises(GraphError, match="not in 0..4"):
+            ipf_small_ham(cycle(5), x)
 
 
 def test_small_ham_lets_verifier_faults_through(monkeypatch):

@@ -1,6 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and ``ipfkit.__all__`` lists exactly what ``__init__`` imports (and its
-``__version__``)."""
+no private top-level helper is left unread, and ``ipfkit.__all__`` lists
+exactly what ``__init__`` imports (and its ``__version__``)."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,24 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_helper_is_read():
+    # a top-level _name function or class counts as read when some module
+    # of the package loads it by name or as an attribute; importing it
+    # alone does not count
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= used_names(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+    orphans = [f"{name}:{node.name}" for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and node.name not in read]
+    assert not orphans, f"private helpers nothing reads: {orphans}"
 
 
 def test_all_lists_what_init_imports():

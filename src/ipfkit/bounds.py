@@ -7,7 +7,9 @@ only in display code.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -177,6 +179,96 @@ def _census_one(args):
     return out
 
 
+def check_jobs(jobs) -> None:
+    """Raise ValueError unless census can run with `jobs` processes here:
+    at least 1, and above 1 only where os.fork exists."""
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs={jobs} needs os.fork, which this platform "
+                         f"lacks; use jobs=1")
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError with
+    its type and message (an exception whose __init__ takes other
+    arguments than its args does not)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _fork_worker(share: list) -> tuple[int, int]:
+    """Fork a process that runs _census_one over share and writes one
+    pickle, (True, results) or (False, exception), to a pipe; returns its
+    pid and the pipe's read end.  The worker leaves only through
+    os._exit, so it never returns into the caller's stack."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        try:
+            data = pickle.dumps((True, [_census_one(t) for t in share]))
+        except Exception as exc:
+            data = pickle.dumps((False, _portable(exc)))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _census_split(tasks: list, jobs: int) -> list:
+    """[_census_one(t) for t in tasks], by the calling process and up to
+    jobs - 1 forked workers: worker k takes tasks[k::jobs] while the
+    caller takes tasks[0::jobs], and the shares are merged back in task
+    order.  A worker's exception is raised here; a worker that dies
+    before sending its results raises RuntimeError with its exit status.
+    On any exit, every worker not yet reaped is killed and reaped first."""
+    jobs = max(1, min(jobs, len(tasks)))
+    workers = []  # (pid, read end) of each worker not yet reaped
+    try:
+        for k in range(1, jobs):
+            workers.append(_fork_worker(tasks[k::jobs]))
+        results = [None] * len(tasks)
+        results[0::jobs] = [_census_one(t) for t in tasks[0::jobs]]
+        for k in range(1, jobs):
+            pid, fd = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            os.close(fd)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:  # empty or cut short: the worker died
+                code = os.waitstatus_to_exitcode(status)
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with status {code}")
+                raise RuntimeError(f"census worker {k} {how} before "
+                                   f"sending its results") from None
+            if not ok:
+                raise value
+            results[k::jobs] = value
+        return results
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def census(lines, mode: str = "both", jobs: int = 1,
            node_limit: int = DEFAULT_NODE_LIMIT,
            time_limit: float = DEFAULT_TIME_LIMIT) -> CensusReport:
@@ -184,7 +276,15 @@ def census(lines, mode: str = "both", jobs: int = 1,
 
     Graphs that are not connected and cubic are counted as skipped; parse
     errors are reported per line and processing continues.  A bad mode,
-    budget or jobs < 1 raises ValueError before any line is read.
+    budget or jobs < 1, or jobs > 1 where os.fork is missing (POSIX has
+    it), raises ValueError before any line is read.
+
+    jobs=N runs the census in the calling process and N-1 workers forked
+    from it: of the non-blank lines, worker k takes every N-th from the
+    (k+1)-th on and the caller every N-th from the first, and the results
+    merge back in line order, so the report is the same at every N.  A
+    caller that runs threads should pass jobs=1, since Python 3.12 and
+    later warn on forking a threaded process.
 
     Mode "both" hands each host's certificate to ``rho_exact`` as its
     incumbent, so the exact search looks only for IPFs with fewer paths
@@ -198,19 +298,11 @@ def census(lines, mode: str = "both", jobs: int = 1,
     if mode not in ("verify_theorem", "exact_rho", "both"):
         raise ValueError(f"unknown census mode: {mode!r}")
     check_budget(node_limit, time_limit)
-    if not jobs >= 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     tasks = [(i + 1, line.strip(), mode, node_limit, time_limit)
              for i, line in enumerate(lines) if line.strip()]
-    if jobs > 1:
-        # four chunks per worker, as multiprocessing.Pool.map sizes them
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_one, tasks, chunksize=chunk))
-    else:
-        results = [_census_one(t) for t in tasks]
     report = CensusReport()
-    for out in results:  # in line order, as map returns them
+    for out in _census_split(tasks, jobs):  # in line order
         if "error" in out:
             report.errors.append(out["error"])
             continue

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .bounds import census, ck_lower_report, rho_tree
+from .bounds import census, check_jobs, ck_lower_report, rho_tree
 from .constructive import ConstructionError, ipf_23_with_2factor, ipf_cubic
 from .families import FamilySpec, generate
 from .graph import (
@@ -217,6 +217,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    try:
+        check_jobs(args.jobs)
+    except ValueError as exc:  # --jobs above 1 where os.fork is missing
+        raise CliError(str(exc))
     text = _read_text(args.input)
     report = census(text.splitlines(), mode=args.mode, jobs=args.jobs,
                     node_limit=args.nodes, time_limit=args.budget)
@@ -322,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_format=False)
     p.add_argument("--mode", default="both",
                    choices=("verify_theorem", "exact_rho", "both"))
-    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1, metavar="N",
+                   help="processes: this one and N-1 forked workers, each "
+                        "taking every N-th line; results merge in line "
+                        "order (above 1 on POSIX only; default 1)")
     budgets(p, "per-graph time budget")
     p.set_defaults(fn=_cmd_census)
 

@@ -320,26 +320,26 @@ def ipf_small_ham(c: Graph, x: int) -> Ipf:
 # Hamiltonian {2,3}-graphs: greedy construction with repair
 # ---------------------------------------------------------------------------
 
-def _cyclic_dist(i: int, j: int, n: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
-
-
 def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
     """Relabel the hamilton cycle as x_1..x_n so that x_n x_k is a shortest
     chord (k = cyclic chord length), with the extra orientation conditions
     needed for k = 2 and k = 3."""
     n = g.n
-    pos = {v: i for i, v in enumerate(cyc)}
-    k, (u, v) = min(c for c in ((_cyclic_dist(pos[a], pos[b], n), (a, b))
-                                for a, b in g.edges) if c[0] > 1)
+    masks = g.adj_mask
+    # the least chord (u, v), u < v, of the least cyclic length k >= 2
+    for k in range(2, n // 2 + 1):
+        chords = [(a, b) if a < b else (b, a)
+                  for a, b in zip(cyc, cyc[k:] + cyc[:k]) if masks[a] >> b & 1]
+        if chords:
+            u, v = min(chords)
+            break
 
     # two labellings place the chord as x_n x_k with the short arc between:
     # x_n = a (index n-1), and x_1..x_k runs along the short arc towards b
     options = []
     for a, b in ((u, v), (v, u)):
-        i = pos[a]
-        step = 1 if (i + k) % n == pos[b] else -1
+        i = cyc.index(a)
+        step = 1 if cyc[(i + k) % n] == b else -1
         options.append([cyc[(i + step * t) % n] for t in range(1, n + 1)])
     if k == 2:
         half = (n + 1) // 2

@@ -1,5 +1,7 @@
 """Closed-form bounds, glue lower bounds, and the census harness."""
 
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from ipfkit import (
     rho_tree_recurrence, write_graph6,
 )
 from ipfkit import bounds, constructive
+from ipfkit.ipf import IpfError
 from ipfkit.families import (
     c4_binary_tree, even_k_glued_cycle, fig1_subcubic, odd_k_glued_tree,
     perfect_tree, petersen, subdivided_complete, triangle_ring,
@@ -187,12 +190,115 @@ def test_census_reports_an_overlong_construction(monkeypatch):
 
 
 def test_census_file_parallel_matches_serial():
-    lines = census_path(10).read_text().splitlines()
-    serial = census(lines, mode="verify_theorem")
-    parallel = census(lines, mode="verify_theorem", jobs=2)
-    assert serial.graphs_processed == parallel.graphs_processed == 19
-    assert not serial.violations and not parallel.violations
-    assert serial.to_json() == parallel.to_json()
+    # a parse error after every third host: the errors list keeps line order
+    lines = [line for i, host in enumerate(
+                 census_path(10).read_text().splitlines())
+             for line in ([host, f"bad %% {i}"] if i % 3 == 2 else [host])]
+    for mode in ("verify_theorem", "exact_rho", "both"):
+        serial, *split = [census(lines, mode=mode, jobs=jobs)
+                          for jobs in (1, 2, 3)]
+        assert serial.graphs_processed == 19 and not serial.violations
+        assert len(serial.errors) == 6
+        assert [rep.to_json() for rep in split] == [serial.to_json()] * 2
+        # more jobs than lines: the caller and one worker per other line
+        assert census(lines[:5], mode=mode, jobs=8).to_json() == \
+            census(lines[:5], mode=mode).to_json()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("lines,forks", [(5, 4), (2, 1), (1, 0), (0, 0)])
+def test_census_forks_a_worker_per_line_beyond_the_first(monkeypatch, lines,
+                                                         forks):
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        forked.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    rep = census([write_graph6(petersen())] * lines, jobs=8)
+    assert rep.graphs_processed == lines and len(forked) == forks
+    _assert_no_child_left()
+
+
+def _fail_on_lines(monkeypatch, fails):
+    """Make _census_one call fails[line_no] before that line's census."""
+    census_one = bounds._census_one
+
+    def census_one_failing(args):
+        if args[0] in fails:
+            fails[args[0]]()
+        return census_one(args)
+    monkeypatch.setattr(bounds, "_census_one", census_one_failing)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+# with jobs=2 the caller takes lines 1, 3, 5 and the worker lines 2, 4
+@pytest.mark.parametrize("bad_line", [1, 2], ids=["caller", "worker"])
+def test_census_raises_a_share_exception(monkeypatch, bad_line):
+    _fail_on_lines(monkeypatch, {bad_line: _raise(
+        GraphError(f"no census for line {bad_line}"))})
+    lines = census_path(10).read_text().splitlines()[:5]
+    with pytest.raises(GraphError, match=f"no census for line {bad_line}$"):
+        census(lines, mode="verify_theorem", jobs=2)
+    _assert_no_child_left()
+
+
+def test_census_carries_an_unpicklable_worker_exception(monkeypatch):
+    # IpfError takes two arguments, so it cannot be rebuilt from its args
+    _fail_on_lines(monkeypatch, {2: _raise(IpfError("bad cover", "kind"))})
+    lines = census_path(10).read_text().splitlines()[:5]
+    with pytest.raises(RuntimeError, match="^IpfError: bad cover$"):
+        census(lines, mode="verify_theorem", jobs=2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail,detail", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), 9), "was killed by signal 9")])
+def test_census_reports_a_worker_that_dies(monkeypatch, fail, detail):
+    _fail_on_lines(monkeypatch, {2: fail})
+    lines = census_path(10).read_text().splitlines()[:5]
+    with pytest.raises(RuntimeError,
+                       match=f"census worker 1 {detail} before sending"):
+        census(lines, mode="verify_theorem", jobs=2)
+    _assert_no_child_left()
+
+
+def test_census_kills_workers_when_the_caller_fails(monkeypatch):
+    """The caller's exception on line 1 does not wait for the worker that
+    is stuck on line 2: it is killed and reaped first."""
+    def caller_fails():
+        time.sleep(0.2)  # let the worker reach line 2
+        raise GraphError("caller failed")
+    _fail_on_lines(monkeypatch, {1: caller_fails, 2: lambda: time.sleep(60)})
+    lines = census_path(10).read_text().splitlines()[:5]
+    t0 = time.monotonic()
+    with pytest.raises(GraphError, match="caller failed"):
+        census(lines, mode="verify_theorem", jobs=2)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_census_without_fork(monkeypatch):
+    """Where os.fork is missing, jobs > 1 raises before any line is read
+    and jobs=1 still runs."""
+    def lines():
+        raise AssertionError("input read despite jobs > 1 without fork")
+        yield
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="needs os.fork"):
+        census(lines(), jobs=2)
+    assert census([write_graph6(petersen())]).graphs_processed == 1
 
 
 def test_census_budget_exhaustion_reported():
@@ -232,16 +338,16 @@ def _unseeded(monkeypatch):
 @pytest.mark.parametrize("mode", ["verify_theorem", "exact_rho", "both"])
 def test_census_seeding_changes_no_report(mode, monkeypatch):
     """Mode both seeds the exact search with the certificate; the reports
-    on the n=4..14 census stay those of the unseeded search, serial and in
-    a pool."""
+    on the n=4..14 census stay those of the unseeded search, serial and
+    split over 2 and 3 processes."""
     lines = [line for n in CENSUS_COUNTS
              for line in census_path(n).read_text().splitlines()]
     seeded = [census(lines, mode=mode, jobs=jobs).to_json()
-              for jobs in (1, 2)]
+              for jobs in (1, 2, 3)]
     _unseeded(monkeypatch)
     unseeded = census(lines, mode=mode).to_json()
     assert unseeded["graphs_processed"] == 621
-    assert seeded == [unseeded, unseeded]
+    assert seeded == [unseeded] * 3
 
 
 def test_census_seeded_search_under_node_limit(monkeypatch):

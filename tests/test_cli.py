@@ -2,6 +2,7 @@
 pipe contract."""
 
 import json
+import os
 
 import pytest
 
@@ -13,7 +14,7 @@ from ipfkit.cli import (
 )
 from ipfkit.families import petersen, triangle_ring
 
-from conftest import census_graphs
+from conftest import census_graphs, census_path
 
 
 @pytest.fixture
@@ -315,6 +316,24 @@ def test_census_json(capsys, petersen_file):
     assert doc["graphs_processed"] == 1
     assert doc["violations"] == []
     assert doc["n_to_max_rho"] == {"10": 3}
+
+
+def test_census_jobs_print_the_same_bytes(capsys):
+    argv = ["census", "--input", str(census_path(12)), "--mode", "both",
+            "--json", "--stable", "--jobs"]
+    outs = [run(capsys, argv + [jobs]) for jobs in ("1", "2", "3")]
+    assert outs[0][0] == EXIT_OK and json.loads(outs[0][1])["violations"] == []
+    assert outs == [outs[0]] * 3
+
+
+def test_census_jobs_without_fork_is_usage_error(capsys, monkeypatch):
+    def no_input(path):
+        raise AssertionError("input read despite --jobs 2 without fork")
+    monkeypatch.setattr(cli, "_read_text", no_input)
+    monkeypatch.delattr(os, "fork")
+    code, _, err = run(capsys, ["census", "--jobs", "2"])
+    assert code == EXIT_USAGE
+    assert "jobs=2 needs os.fork" in err
 
 
 def test_census_skips_the_null_graph(capsys, tmp_path):

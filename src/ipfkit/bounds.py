@@ -50,15 +50,11 @@ def rho_tree_recurrence(k: int, h: int) -> Fraction:
 
 def rho_tree(k: int, h: int) -> Fraction:
     """Minimum path count for a perfect (k-1)-ary tree of height h:
-    ((k-1)^(h+1) + (-1)^h) / k, cross-checked against the recurrence."""
+    ((k-1)^(h+1) + (-1)^h) / k, the closed form of the recurrence that
+    ``rho_tree_recurrence`` evaluates term by term."""
     if k < 3 or h < 0:
         raise ValueError("need k >= 3 and h >= 0")
-    closed = Fraction((k - 1) ** (h + 1) + (-1) ** h, k)
-    rec = rho_tree_recurrence(k, h)
-    if closed != rec:
-        raise AssertionError(
-            f"tree formula mismatch at k={k}, h={h}: {closed} vs {rec}")
-    return closed
+    return Fraction((k - 1) ** (h + 1) + (-1) ** h, k)
 
 
 def ck_lower(k: int) -> Fraction:
@@ -90,10 +86,11 @@ def glue_lower_bound(g: Graph, components) -> int:
 
     components: vertex sets whose union covers g, pairwise overlapping in
     at most one vertex, with every edge of g inside some component.  Each
-    gluing costs one path, so the bound is the sum of the components' rho
-    minus the number of gluings (total overlap).  Each component's rho is
-    proved by ``rho_exact``; one it cannot prove within the default budget
-    raises GraphError."""
+    gluing costs one path, so the bound is the sum of lower bounds on the
+    components' rho minus the number of gluings (total overlap).  Each
+    component's bound is the certified ``stats["lower"]`` of ``rho_exact``,
+    its rho when the default budget lets it prove one, and otherwise a
+    smaller count that no cover of the component goes below."""
     comps = [frozenset(c) for c in components]
     covered: set[int] = set()
     overlap = 0
@@ -109,12 +106,8 @@ def glue_lower_bound(g: Graph, components) -> int:
     for u, v in g.edges:
         if not any(u in c and v in c for c in comps):
             raise GraphError(f"edge {u}{v} crosses the decomposition")
-    total = 0
-    for c in comps:
-        res = rho_exact(g.induced_subgraph(c)[0])
-        if not res.optimal:
-            raise GraphError("component too large for an exact lower bound")
-        total += res.rho
+    total = sum(rho_exact(g.induced_subgraph(c)[0]).stats["lower"]
+                for c in comps)
     return total - overlap
 
 

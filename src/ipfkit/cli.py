@@ -17,7 +17,7 @@ import sys
 
 from .bounds import census, check_jobs, ck_lower_report, rho_tree
 from .constructive import ConstructionError, ipf_23_with_2factor, ipf_cubic
-from .families import FamilySpec, generate
+from .families import generate
 from .graph import (
     Graph, Graph6Error, GraphError, parse_adjlist, parse_graph6,
     write_adjlist, write_graph6,
@@ -25,7 +25,6 @@ from .graph import (
 from .ipf import Ipf, IpfError
 from .solver import (
     DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, EXHAUSTIVE_CAP, rho_exact,
-    rho_exhaustive,
 )
 
 EXIT_OK = 0
@@ -87,13 +86,7 @@ def _json_out(args, obj) -> str:
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
-    if args.exhaustive:
-        if g.n > EXHAUSTIVE_CAP:
-            raise CliError(
-                f"exhaustive solver is capped at {EXHAUSTIVE_CAP} vertices")
-        res = rho_exhaustive(g)
-    else:
-        res = rho_exact(g, node_limit=args.nodes, time_limit=args.budget)
+    res = rho_exact(g, node_limit=args.nodes, time_limit=args.budget)
     if args.json:
         payload = res.to_json_fragment()
         payload["graph6"] = write_graph6(g)
@@ -200,15 +193,15 @@ def _parse_params(raw: str) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    spec = FamilySpec(args.family, _parse_params(args.params))
+    params = _parse_params(args.params)
     try:
-        g = generate(spec)
+        g = generate(args.family, params)
     except GraphError as exc:
         raise CliError(str(exc))
     out = write_graph6(g) if args.format == "graph6" else write_adjlist(g)
     if args.json:
         _emit(args, _json_out(args, {"family": args.family,
-                                     "params": spec.params, "n": g.n,
+                                     "params": params, "n": g.n,
                                      "edges": len(g.edges),
                                      "graph6": write_graph6(g)}))
     else:
@@ -277,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, families, bounds and census runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
-        p.add_argument("--input", default="-",
-                       help="input file, or - for stdin")
+    def common(p, with_input=True, with_format=True):
+        if with_input:
+            p.add_argument("--input", default="-",
+                           help="input file, or - for stdin")
         if with_format:
             p.add_argument("--format", choices=("graph6", "adjlist"),
                            default="graph6")
@@ -301,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact minimum IPF")
     common(p)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="use the edge-subset oracle instead of the kernel")
     budgets(p, "time budget")
     p.set_defaults(fn=_cmd_solve)
 
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("generate", help="emit a named family graph")
-    common(p)
+    common(p, with_input=False)
     p.add_argument("--family", required=True)
     p.add_argument("--params", default="",
                    help="comma-separated key=value integers, e.g. n=9 "
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("bounds", help="closed-form bound values")
-    common(p, with_format=False)
+    common(p, with_input=False, with_format=False)
     p.add_argument("--ck", type=int, help="lower bound for degree k")
     p.add_argument("--tree", type=int, nargs=2, metavar=("K", "H"),
                    help="perfect (K-1)-ary tree path count at height H")

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graph import (
-    Graph, GraphError, TwoFactor, _bits, _reach, block_decomposition,
+    Graph, GraphError, _bits, _reach, block_decomposition,
     hamilton_cycle, is_hamiltonian, two_factor_search, write_graph6,
 )
 from .ipf import (
@@ -722,17 +722,17 @@ def ipf_23_with_2factor(g: Graph) -> Ipf | None:
     hyp = _blocktree_hypotheses(g)
     if hyp is not None:
         return _blocktree(g, *hyp)
-    f = two_factor_search(g)
-    return None if f is None else _two_factor_reduction(g, f)
+    cycles = two_factor_search(g)
+    return None if cycles is None else _two_factor_reduction(g, cycles)
 
 
-def _two_factor_reduction(g: Graph, f: TwoFactor) -> Ipf:
-    """IPF of a host that fails the block-tree hypotheses, from a 2-factor
-    whose cycles all have length >= 5 and are as few as possible; the final
-    verification on the host catches any violation of the induced property
-    that a non-minimal factor could cause."""
+def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
+    """IPF of a host that fails the block-tree hypotheses, from the cycle
+    lists of a 2-factor whose cycles all have length >= 5 and are as few
+    as possible; the final verification on the host catches any violation
+    of the induced property that a non-minimal factor could cause."""
     cycle_of = {}
-    for i, cyc in enumerate(f.cycles):
+    for i, cyc in enumerate(cycles):
         for v in cyc:
             cycle_of[v] = i
     S = [e for e in g.sorted_edges() if cycle_of[e[0]] != cycle_of[e[1]]]
@@ -846,11 +846,11 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     hit = _find_reducible_k4minus(g)
     if hit is not None:
         return _cubic_k4minus(g, hit)
-    f = two_factor_search(g)
-    if f is None:
+    cycles = two_factor_search(g)
+    if cycles is None:
         raise ConstructionError("bridgeless cubic host with no reducible K4- "
                                 "and no 2-factor of long cycles")
-    return _two_factor_reduction(g, f), ["two-factor"]
+    return _two_factor_reduction(g, cycles), ["two-factor"]
 
 
 def _repair_and_lift(g: Graph, zs: list[int]) -> tuple[Ipf, list[str]]:

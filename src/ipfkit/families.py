@@ -12,17 +12,7 @@ certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import Graph, GraphError
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters, e.g.
-    FamilySpec("triangle_ring", {"n": 9})."""
-    family: str
-    params: dict = field(default_factory=dict)
 
 
 def triangle_ring(n: int) -> Graph:
@@ -246,13 +236,14 @@ _FAMILIES = {
 }
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a FamilySpec."""
+def generate(family: str, params: dict) -> Graph:
+    """Build the graph of the named family with the given keyword
+    parameters, e.g. generate("triangle_ring", {"n": 9})."""
     try:
-        fn = _FAMILIES[spec.family]
+        fn = _FAMILIES[family]
     except KeyError:
-        raise GraphError(f"unknown family: {spec.family!r}") from None
+        raise GraphError(f"unknown family: {family!r}") from None
     try:
-        return fn(**spec.params)
+        return fn(**params)
     except TypeError as exc:
-        raise GraphError(f"bad parameters for {spec.family}: {exc}") from None
+        raise GraphError(f"bad parameters for {family}: {exc}") from None

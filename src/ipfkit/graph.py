@@ -9,8 +9,10 @@ labelling.
 
 ``ladder_decomposition`` has no caller in the package, and
 ``find_2_edge_cut`` none but it; nor have ``solver.longest_induced_path_order``
-and ``surgery.surgery``.  They stay only because the benchmark's tracer,
-``perfbench/tracing.py``, wraps them by name.
+and ``surgery.surgery``.  They stay in their modules only because the
+benchmark's tracer, ``perfbench/tracing.py``, wraps them by name; the
+package root does not export ``find_2_edge_cut``, ``ladder_decomposition``
+or ``surgery``.
 """
 
 from __future__ import annotations
@@ -459,16 +461,16 @@ def ladder_decomposition(g: Graph) -> Optional[LadderDecomposition]:
 # Hamilton cycles and 2-factors
 # ---------------------------------------------------------------------------
 
-def hamilton_cycle(g: Graph, start: int = 0) -> Optional[list[int]]:
-    """First hamilton cycle found by backtracking from `start` (sorted
+def hamilton_cycle(g: Graph) -> Optional[list[int]]:
+    """First hamilton cycle found by backtracking from vertex 0 (sorted
     adjacency order), as a vertex list of length n; None if none exists.
 
     A path that is not yet spanning is dropped as soon as it provably has
     no hamiltonian completion:
-    (a) `start` has no unvisited neighbour left to close the cycle (so the
+    (a) vertex 0 has no unvisited neighbour left to close the cycle (so the
         last vertex appended closes it);
     (b) an unvisited neighbour of the old tip has fewer than two
-        neighbours among the unvisited vertices, the new tip and `start`.
+        neighbours among the unvisited vertices, the new tip and vertex 0.
     Every unvisited vertex still has to be entered and left, so both rules
     cut only subtrees without a hamilton cycle, and the first cycle found
     is the one the unpruned backtracking returns.  Appending a vertex takes
@@ -478,19 +480,19 @@ def hamilton_cycle(g: Graph, start: int = 0) -> Optional[list[int]]:
     if n < 2 or any(len(a) < 2 for a in g.adj):
         return None
     adj, masks = g.adj, g.adj_mask
-    path = [start]
-    free = ((1 << n) - 1) ^ (1 << start)  # unvisited vertices
-    iters = [iter(adj[start])]
+    path = [0]
+    free = (1 << n) - 2  # unvisited vertices: all but 0
+    iters = [iter(adj[0])]
     while iters:
         for w in iters[-1]:
             if not free >> w & 1:
                 continue
             if len(path) == n - 1:
-                return path + [w]  # by (a), the last vertex w meets start
+                return path + [w]  # by (a), the last vertex w meets 0
             rest = free ^ (1 << w)
-            if not masks[start] & rest:
+            if not masks[0] & rest:
                 continue  # (a)
-            ends = free | (1 << start)  # rest, w and start
+            ends = free | 1  # rest, w and 0
             for u in adj[path[-1]]:
                 if rest >> u & 1 and (masks[u] & ends).bit_count() < 2:
                     break  # (b)
@@ -509,46 +511,12 @@ def is_hamiltonian(g: Graph) -> bool:
     return hamilton_cycle(g) is not None
 
 
-def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    k = len(cycle)
-    i = min(range(k), key=lambda j: cycle[j])
-    fwd = [cycle[(i + j) % k] for j in range(k)]
-    bwd = [cycle[(i - j) % k] for j in range(k)]
-    return tuple(fwd if fwd[1] <= bwd[1] else bwd)
-
-
-@dataclass(frozen=True)
-class TwoFactor:
-    """Spanning disjoint union of cycles; each cycle in canonical rotation
-    (smallest vertex first, smaller second neighbour), sorted by first vertex."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_cycles(cycles: Iterable[Sequence[int]]) -> "TwoFactor":
-        canon = sorted((_canonical_cycle(c) for c in cycles), key=lambda c: c[0])
-        return TwoFactor(tuple(canon))
-
-    def validate(self, g: Graph) -> None:
-        seen: set[int] = set()
-        for cyc in self.cycles:
-            if len(cyc) < 3:
-                raise GraphError(f"cycle {cyc} too short")
-            for i, v in enumerate(cyc):
-                if v in seen:
-                    raise GraphError(f"vertex {v} repeated in 2-factor")
-                seen.add(v)
-                w = cyc[(i + 1) % len(cyc)]
-                if not g.has_edge(v, w):
-                    raise GraphError(f"({v},{w}) not an edge of the host")
-        if seen != set(range(g.n)):
-            raise GraphError("2-factor does not cover all vertices")
-
-
-def two_factor_search(g: Graph) -> Optional[TwoFactor]:
+def two_factor_search(g: Graph) -> Optional[list[list[int]]]:
     """The 2-factor of a connected {2,3}-graph with the fewest cycles (the
     first found among ties) among those whose cycles all have length >= 5,
-    or None if there is none.
+    as its cycle vertex lists, or None if there is none.  Each cycle starts
+    at its lowest vertex and runs on to that vertex's lower neighbour on
+    it, and the cycles come in order of their lowest vertex.
 
     A 2-factor is obtained by deleting a perfect matching of the subgraph
     induced on the degree-3 vertices; every such matching is tried, the
@@ -601,4 +569,4 @@ def two_factor_search(g: Graph) -> Optional[TwoFactor]:
             left[w] ^= 1 << v
 
     search(deg3)
-    return None if best is None else TwoFactor.from_cycles(best)
+    return best

@@ -215,13 +215,39 @@ def _lower_bound(g: Graph) -> int:
     return total
 
 
+def _greedy_cover(g: Graph) -> list[list[int]]:
+    """Induced paths that cover g: each starts at the lowest uncovered
+    vertex and grows at its tip to the lowest uncovered neighbour that no
+    earlier vertex of the path is adjacent to, until there is none."""
+    masks = g.adj_mask
+    free = (1 << g.n) - 1
+    paths = []
+    while free:
+        tip = (free & -free).bit_length() - 1
+        path, inner = [tip], 0  # inner: path[:-1]
+        free ^= 1 << tip
+        while True:
+            cands = masks[tip] & free
+            while cands and masks[(cands & -cands).bit_length() - 1] & inner:
+                cands &= cands - 1
+            if not cands:
+                break
+            inner |= 1 << tip
+            tip = (cands & -cands).bit_length() - 1
+            path.append(tip)
+            free ^= 1 << tip
+        paths.append(path)
+    return paths
+
+
 def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
               time_limit: float = DEFAULT_TIME_LIMIT,
               incumbent: Ipf | None = None) -> SolveResult:
     """Exact rho by branch-and-bound; node_limit/time_limit of 0 disable
     the respective budget, and by default only the time budget is set.  On
-    budget exhaustion the best solution found is returned with
-    optimal=False.  A negative or NaN budget raises ValueError.
+    budget exhaustion the best solution found is returned, with
+    optimal=False unless it meets the certified lower bound below.  A
+    negative or NaN budget raises ValueError.
 
     ``incumbent``, an IPF of g (of another host raises ValueError, and an
     unchecked ``Ipf(g, edges)`` that is none raises IpfError), seeds
@@ -239,7 +265,9 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
     Only then does the open search run, from the incumbent with ``lower``
     = L, stopping at a cover with L paths.  One node budget and one
     deadline cover all calls; a call cut by either ends the search, and
-    the best IPF held is returned, optimal only if it meets L.  Once
+    the best IPF held is returned, optimal only if it meets L; a search
+    cut before it holds any cover returns the greedy cover of
+    ``_greedy_cover`` instead of the n one-vertex paths.  Once
     proved, the witness is the first cover with rho paths in the kernel's
     enumeration order, as without the probes: a probe's upper bound cuts
     only subtrees without a cover of its level.
@@ -289,8 +317,11 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
         lower = count  # no cover has fewer paths
     if edges is None:
         witness = incumbent
-    else:
+    elif best < g.n or best <= lower:
         witness = Ipf.from_edges(g, [(order[a], order[b]) for a, b in edges])
+    else:  # the budget ended the search before it held any cover
+        witness = Ipf.from_paths(g, _greedy_cover(g))
+        best = witness.path_count
     assert witness.path_count == best
     return SolveResult(
         rho=best,

@@ -144,6 +144,18 @@ def hamiltonian_23_graphs(n: int) -> list:
     return out
 
 
+def assert_two_factor(g: Graph, cycles) -> None:
+    """cycles are the vertex lists of disjoint cycles of g, each of length
+    at least 3, that together cover every vertex."""
+    covered = []
+    for cyc in cycles:
+        assert len(cyc) >= 3, f"cycle {cyc} too short"
+        for v, w in zip(cyc, cyc[1:] + cyc[:1]):
+            assert g.has_edge(v, w), f"({v},{w}) not an edge of the host"
+        covered += cyc
+    assert sorted(covered) == list(range(g.n))
+
+
 @pytest.fixture(scope="session")
 def kernel_c(tmp_path_factory):
     """The compiled kernel, built from the ``_kernel_c.c`` in the tree into a

@@ -1,12 +1,14 @@
 """CLI subcommands: output shapes, exit codes, and the construct/verify
 pipe contract."""
 
+import io
 import json
 import os
+import time
 
 import pytest
 
-from ipfkit import Graph, write_adjlist, write_graph6
+from ipfkit import Graph, Ipf, verify_ipf, write_adjlist, write_graph6
 from ipfkit import cli, constructive, solver
 from ipfkit.constructive import ipf_cubic, ipf_ham23
 from ipfkit.cli import (
@@ -49,17 +51,42 @@ def test_solve_table_output(capsys, petersen_file):
     assert "rho = 3" in out
 
 
-def test_solve_exhaustive_flag(capsys, petersen_file):
-    code, out, _ = run(capsys, ["solve", "--input", petersen_file,
-                                "--exhaustive", "--json", "--stable"])
-    assert code == EXIT_OK
-    assert json.loads(out)["method"] == "exhaustive"
+@pytest.mark.parametrize("argv", [
+    ["solve", "--exhaustive"],
+    ["generate", "--family", "petersen", "--input", "x"],
+    ["bounds", "--ck", "3", "--input", "x"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    """solve has no oracle switch, and generate and bounds read no input."""
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "unrecognized arguments" in err
 
 
-def test_solve_budget_exit_code(capsys, petersen_file):
-    code, _, _ = run(capsys, ["solve", "--input", petersen_file,
-                              "--nodes", "1"])
+def test_solve_budget_exit_code(capsys, tmp_path):
+    # one node cuts the first level probe of this rho-2 host, and the
+    # greedy cover that comes back has more paths than the proved level
+    path = tmp_path / "host.g6"
+    path.write_text(census_path(12).read_text().splitlines()[0] + "\n")
+    code, out, _ = run(capsys, ["solve", "--input", str(path),
+                                "--nodes", "1"])
     assert code == EXIT_BUDGET
+    assert "optimal = False" in out
+
+
+def test_solve_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(petersen())
+                                                 + "\n"))
+    code, out, _ = run(capsys, ["solve", "--input", "-", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["rho"] == 3
+
+
+def test_unreadable_input_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run(capsys, ["solve", "--input", str(missing)])
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith(f"error: cannot read {missing}: ")
 
 
 @pytest.mark.parametrize("argv", [["solve", "--nodes", "-1"],
@@ -199,7 +226,7 @@ def test_construct_null_graph_is_exact(capsys, tmp_path):
 def test_construct_keeps_the_oracle_out(capsys, tmp_path, monkeypatch):
     """The cubic hosts with n <= 6, the order-6 cubic hosts of ipf_ham23
     and the construct fallback get their IPF from rho_exact;
-    rho_exhaustive serves only solve --exhaustive and the tests."""
+    rho_exhaustive serves only the tests."""
     def oracle(*args):
         raise AssertionError("rho_exhaustive called")
     for module in (solver, constructive, cli):
@@ -236,6 +263,17 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     assert called == []
 
 
+def test_construct_table_output(capsys, petersen_file):
+    code, out, _ = run(capsys, ["construct", "--input", petersen_file])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:4] == ["n = 10", "paths = 3", "trace = two-factor",
+                         "paths:"]
+    paths = [list(map(int, line.split())) for line in lines[4:]]
+    assert len(verify_ipf(petersen(), Ipf.from_paths(petersen(),
+                                                     paths).edges)) == 3
+
+
 def test_construct_verify_pipe(capsys, petersen_file, tmp_path):
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, ["construct", "--input", petersen_file,
@@ -245,6 +283,14 @@ def test_construct_verify_pipe(capsys, petersen_file, tmp_path):
     code, out, _ = run(capsys, ["verify", "--input", str(cert), "--json"])
     assert code == EXIT_OK
     assert json.loads(out)["valid"]
+
+
+def test_verify_table_output(capsys, petersen_file, tmp_path):
+    cert = tmp_path / "cert.json"
+    run(capsys, ["construct", "--input", petersen_file, "--json",
+                 "--output", str(cert)])
+    code, out, _ = run(capsys, ["verify", "--input", str(cert)])
+    assert (code, out) == (EXIT_OK, "valid IPF with 3 paths\n")
 
 
 def test_verify_rejects_chorded_path(capsys, tmp_path):
@@ -302,6 +348,18 @@ def test_generate_tuple_params(capsys):
     assert doc["n"] == 6 + 12
 
 
+@pytest.mark.parametrize("params, message", [
+    ("n", "parameter 'n' is not key=value"),
+    ("n=x", "parameter value 'x' is not an integer or colon-separated "
+            "integers"),
+])
+def test_generate_malformed_params(capsys, params, message):
+    code, out, err = run(capsys, ["generate", "--family", "triangle_ring",
+                                  "--params", params])
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_generate_unknown_family(capsys):
     code, _, err = run(capsys, ["generate", "--family", "zorp"])
     assert code == EXIT_USAGE
@@ -316,6 +374,40 @@ def test_census_json(capsys, petersen_file):
     assert doc["graphs_processed"] == 1
     assert doc["violations"] == []
     assert doc["n_to_max_rho"] == {"10": 3}
+
+
+def test_census_table_output(capsys, tmp_path):
+    p = tmp_path / "mixed.g6"
+    p.write_text(write_graph6(petersen()) + "\nbad\n?\n")
+    code, out, _ = run(capsys, ["census", "--input", str(p)])
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "graphs processed: 1", "skipped: 1", "violations: 0",
+        "  max rho at n=10: 3",
+        "  error: line 2: truncated bit field: need 100 bytes, got 2 "
+        "(byte offset 3)"]
+
+
+def test_census_violation_exit_code(capsys, petersen_file, monkeypatch):
+    # one-vertex paths everywhere: n > (n-1)/3 paths on every host
+    def overlong(g):
+        return Ipf.from_edges(g, set()), ["two-factor"]
+    monkeypatch.setattr(constructive, "_cubic_recurse", overlong)
+    code, out, _ = run(capsys, ["census", "--input", petersen_file,
+                                "--mode", "verify_theorem"])
+    assert code == EXIT_VIOLATION
+    assert "violations: 1" in out.splitlines()
+
+
+def test_census_budget_exit_code(capsys, tmp_path):
+    # one node cuts the first level probe on each of these rho-2 hosts
+    p = tmp_path / "n12.g6"
+    p.write_text("\n".join(census_path(12).read_text().splitlines()[:4]))
+    code, out, _ = run(capsys, ["census", "--input", str(p), "--mode",
+                                "exact_rho", "--nodes", "1", "--json"])
+    assert code == EXIT_BUDGET
+    doc = json.loads(out)
+    assert (doc["graphs_processed"], doc["budget_exhausted"]) == (4, 4)
 
 
 def test_census_jobs_print_the_same_bytes(capsys):
@@ -370,6 +462,14 @@ def test_bounds_tree(capsys):
     code, out, _ = run(capsys, ["bounds", "--tree", "3", "2"])
     assert code == EXIT_OK
     assert out.strip() == "3"
+
+
+def test_bounds_tree_at_height_3000_is_immediate(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["bounds", "--tree", "3", "3000"])
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_OK
+    assert int(out) == (2 ** 3001 + 1) // 3
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from ipfkit import (
-    Graph, Graph6Error, GraphError, TwoFactor, hamilton_cycle,
+    Graph, Graph6Error, GraphError, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
     is_triangle_ring, is_well_behaved, parse_graph6, recognize_bad,
     rho_exact, verify_ipf, write_graph6,
@@ -24,8 +24,8 @@ from ipfkit.families import (
 )
 
 from conftest import (
-    DATA, census_graphs, hamiltonian_23_graphs, random_bridged_cubic,
-    random_connected_cubic,
+    DATA, assert_two_factor, census_graphs, hamiltonian_23_graphs,
+    random_bridged_cubic, random_connected_cubic,
 )
 
 
@@ -192,7 +192,7 @@ def test_2factor_assembly_multi_cycle(monkeypatch):
     factors = spy(monkeypatch, "two_factor_search")
     ipf = ipf_23_with_2factor(g)
     assert ipf.path_count <= 3
-    assert len(factors) == 1 and len(factors[0][1].cycles) == 2
+    assert len(factors) == 1 and len(factors[0][1]) == 2
 
 
 def test_2factor_assembly_rejects_short_cycles():
@@ -470,11 +470,11 @@ def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):
     bad = bad_graph(6, (0, 1), 1)
     g = Graph(18, [(17 - u, 17 - v) for u, v in bad.edges] + [(0, 9)])
     hub = [17 - v for v in (0, 1, 6, 2, 3, 4, 12, 5)]
-    f = TwoFactor.from_cycles([hub, [10, 9, 8, 7, 6], [4, 3, 2, 1, 0]])
-    f.validate(g)
+    cycles = [hub, [10, 9, 8, 7, 6], [4, 3, 2, 1, 0]]
+    assert_two_factor(g, cycles)
     assert _blocktree_hypotheses(g) is None
     badness = spy(monkeypatch, "recognize_bad")
-    ipf = constructive._two_factor_reduction(g, f)
+    ipf = constructive._two_factor_reduction(g, cycles)
     assert len(verify_ipf(g, ipf.edges)) == ipf.path_count == 5
     (first, bad_first), (swapped, bad_swapped) = badness[:2]
     assert first[0] == g.without_edges([(0, 9)]) and bad_first.is_bad
@@ -512,7 +512,7 @@ def test_cubic_flower_snarks_use_a_multi_cycle_2factor(monkeypatch, k):
     cert = ipf_cubic(g)
     check_certificate(g, cert)
     assert cert.trace == ["two-factor"]
-    assert len(factors) == 1 and len(factors[0][1].cycles) > 1
+    assert len(factors) == 1 and len(factors[0][1]) > 1
 
 
 def test_cubic_k4minus_reroutes_ends_on_one_path(monkeypatch):

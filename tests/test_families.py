@@ -2,7 +2,7 @@
 
 import pytest
 
-from ipfkit import FamilySpec, GraphError, generate, is_hamiltonian
+from ipfkit import GraphError, generate, is_hamiltonian
 from ipfkit import rho_exact
 from ipfkit.families import (
     bad_graph, c4_binary_tree, even_k_glued_cycle, fig1_subcubic,
@@ -96,12 +96,12 @@ def test_c4_binary_tree():
 
 
 def test_generate_dispatch():
-    g = generate(FamilySpec("triangle_ring", {"n": 9}))
+    g = generate("triangle_ring", {"n": 9})
     assert g.n == 9
     with pytest.raises(GraphError):
-        generate(FamilySpec("nope", {}))
+        generate("nope", {})
     with pytest.raises(GraphError):
-        generate(FamilySpec("triangle_ring", {"m": 9}))
+        generate("triangle_ring", {"m": 9})
 
 
 def test_triangle_ring_hamiltonicity():

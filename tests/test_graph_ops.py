@@ -13,7 +13,8 @@ from ipfkit.graph import (
 from ipfkit.families import petersen, tietze, triangle_ring
 
 from conftest import (
-    census_graphs, random_connected_regular, random_connected_subcubic,
+    assert_two_factor, census_graphs, random_connected_regular,
+    random_connected_subcubic,
 )
 
 
@@ -136,12 +137,13 @@ def test_hamilton_cycle_is_a_cycle():
             assert g.has_edge(a, b)
 
 
-def unpruned_hamilton_cycle(g, start=0):
+def unpruned_hamilton_cycle(g):
     """Oracle: plain backtracking in `hamilton_cycle`'s DFS order (sorted
-    adjacency lists from `start`), without its dead-branch rules."""
+    adjacency lists from vertex 0), without its dead-branch rules."""
     n = g.n
     if n < 2 or any(len(a) < 2 for a in g.adj):
         return None
+    start = 0
     path, used = [start], 1 << start
     iters = [iter(g.adj[start])]
     while iters:
@@ -176,25 +178,31 @@ def test_hamilton_cycle_is_the_unpruned_first_cycle():
                      + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])]
     found = 0
     for g in graphs:
-        for start in {0, g.n - 1}:
-            cyc = hamilton_cycle(g, start)
-            assert cyc == unpruned_hamilton_cycle(g, start)
+        # each graph also in reverse labelling, searched from its old
+        # vertex n - 1
+        for h in (g, Graph(g.n, [(g.n - 1 - u, g.n - 1 - v)
+                                 for u, v in g.edges])):
+            cyc = hamilton_cycle(h)
+            assert cyc == unpruned_hamilton_cycle(h)
             found += cyc is not None
     assert found > len(graphs)  # most searches find a cycle
 
 
 def test_two_factor_search_validates():
     for g in census_graphs(10):
-        f = two_factor_search(g)
-        assert f is not None  # bridgeless or not, all order-10 cubic have one
-        f.validate(g)
-        assert sum(len(c) for c in f.cycles) == g.n
+        cycles = two_factor_search(g)
+        assert cycles is not None  # all order-10 cubic graphs have one
+        assert_two_factor(g, cycles)
+        # each cycle from its lowest vertex towards its lower neighbour on
+        # it, the cycles by lowest vertex
+        assert all(c[0] == min(c) and c[1] < c[-1] for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
 
 
 def test_two_factor_min_cycle_len():
-    f = two_factor_search(petersen())
-    assert f is not None
-    assert all(len(c) >= 5 for c in f.cycles)
+    cycles = two_factor_search(petersen())
+    assert cycles is not None
+    assert all(len(c) >= 5 for c in cycles)
 
 
 def test_two_factor_absent():

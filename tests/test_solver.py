@@ -10,8 +10,8 @@ import pytest
 
 from ipfkit import (Graph, Ipf, IpfError, parse_graph6, rho_exact,
                     rho_exhaustive, verify_ipf)
-from ipfkit.solver import (SEEN_CAP, _bfs_order, _lower_bound,
-                           longest_induced_path_order)
+from ipfkit.solver import (SEEN_CAP, _bfs_order, _greedy_cover,
+                           _lower_bound, longest_induced_path_order)
 from ipfkit import _kernel_py, solver
 from ipfkit.constructive import ipf_cubic
 from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
@@ -262,7 +262,7 @@ def test_longest_induced_path_order():
 
 def test_budget_truncation_reports_upper_bound():
     """The probe of level 2 proves this host in 3 nodes; a budget of 1
-    cuts that probe, which held no cover yet, so the one-vertex paths come
+    cuts that probe, which held no cover yet, so a greedy cover comes
     back, not optimal."""
     g = census_graphs(12)[0]
     full = rho_exact(g)
@@ -271,6 +271,36 @@ def test_budget_truncation_reports_upper_bound():
     assert not res.optimal
     assert res.rho >= full.rho
     verify_ipf(g, res.witness.edges)
+
+
+@pytest.mark.parametrize("limit, nodes", [(1, 1), (2, 3), (3, 4)])
+def test_budget_cut_before_any_cover_returns_a_greedy_cover(limit, nodes):
+    """Petersen, rho 3 over L = 2, holds no cover after 1, 3 or 4 nodes:
+    the probe of level 2 ends within the first node and raises L to 3,
+    and the budget ends before the probe of level 3 holds a cover.
+    Instead of the 10 one-vertex paths,
+    the greedy cover comes back; it has 3 paths, so it meets L and is
+    optimal."""
+    g = petersen()
+    res = rho_exact(g, node_limit=limit)
+    greedy = Ipf.from_paths(g, _greedy_cover(g))
+    assert res.witness.edges == greedy.edges
+    assert (res.rho, res.optimal, res.stats["lower"], res.stats["nodes"]) \
+        == (3, True, 3, nodes)
+
+
+def test_greedy_cover_is_an_ipf():
+    """Every path the greedy grows is induced, and the paths cover g."""
+    rng = random.Random(11)
+    graphs = [g for n in (4, 6, 8, 10) for g in census_graphs(n)]
+    graphs += [random_connected_bounded(rng, rng.randrange(1, 30), 5)
+               for _ in range(200)]
+    graphs += [Graph(5, [(0, 1), (2, 3)]), Graph(0)]
+    for g in graphs:
+        paths = _greedy_cover(g)
+        assert sorted(v for p in paths for v in p) == list(range(g.n))
+        assert len(verify_ipf(g, Ipf.from_paths(g, paths).edges)) \
+            == len(paths)
 
 
 @pytest.mark.parametrize("budget", [{"node_limit": -1},
@@ -535,7 +565,9 @@ def test_node_budget_is_shared_across_probes(monkeypatch):
     two probes and the open search.  Each call gets what the earlier ones
     left, and none gets 0, which would mean no limit: a budget used up by
     the first probe ends the search there, with L raised to 3.  A call cut
-    by the budget returns a verified IPF, not optimal."""
+    by the budget returns a verified IPF, optimal only when it meets L:
+    cut at its third node, the open search holds no cover, and the greedy
+    cover returned instead has the 4 paths the probes proved."""
     g = triangle_ring(12)
     kern = RecordingKernel()
     monkeypatch.setattr(solver, "_kernel", kern)
@@ -544,13 +576,14 @@ def test_node_budget_is_shared_across_probes(monkeypatch):
     assert [(lim, nodes) for lim, _, nodes in kern.calls] == [
         (15, 1), (14, 10), (4, 4)]
     assert res.stats["probes"] == [[2, 1], [3, 10]]
-    for limit, calls, nodes, lower in ((1, 1, 1, 3), (6, 2, 7, 3),
-                                       (14, 3, 15, 4)):
+    for limit, calls, nodes, lower, optimal in ((1, 1, 1, 3, False),
+                                                (6, 2, 7, 3, False),
+                                                (14, 3, 15, 4, True)):
         kern.calls.clear()
         res = rho_exact(g, node_limit=limit)
         assert len(kern.calls) == calls
         assert all(lim > 0 for lim, _, _ in kern.calls)
-        assert (res.optimal, res.stats["nodes"]) == (False, nodes)
+        assert (res.optimal, res.stats["nodes"]) == (optimal, nodes)
         assert res.stats["lower"] == lower
         assert len(verify_ipf(g, res.witness.edges)) == res.rho >= 4
 
@@ -558,7 +591,9 @@ def test_node_budget_is_shared_across_probes(monkeypatch):
 def test_time_budget_is_shared_across_probes(monkeypatch):
     """One deadline covers all calls: with a clock that advances one second
     per kernel call, each call gets the time the earlier ones left, and a
-    deadline reached between calls ends the search, not optimal."""
+    deadline reached between calls ends the search; the greedy cover it
+    returns, holding no cover of its own, is optimal only when it meets
+    the level the probes proved."""
     clock = SimpleNamespace(now=100.0)
     monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: clock.now))
@@ -571,8 +606,12 @@ def test_time_budget_is_shared_across_probes(monkeypatch):
     kern.calls.clear()
     res = rho_exact(g, time_limit=2.0)
     assert [lim for _, lim, _ in kern.calls] == [2.0, 1.0]
-    assert not res.optimal
-    assert len(verify_ipf(g, res.witness.edges)) == res.rho
+    assert res.optimal and (res.rho, res.stats["lower"]) == (4, 4)
+    kern.calls.clear()
+    res = rho_exact(g, time_limit=1.0)
+    assert [lim for _, lim, _ in kern.calls] == [1.0]
+    assert not res.optimal and res.stats["lower"] == 3
+    assert len(verify_ipf(g, res.witness.edges)) == res.rho == 4
 
 
 def test_incumbent_of_another_host_raises():

@@ -11,6 +11,9 @@ from ipfkit import Graph, recognize_bad, two_factor_search
 from ipfkit.families import _joining_edges, bad_graph, triangle_ring
 from ipfkit.graph import block_decomposition
 
+from conftest import assert_two_factor
+
+
 def random_graph(n: int, seed: int) -> Graph:
     """Dense inside up to three random vertex groups and sparse between
     them, so that many draws have several blocks, bridges and components."""
@@ -132,9 +135,9 @@ def test_two_factor_search_finds_fewest_long_cycles(n, seed):
     fewest = fewest_long_cycles(g)
     assert (found is None) is (fewest is None)
     if found is not None:
-        found.validate(g)
-        assert all(len(c) >= 5 for c in found.cycles)
-        assert len(found.cycles) == fewest
+        assert_two_factor(g, found)
+        assert all(len(c) >= 5 for c in found)
+        assert len(found) == fewest
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from ipfkit import (
     ConstructionError, Graph, Ipf, SurgeryError, add_edge, augment_triangle,
     delete_edges, delete_vertices, glue_at_vertex, is_well_behaved, lift,
-    paste_k4minus, rho_exact, subdivide_edge, suppress_vertex, surgery,
-    verify_ipf,
+    paste_k4minus, rho_exact, subdivide_edge, suppress_vertex, verify_ipf,
 )
+from ipfkit.surgery import surgery
 from ipfkit.families import triangle_ring
 
 from conftest import random_connected_subcubic

@@ -239,12 +239,10 @@ def _cmd_bounds(args) -> int:
     try:
         if args.ck is not None:
             doc = ck_lower_report(args.ck).to_json()
-        elif args.tree:
+        else:  # the parser requires exactly one of --ck and --tree
             k, h = args.tree
             doc = {"k": k, "h": h, "value": str(rho_tree(k, h)),
                    "formula": "tree_closed_form"}
-        else:
-            raise CliError("bounds requires --ck K or --tree K H")
     except ValueError as exc:  # a parameter out of the formula's range
         raise CliError(str(exc))
     _emit(args, _json_out(args, doc) if args.json else doc["value"])
@@ -327,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bound values")
     common(p, with_input=False, with_format=False)
-    p.add_argument("--ck", type=int, help="lower bound for degree k")
-    p.add_argument("--tree", type=int, nargs=2, metavar=("K", "H"),
-                   help="perfect (K-1)-ary tree path count at height H")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--ck", type=int, help="lower bound for degree k")
+    which.add_argument("--tree", type=int, nargs=2, metavar=("K", "H"),
+                       help="perfect (K-1)-ary tree path count at height H")
     p.set_defaults(fn=_cmd_bounds)
     return parser
 

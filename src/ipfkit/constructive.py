@@ -829,12 +829,17 @@ def ipf_cubic(g: Graph) -> Certificate:
     )
 
 
-def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
+def _cubic_recurse(g: Graph, bridges=None) -> tuple[Ipf, list[str]]:
+    """IPF and route trace of connected cubic g; `bridges`, when given, is
+    g's bridge set, which the repairs after a bridge split or a K4- cut
+    carry down so that the repaired graph needs no block decomposition of
+    its own."""
     if g.n <= 6:
         return _small_cubic(g), ["base-small"]
-    dec = block_decomposition(g)
-    if dec.bridges:
-        return _cubic_bridge_split(g, min(dec.bridges))
+    if bridges is None:
+        bridges = block_decomposition(g).bridges
+    if bridges:
+        return _cubic_bridge_split(g, bridges)
     # a bridgeless cubic host is never bad and has no degree-2 vertex, so a
     # hamilton cycle gives (n-1)/3 paths with nothing left to check
     cyc = hamilton_cycle(g)
@@ -853,26 +858,43 @@ def _cubic_recurse(g: Graph) -> tuple[Ipf, list[str]]:
     return _two_factor_reduction(g, cycles), ["two-factor"]
 
 
-def _repair_and_lift(g: Graph, zs: list[int]) -> tuple[Ipf, list[str]]:
+def _repair_and_lift(g: Graph, zs: list[int],
+                     bridges) -> tuple[Ipf, list[str]]:
     """Make g cubic by repairing its degree-2 vertices zs in order, each by
     augmenting a triangle at z or else suppressing z; recurse, and lift
     the IPF back through the repairs in reverse.  Each lift ends a path at
-    its own z; a later lift may move the ends of earlier ones."""
+    its own z; a later lift may move the ends of earlier ones.
+
+    `bridges` is g's bridge set; it is mapped through each repair.
+    Augmenting adds a vertex joined to a triangle, which creates and
+    destroys no bridge.  Suppressing z relabels the rest, and its two
+    edges, bridges together or not at all, merge into one edge that is a
+    bridge exactly when they were."""
     if not zs:
-        return _cubic_recurse(g)
+        return _cubic_recurse(g, bridges)
     z, rest = zs[0], zs[1:]
     tri = _triangle_of(g, z)
     if tri is not None:
         nxt, rec = augment_triangle(g, tri[0], tri[1], z)
     else:
         nxt, rec = suppress_vertex(g, z)
-    inner, trace = _repair_and_lift(nxt, [rec.old_to_new[w] for w in rest])
+        o2n = rec.old_to_new
+        a, b = g.adj[z]
+        kept = {(o2n[u], o2n[v]) for u, v in bridges if z not in (u, v)}
+        if (min(a, z), max(a, z)) in bridges:
+            kept.add((o2n[a], o2n[b]))
+        bridges = frozenset(kept)
+    inner, trace = _repair_and_lift(nxt, [rec.old_to_new[w] for w in rest],
+                                    bridges)
     return lift(g, rec, inner), trace
 
 
-def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
-    """Split at a bridge; each side has exactly one degree-2 vertex (the
-    bridge endpoint) and contributes an IPF with a path ending there."""
+def _cubic_bridge_split(g: Graph, bridges) -> tuple[Ipf, list[str]]:
+    """Split at the lowest of g's bridges; each side has exactly one
+    degree-2 vertex (the bridge endpoint) and contributes an IPF with a
+    path ending there.  A cycle never crosses a bridge, so the bridges of
+    a side are g's bridges inside it."""
+    bridge = min(bridges)
     edges = {bridge}
     trace = ["bridge-split"]
     for side, x in zip(_bridge_sides(g, bridge), bridge):
@@ -887,7 +909,9 @@ def _cubic_bridge_split(g: Graph, bridge) -> tuple[Ipf, list[str]]:
                 raise ConstructionError(
                     "small bridge side did not yield a 2-path IPF")
         else:
-            p, tr = _repair_and_lift(sub, [xl])
+            inside = frozenset((o2n[u], o2n[v]) for u, v in bridges
+                               if u in side and v in side)
+            p, tr = _repair_and_lift(sub, [xl], inside)
             trace += tr
             if 3 * p.path_count > ni + 1:
                 raise ConstructionError("bridge side exceeded (n+1)/3 paths")
@@ -920,7 +944,8 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
     a, b, c, d, x0, y0 = hit
     g0, o2n, n2o = _sub(g, set(range(g.n)) - {a, b, c, d})
     x0l, y0l = o2n[x0], o2n[y0]
-    p, trace = _repair_and_lift(g0, [x0l, y0l])
+    p, trace = _repair_and_lift(g0, [x0l, y0l],
+                                block_decomposition(g0).bridges)
     ends = p.endpoints()
     if x0l not in ends or y0l not in ends:
         raise ConstructionError(

@@ -66,15 +66,17 @@ class Graph:
     same neighbours in ascending order.  Adjacency, connectivity and graph6
     coding read the masks.
 
-    The `_blocks`, `_k4minus` and `_bad` slots hold the graph's
-    `BlockDecomposition`, its induced K4-minus list and its badness report
-    once `block_decomposition`, `ipf.induced_k4minus_subgraphs` and
-    `constructive.recognize_bad` have computed them.  Caching is safe
+    The `_blocks`, `_k4minus`, `_bad` and `_g6` slots hold the graph's
+    `BlockDecomposition`, its induced K4-minus list, its badness report and
+    its graph6 text once `block_decomposition`,
+    `ipf.induced_k4minus_subgraphs`, `constructive.recognize_bad` and
+    `parse_graph6` or `write_graph6` have computed them.  Caching is safe
     because nothing changes a Graph after construction; every derived graph
-    is a new object with empty slots."""
+    is a new object with empty slots.  Equality and hashing read only `n`
+    and `edges`."""
 
     __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks", "_k4minus",
-                 "_bad")
+                 "_bad", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -106,6 +108,7 @@ class Graph:
         self._blocks = None
         self._k4minus = None
         self._bad = None
+        self._g6 = None
 
     # -- basic queries -------------------------------------------------
 
@@ -236,10 +239,20 @@ def parse_graph6(text: str) -> Graph:
             low = row & -row
             edges.append((low.bit_length() - 1, v))
             row ^= low
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    g._g6 = line  # validated above, so it is the one encoding of g
+    return g
 
 
 def write_graph6(g: Graph) -> str:
+    """g's short-form graph6 line, encoded on the first call and kept in
+    g's `_g6` slot; a graph from `parse_graph6` starts with its line."""
+    if g._g6 is None:
+        g._g6 = _encode_graph6(g)
+    return g._g6
+
+
+def _encode_graph6(g: Graph) -> str:
     if g.n > 62:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
     stream = "".join([format(g.adj_mask[v] & ((1 << v) - 1), f"0{v}b")[::-1]

@@ -486,6 +486,15 @@ def test_bounds_out_of_range_is_usage_error(capsys, argv, message):
 def test_bounds_requires_a_selection(capsys):
     code, _, err = run(capsys, ["bounds"])
     assert code == EXIT_USAGE
+    assert "one of the arguments --ck --tree is required" in err
+
+
+@pytest.mark.parametrize("argv", [["--ck", "3", "--tree", "3", "2"],
+                                  ["--tree", "3", "2", "--ck", "3"]])
+def test_bounds_takes_one_selection(capsys, argv):
+    code, out, err = run(capsys, ["bounds"] + argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_usage_error_unknown_subcommand(capsys):

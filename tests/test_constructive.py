@@ -583,17 +583,84 @@ def test_cubic_decides_hamiltonicity_once(monkeypatch):
 
 
 def test_cubic_decomposes_each_host_once(monkeypatch):
+    # a bridged host's sides carry its bridges down and need no
+    # decomposition of their own
     g = next(g for g in census_graphs(12) if hamilton_cycle(g) is not None)
+    bridged = [random_bridged_cubic(random.Random(s)) for s in range(20)]
     passes = spy(monkeypatch, "_biconnected_components", (graph,))
     assert ipf_cubic(g).trace == ["two-factor"]
-    assert len(passes) == 1
+    for h in bridged:
+        assert "bridge-split" in ipf_cubic(h).trace
+    assert [args for args, _ in passes] == [(h,) for h in [g] + bridged]
     assert graph.block_decomposition(g) is graph.block_decomposition(g)
-    assert len(passes) == 1
+    assert len(passes) == 1 + len(bridged)
     # a derived graph is a new object with its own decomposition
     c6 = cycle(6)
     assert not graph.bridges(c6)
     assert graph.bridges(c6.without_edges([(0, 1)])) == {
         (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
+
+
+def three_k4_star():
+    """Three K4s, each with one edge subdivided, whose subdivision vertices
+    4, 9 and 14 join the centre 15.  The split at (4, 15) leaves the centre
+    with two bridges, so suppressing it merges them into the bridge (4, 9)
+    of the repaired side."""
+    edges = [(5 * k + 4, 15) for k in range(3)]
+    for o in (0, 5, 10):
+        edges += [(o, o + 2), (o, o + 3), (o + 1, o + 2), (o + 1, o + 3),
+                  (o + 2, o + 3), (o, o + 4), (o + 1, o + 4)]
+    return Graph(16, edges)
+
+
+def k4minus_over_a_2_cut():
+    """Two copies of Petersen minus an edge, joined by (1, 11) and through
+    a K4- on 20..23 at 0 and 10.  The host is bridgeless and not
+    hamiltonian, so the K4- is cut out, and (1, 11) is a bridge of what
+    the cut leaves."""
+    half = petersen_minus_edge().edges
+    edges = list(half) + [(u + 10, v + 10) for u, v in half]
+    edges += [(20, 22), (20, 23), (21, 22), (21, 23), (22, 23),
+              (0, 20), (10, 21), (1, 11)]
+    return Graph(24, edges)
+
+
+def spy_carried(monkeypatch):
+    """(graph, bridges) of every _cubic_recurse call given a bridge set."""
+    calls = spy(monkeypatch, "_cubic_recurse")
+    return lambda: [args for args, _ in calls if len(args) == 2]
+
+
+BRIDGE_PANELS = {
+    "census": lambda: [g for n in (4, 6, 8, 10, 12, 14)
+                       for g in census_graphs(n)],
+    "random": lambda: [random_bridged_cubic(random.Random(s), m)
+                       for s in range(60) for m in range(22, 61)],
+    "three-k4": lambda: [three_k4_star()],
+    "k4minus": lambda: [k4minus_over_a_2_cut()],
+}
+
+
+@pytest.mark.parametrize("panel", sorted(BRIDGE_PANELS))
+def test_bridge_split_carries_each_graph_its_bridges(monkeypatch, panel):
+    carried = spy_carried(monkeypatch)
+    for g in BRIDGE_PANELS[panel]():
+        ipf_cubic(g)
+    assert carried()
+    for h, bridges in carried():
+        fresh = Graph(h.n, h.edges)  # nothing cached
+        assert bridges == graph.block_decomposition(fresh).bridges
+
+
+def test_suppressing_a_bridge_centre_carries_the_merged_bridge(monkeypatch):
+    carried = spy_carried(monkeypatch)
+    g = three_k4_star()
+    cert = ipf_cubic(g)
+    check_certificate(g, cert)
+    assert cert.trace == ["bridge-split", "bridge-split"]
+    # the 11-vertex side's bridges (4, 10) and (9, 10) meet at its centre
+    # 10, whose suppression leaves both order-5 sides joined by (4, 9)
+    assert [(h.n, bridges) for h, bridges in carried()] == [(10, {(4, 9)})]
 
 
 def test_cubic_nonhamiltonian_host_searched_once_whole(monkeypatch):

@@ -1,10 +1,39 @@
 """graph6 parsing and writing."""
 
+import json
+
 import pytest
 
-from ipfkit import Graph, Graph6Error, census, parse_graph6, write_graph6
+from ipfkit import (
+    Graph, Graph6Error, census, graph, ipf_cubic, parse_graph6, write_graph6,
+)
+from ipfkit import surgery
+from ipfkit.cli import EXIT_OK, main
 
 from conftest import DATA, census_graphs
+
+
+def encode(g: Graph) -> str:
+    """graph6 of g from its masks, bit by bit: the pair (u, v), u < v, is
+    bit v(v-1)/2 + u, six bits a byte, high bit first."""
+    bits = [g.adj_mask[v] >> u & 1 for v in range(g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    return chr(63 + g.n) + "".join(
+        chr(63 + int("".join(map(str, bits[i:i + 6])), 2))
+        for i in range(0, len(bits), 6))
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The graphs whose graph6 text gets encoded rather than read back."""
+    seen = []
+    real = graph._encode_graph6
+
+    def spied(g):
+        seen.append(g)
+        return real(g)
+    monkeypatch.setattr(graph, "_encode_graph6", spied)
+    return seen
 
 
 def test_k4_decodes():
@@ -35,6 +64,68 @@ def test_roundtrip_is_byte_identical():
     assert len(lines) == 621
     for line in lines:
         assert write_graph6(parse_graph6(line)) == line
+
+
+def test_parsed_graph_keeps_its_line(encoded):
+    lines = [line for path in sorted(DATA.glob("cubic_n*.g6"))
+             for line in path.read_text().splitlines()]
+    assert len(lines) == 621
+    for line in lines:
+        for text in (line, ">>graph6<<" + line, " \t" + line + "\r\n"):
+            g = parse_graph6(text)
+            assert write_graph6(g) == line == encode(g)
+    assert encoded == []
+
+
+def test_derived_graphs_encode_their_own_edges(encoded):
+    # a triangle 0 1 2 with 2 of degree 2, and a path 0 3 4 1 of
+    # degree-2 vertices: every surgery's hypothesis holds on it
+    g = parse_graph6(write_graph6(
+        Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)])))
+    assert g._g6 is not None
+    derived = [
+        g.induced_subgraph([0, 1, 3, 4])[0],
+        g.with_edges([(2, 3)]),
+        g.without_edges([(3, 4)]),
+        surgery.subdivide_edge(g, 0, 1)[0],
+        surgery.suppress_vertex(g, 3)[0],
+        surgery.paste_k4minus(g, 3, 4)[0],
+        surgery.augment_triangle(g, 0, 1, 2)[0],
+        surgery.glue_at_vertex(g, g, 2, 2)[0],
+        surgery.add_edge(g, 2, 3)[0],
+        surgery.delete_edges(g, [(3, 4)])[0],
+        surgery.delete_vertices(g, [4])[0],
+    ]
+    encoded.clear()
+    for h in derived:
+        assert h._g6 is None
+        assert write_graph6(h) == encode(h)
+        assert write_graph6(h) is h._g6  # encoded once, then kept
+    assert encoded == derived
+
+
+def test_equality_and_hash_ignore_the_line():
+    g = parse_graph6("C~")
+    h = Graph(4, g.edges)
+    assert g._g6 == "C~" and h._g6 is None
+    assert g == h and hash(g) == hash(h)
+    write_graph6(h)
+    assert g == h and hash(g) == hash(h)
+    assert {g: 1}[h] == 1
+
+
+def test_parsed_hosts_encode_no_graph6(encoded, capsys, tmp_path):
+    text = write_graph6(census_graphs(14)[0])
+    encoded.clear()
+    assert ipf_cubic(parse_graph6(text)).graph6 == text
+    rep = census([text], mode="both")
+    assert rep.graphs_processed == 1 and not rep.violations
+    path = tmp_path / "host.g6"
+    path.write_text(text + "\n")
+    for argv in (["construct", "--json"], ["solve", "--json"]):
+        assert main(argv + ["--input", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["graph6"] == text
+    assert encoded == []
 
 
 def test_roundtrip_padding_boundary():

@@ -106,7 +106,7 @@ OPTION_RUNS = {
     "census": [["--input", "GRAPH", "--mode", "both", "--jobs", "1",
                 "--nodes", "0", "--budget", "30", "--output", "OUT",
                 "--json", "--stable"]],
-    # --ck and --tree each select the bound, so each gets a run
+    # --ck and --tree exclude each other, so each gets a run
     "bounds": [["--ck", "3", "--output", "OUT", "--json", "--stable"],
                ["--tree", "3", "2", "--output", "OUT", "--json",
                 "--stable"]],

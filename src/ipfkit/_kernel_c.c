@@ -14,7 +14,7 @@
  *   seen states            "Seen states" (seen_before)
  *   upper bound            "Upper bound"
  *   lower bound            "Lower bound" (the stop in solve, Node.stop)
- *   budget                 "Budget" (out_of_time and the check in solve)
+ *   budget                 "Budget" (out_of_budget, the node limit in solve)
  *
  * The seen-state table is C's own: an open-addressing hash table of u64
  * keys (covered + 1; 0 marks a free slot) and u8 counts that doubles while
@@ -93,13 +93,12 @@ static double now(Solver *s)
     return d;
 }
 
-/* The budget check of a growth step: with a time limit, read the clock on
- * every 4096th step; once the budget is out, stop growing. */
-static int out_of_time(Solver *s)
+/* Count a growth step and, with a time limit, read the clock on every
+ * 4096th; stop growing once truncated is set, by either budget or by a
+ * seen table that cannot grow. */
+static int out_of_budget(Solver *s)
 {
-    if (!s->monotonic)
-        return 0;
-    if (s->truncated || (++s->steps % 4096 == 0
+    if (s->truncated || (++s->steps % 4096 == 0 && s->monotonic
                          && (now(s) > s->deadline || PyErr_Occurred())))
         s->truncated = 1;
     return s->truncated;
@@ -277,8 +276,8 @@ static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
 {
     u64 rest, bits, cands, blocked, tipbit = 1ULL << tip;
     int count = nd->count;
-    if (out_of_time(s) || s->best_count <= nd->stop)
-        return;  /* out of time, a dead node or the lower bound met */
+    if (out_of_budget(s) || s->best_count <= nd->stop)
+        return;  /* out of budget, a dead node or the lower bound met */
     rest = nd->avail & ~path;
     for (bits = settled & s->adj[tip]; bits; bits &= bits - 1) {
         u64 nb = s->adj[CTZ(bits)] & rest;
@@ -333,9 +332,7 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     if (count + 1 >= s->best_count || seen_before(s, covered, count))
         return;
     s->nodes++;
-    if ((s->node_limit && s->nodes > s->node_limit)
-            || (s->monotonic && s->nodes % 4096 == 0
-                && (now(s) > s->deadline || PyErr_Occurred()))) {
+    if (s->node_limit && s->nodes > s->node_limit) {
         s->truncated = 1;
         return;
     }

@@ -122,10 +122,16 @@ With ``lower`` = 0 the stop fires only on the null graph, whose search
 has nothing to do, so node counts, witnesses and truncation are those of
 the search without it.
 
-Budget: the clock is read on every 4096th counted node and, when a time
-limit is set, on every 4096th growth step; once a time limit is set and
-the budget is out, no path grows further.  Without a time limit growth
-steps are not counted.
+Budget: ``solve`` checks the node limit where it counts a node; ``grow``
+counts every growth step and, with a time limit, reads the clock on every
+4096th.  Once either budget sets ``truncated``, ``grow`` returns at once.
+Counted nodes need no clock read: one that makes no growth step is a
+``close_last`` leaf or has an isolated branch vertex, does O(n) work and
+covers vertices, so at most n follow a growth step.  The stop loses
+nothing: past the node limit, the only cover ``grow`` could still record
+is a path covering a stacked node's uncovered set, which that node's
+enumeration closes first (see "Dead nodes"), before the descent that hit
+the limit.
 """
 
 from __future__ import annotations
@@ -240,9 +246,6 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
         if node_limit and nodes > node_limit:
             truncated = True
             return
-        if deadline and nodes % 4096 == 0 and time.monotonic() > deadline:
-            truncated = True
-            return
         avail = full ^ covered
         if count + 2 == best_count:
             close_last(avail, count)
@@ -271,12 +274,11 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             # the settled set, to which the free vertices of `fresh` (the
             # neighbours of the previous tip) now belong
             nonlocal steps, truncated
-            if deadline:
-                steps += 1
-                if truncated or (steps % 4096 == 0
-                                 and time.monotonic() > deadline):
-                    truncated = True
-                    return
+            steps += 1
+            if truncated or (deadline and steps % 4096 == 0
+                             and time.monotonic() > deadline):
+                truncated = True
+                return  # a budget is out
             if best_count <= stop:
                 return  # a dead node, or a cover meets the lower bound
             rest = avail & ~pathmask

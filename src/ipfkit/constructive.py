@@ -931,9 +931,8 @@ def _find_reducible_k4minus(g: Graph):
         y0 = next(w for w in g.adj[b] if w not in (c, d))
         if x0 == y0 or g.has_edge(x0, y0):
             continue
-        keep = set(range(g.n)) - {a, b, c, d}
-        sub, _ = g.induced_subgraph(keep)
-        if sub.is_connected():
+        keep = ((1 << g.n) - 1) ^ (1 << a | 1 << b | 1 << c | 1 << d)
+        if _reach([m & keep for m in g.adj_mask], x0) == keep:
             return a, b, c, d, x0, y0
     return None
 

@@ -4,6 +4,7 @@ pipe contract."""
 import io
 import json
 import os
+import random
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from ipfkit.cli import (
 )
 from ipfkit.families import petersen, triangle_ring
 
-from conftest import census_graphs, census_path
+from conftest import census_graphs, census_path, random_connected_cubic
 
 
 @pytest.fixture
@@ -65,13 +66,23 @@ def test_removed_options_are_usage_errors(capsys, argv):
 
 def test_solve_budget_exit_code(capsys, tmp_path):
     # one node cuts the first level probe of this rho-2 host, and the
-    # greedy cover that comes back has more paths than the proved level
-    path = tmp_path / "host.g6"
-    path.write_text(census_path(12).read_text().splitlines()[0] + "\n")
-    code, out, _ = run(capsys, ["solve", "--input", str(path),
-                                "--nodes", "1"])
-    assert code == EXIT_BUDGET
-    assert "optimal = False" in out
+    # greedy cover that comes back has more paths than the proved level;
+    # on the n=60 host a node budget with no time budget stops the search
+    # at once (path growth that ran on past it took the Python kernel
+    # about 3 s at two nodes)
+    small = tmp_path / "host.g6"
+    small.write_text(census_path(12).read_text().splitlines()[0] + "\n")
+    large = tmp_path / "large.g6"
+    large.write_text(write_graph6(random_connected_cubic(
+        random.Random(60001), 60)) + "\n")
+    for path, budget in ((small, ["--nodes", "1"]),
+                         (large, ["--budget", "0", "--nodes", "1"]),
+                         (large, ["--budget", "0", "--nodes", "2"])):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, ["solve", "--input", str(path)] + budget)
+        assert time.monotonic() - t0 < 1.5
+        assert code == EXIT_BUDGET
+        assert "optimal = False" in out
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):

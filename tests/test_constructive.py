@@ -521,6 +521,7 @@ def test_cubic_k4minus_reroutes_ends_on_one_path(monkeypatch):
     # path at both outside neighbours, so the end edge at the second moves
     g = parse_graph6("QI?G_UC_k?H@H??Qc??_???K??w")
     repaired = spy(monkeypatch, "_repair_and_lift")
+    built = spy(monkeypatch, "induced_subgraph", (Graph,))
     cert = ipf_cubic(g)
     check_certificate(g, cert)
     assert cert.trace == ["k4minus-reduction", "two-factor"]
@@ -528,6 +529,9 @@ def test_cubic_k4minus_reroutes_ends_on_one_path(monkeypatch):
     (x0, y0), p = next((args[1], out[0]) for args, out in repaired
                        if len(args[1]) == 2)
     assert p.path_of[x0] == p.path_of[y0]
+    # the search tests the remainder's connectivity on g's masks, so the
+    # route builds the 14-vertex remainder once
+    assert [out[0].n for args, out in built if args[0] is g] == [14]
 
 
 def test_cubic_verifies_each_built_ipf_once(monkeypatch):

@@ -440,6 +440,28 @@ def test_kernel_time_budget_inside_growth(kernel):
     assert Ipf.from_edges(g, edges).path_count == count
 
 
+@pytest.mark.parametrize("limit", [1, 50, 5000])
+def test_node_limit_alone_stops_at_once(kernel, limit):
+    """A node limit with no time limit ends path growth as soon as it is
+    hit, and the search returns what it returns under a 60 s time limit,
+    which the Python twin's result pins for both twins.  On this n=60
+    host, growth that ran on past the limit took the compiled kernel about
+    2 s and the Python twin minutes; the 1 s allowance is on top of the
+    time the same search takes under the time limit."""
+    g = random_connected_cubic(random.Random(60001), 60)
+    g = relabel(g, _bfs_order(g))
+    args = (g.n, g.adj_mask, limit)
+    t0 = time.monotonic()
+    pinned = _kernel_py.solve_min_ipf(*args, 60, 0, SEEN_CAP)
+    t1 = time.monotonic()
+    count, edges, nodes, truncated = kernel.solve_min_ipf(*args, 0, 0,
+                                                          SEEN_CAP)
+    assert time.monotonic() - t1 < t1 - t0 + 1.0
+    assert (count, sorted(map(tuple, edges)), nodes, truncated) == (
+        pinned[0], sorted(pinned[1]), *pinned[2:])
+    assert pinned[2:] == (limit + 1, True)
+
+
 def test_left_arm_without_right_start_is_not_grown(kernel):
     """A triangle 0, 1, 2 with vertex 1 joined to a random 6-regular graph
     on 58 vertices.  A left arm from 1 can get no right arm, because the

@@ -12,12 +12,17 @@ the base first in even pairs and the change first in odd ones.  The run
 length defaults to `run_seconds` in the change's `BENCHMARK.json`, which
 also names the end-to-end metrics and which direction is better.
 
-Every run's metrics are printed as it ends.  At the end, for each metric:
+Every run's kernel backend (from the `kernel_backend` of its `# env`
+line) and metrics are printed as it ends.  At the end, for each metric:
 each side's median and quartiles, the pairs the change won (ties count for
 neither side), and whether a gain may be claimed: wins in at least nine
 tenths of the pairs and a median gap, in the better direction, larger than
-the distance between the base's quartiles.  The exit code is 1 if any run
-fails or prints no result, after the runs made so far are reported.
+the distance between the base's quartiles.  The exit code is 1, after the
+runs made so far are reported, if any run fails or prints no result or
+no `# env` line, or if the two runs of a pair report different kernel
+backends: a checkout with the C kernel built in place times the compiled
+kernel and a fresh one the Python twin, so such a pair compares kernels,
+not the change.
 """
 
 from __future__ import annotations
@@ -31,22 +36,25 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """The end-to-end metric values of one run, or None if it failed."""
+    """The kernel backend and the end-to-end metric values of one run, or
+    None if it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
+        backend = next(json.loads(line[len("# env "):])["kernel_backend"]
+                       for line in lines if line.startswith("# env "))
         doc = json.loads(lines[-1])
         ok = proc.returncode == 0 and doc["correct"] is True
-    except (IndexError, ValueError, TypeError, KeyError):
+    except (StopIteration, IndexError, ValueError, TypeError, KeyError):
         ok = False
     if not ok:
         print(f"# run failed in {checkout} (exit {proc.returncode}):\n"
               + "\n".join(lines[-5:] + proc.stderr.strip().splitlines()[-5:]),
               file=sys.stderr)
         return None
-    return {name: m["value"] for name, m in doc["metrics"].items()}
+    return backend, {name: m["value"] for name, m in doc["metrics"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -92,15 +100,22 @@ def main(argv=None) -> int:
         got = {side: run_once(sides[side], args.workload, seed, seconds)
                for side in order}
         for side in order:
-            shown = got[side] and " ".join(
-                f"{k} {v:.4f}" for k, v in sorted(got[side].items()))
+            shown = got[side] and f"kernel {got[side][0]} " + " ".join(
+                f"{k} {v:.4f}" for k, v in sorted(got[side][1].items()))
             print(f"pair {i} seed {seed} {side:6s} {shown or 'FAILED'}",
                   flush=True)
         if None in got.values():
             ok = False
             break
+        if got["base"][0] != got["change"][0]:
+            print(f"# pair {i}: the base ran the {got['base'][0]} kernel "
+                  f"and the change the {got['change'][0]} kernel; build "
+                  "the C kernel in both checkouts or in neither",
+                  file=sys.stderr)
+            ok = False
+            break
         for side in order:
-            results[side].append(got[side])
+            results[side].append(got[side][1])
     if results["base"]:
         report(spec["end_to_end"], results["base"], results["change"])
     return 0 if ok else 1

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 from .graph import (
     Graph, GraphError, _bits, _reach, block_decomposition,
-    hamilton_cycle, is_hamiltonian, two_factor_search, write_graph6,
+    hamilton_cycle, is_hamiltonian, per_graph, two_factor_search,
+    write_graph6,
 )
 from .ipf import (
     Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
@@ -86,22 +87,13 @@ def is_triangle_ring(g: Graph) -> bool:
             and all(sum(g.degree(v) == 3 for v in t) == 2 for t in tris))
 
 
+@per_graph
 def recognize_bad(g: Graph) -> BadnessReport:
-    """Structural recognition of bad graphs.
+    """Structural recognition of bad graphs, computed once per graph.
 
     A bad graph is a triangle ring in which some set of non-triangle edges
     was each subdivided by a vertex carrying a bridge to a hamiltonian
-    {2,3}-graph of order 5.
-
-    Computed on the first call and kept in g's `_bad` slot, as
-    `block_decomposition` keeps the blocks; later calls return that same
-    report."""
-    if g._bad is None:
-        g._bad = _recognize_bad(g)
-    return g._bad
-
-
-def _recognize_bad(g: Graph) -> BadnessReport:
+    {2,3}-graph of order 5."""
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("badness is defined for connected {2,3}-graphs")
     if is_triangle_ring(g):
@@ -118,7 +110,7 @@ def _recognize_bad(g: Graph) -> BadnessReport:
     if (len(big) != 1 or not leaves or any(len(b) != 5 for b in leaves)
             or sum(len(b) for b in dec.blocks) != g.n
             or len(dec.bridges) != len(leaves)
-            or not all(is_hamiltonian(g.induced_subgraph(b)[0])
+            or not all(is_hamiltonian(_sub(g, b)[0])
                        for b in leaves)):
         return not_bad
     # every bridge must join a leaf to a subdivision vertex u on the hub; u
@@ -475,7 +467,10 @@ def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
 # Block trees of hamiltonian blocks
 # ---------------------------------------------------------------------------
 
-def _sub(g: Graph, verts):
+@per_graph
+def _sub(g: Graph, verts: frozenset[int]):
+    """g's subgraph on verts with its old->new and new->old maps, built
+    once per vertex set."""
     sub, o2n = g.induced_subgraph(verts)
     n2o = {i: v for v, i in o2n.items()}
     return sub, o2n, n2o
@@ -489,7 +484,7 @@ def _blocktree_hypotheses(g: Graph):
     """Blocks of order >= 5, hamiltonian, vertex sets partitioning V; the
     one hamiltonicity test of the block-tree routes.  Returns None or the
     decomposition with a hamilton cycle per block, in the labels of
-    g.induced_subgraph(block): g's own labels when one block spans g."""
+    _sub(g, block): g's own labels when one block spans g."""
     if g.n < 6 or not g.is_23_graph() or not g.is_connected():
         return None
     dec = block_decomposition(g)
@@ -498,7 +493,7 @@ def _blocktree_hypotheses(g: Graph):
         return None
     cycles = []
     for b in dec.blocks:
-        cyc = hamilton_cycle(g if len(b) == g.n else g.induced_subgraph(b)[0])
+        cyc = hamilton_cycle(g if len(b) == g.n else _sub(g, b)[0])
         if cyc is None:
             return None
         cycles.append(cyc)
@@ -520,7 +515,8 @@ def _bridge_sides(g: Graph, bridge):
     masks[a] ^= 1 << b  # the fill never reaches b, so b's mask may keep a
     side = _reach(masks, a)
     assert not side >> b & 1, "a bridge separates its ends"
-    return set(_bits(side)), set(_bits(((1 << g.n) - 1) ^ side))
+    return (frozenset(_bits(side)),
+            frozenset(_bits(((1 << g.n) - 1) ^ side)))
 
 
 def ipf_blocktree(g: Graph) -> Ipf:
@@ -554,41 +550,38 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
         return _ham23(g, cycles[0])
     if n <= 12:
         (bridge,) = dec.bridges
-        return _bridge_assembly(g, bridge, {})
+        return _bridge_assembly(g, bridge)
     # a bridge whose larger side is not bad lets the two sides recurse
-    # freely; the bad sides built here go on to _bridge_assembly
-    built = {}
+    # freely.  _sub relabels in sorted order, so each block of a side is
+    # the same graph as from g and keeps the hamilton cycle found for g
     for bridge in sorted(dec.bridges):
         s0, s1 = _bridge_sides(g, bridge)
         for sa, sb in ((s0, s1), (s1, s0)):
-            if len(sa) < 7 or len(sb) < 6:
+            if len(sa) < 7 or len(sb) < 6 \
+                    or recognize_bad(_sub(g, sa)[0]).is_bad:
                 continue
-            side = _sub(g, sa)
-            ga, _, a_n2o = side
-            if recognize_bad(ga).is_bad:
-                built[frozenset(sa)] = side
-                continue
-            gb, _, b_n2o = _sub(g, sb)
-            pa = ipf_blocktree(ga)
-            pb = ipf_blocktree(gb)
-            edges = _edges_up(pa.edges, a_n2o) | _edges_up(pb.edges, b_n2o)
+            edges = set()
+            for s in (sa, sb):
+                side, _, n2o = _sub(g, s)
+                own = [c for b, c in zip(dec.blocks, cycles) if b <= s]
+                p = _blocktree(side, block_decomposition(side), own)
+                edges |= _edges_up(p.edges, n2o)
             return Ipf.from_edges(g, edges)
     # a bridge with both sides of order >= 6: each side is order 6 or bad
     for bridge in sorted(dec.bridges):
         if min(map(len, _bridge_sides(g, bridge))) >= 6:
-            return _bridge_assembly(g, bridge, built)
+            return _bridge_assembly(g, bridge)
     return _star_assembly(g, dec)
 
 
-def _bridge_assembly(g: Graph, bridge, built) -> Ipf:
+def _bridge_assembly(g: Graph, bridge) -> Ipf:
     """IPF with the bridge on a path.  A side of order <= 7 gets a small
     hamiltonian IPF with a path ending at its bridge endpoint; a larger
     side must be bad with that endpoint in a triangle of its hub, and is
-    covered without the endpoint.  built maps the vertex sets of sides
-    the caller already built to their _sub triples."""
+    covered without the endpoint."""
     edges = {bridge}
     for side, x in zip(_bridge_sides(g, bridge), bridge):
-        sub, o2n, n2o = built.get(frozenset(side)) or _sub(g, side)
+        sub, o2n, n2o = _sub(g, side)
         if len(side) <= 7:
             p = ipf_small_ham(sub, o2n[x])
         else:
@@ -615,7 +608,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
         i = 0 if len(sides[0]) == 5 else 1
         if len(sides[i]) != 5:
             raise ConstructionError("star assembly expected order-5 leaf sides")
-        leaf = frozenset(sides[i])
+        leaf = sides[i]
         if leaf not in dec.blocks:
             raise ConstructionError("leaf side is not a single block")
         leaves.append((bridge[1 - i], bridge[i], leaf))
@@ -640,7 +633,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
                 continue
             x1, y1, l1 = leaves[i]
             x2, y2, l2 = leaves[j]
-            g0, o2n0, n2o0 = _sub(g, set(range(n)) - l1 - l2)
+            g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1 - l2)
             g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
             p0 = lift(g0, rec, ipf_blocktree(g0p))
             edges = _edges_up(p0.edges, n2o0)
@@ -669,14 +662,14 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     for x, y, leaf in leaves:
         if _triangle_of(csub, c_o2n[x]) is None:
             continue
-        g0, _, n2o0 = _sub(g, set(range(n)) - leaf - {x})
+        g0, _, n2o0 = _sub(g, frozenset(range(n)) - leaf - {x})
         p0 = ipf_blocktree(g0)
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x, y, leaf)
         return Ipf.from_edges(g, edges)
 
     # no attachment vertex in a triangle: suppress the first one
     x1, y1, l1 = leaves[0]
-    g0, o2n0, n2o0 = _sub(g, set(range(n)) - l1)
+    g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1)
     g0p, rec = suppress_vertex(g0, o2n0[x1])
     if not recognize_bad(g0p).is_bad or recognize_bad(g).is_bad:
         p0 = lift(g0, rec, ipf_blocktree(g0p))
@@ -695,7 +688,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     # neighbourhood {u, v} in C, and C would have no hamilton cycle.)
     if len(g0p.adj[ulp]) == 2:
         u, v = v, u
-    g2, _, n2o2 = _sub(g, set(range(n)) - l1 - {x1, v})
+    g2, _, n2o2 = _sub(g, frozenset(range(n)) - l1 - {x1, v})
     p2 = ipf_blocktree(g2)
     edges = _edges_up(p2.edges, n2o2) | leaf_ipf_edges(x1, y1, l1)
     edges |= {tuple(sorted((v, x1)))}
@@ -941,7 +934,7 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
     """Cut out an induced K4- and repair its two outside neighbours, which
     are left with degree 2; route the K4- as two path ends."""
     a, b, c, d, x0, y0 = hit
-    g0, o2n, n2o = _sub(g, set(range(g.n)) - {a, b, c, d})
+    g0, o2n, n2o = _sub(g, frozenset(range(g.n)) - {a, b, c, d})
     x0l, y0l = o2n[x0], o2n[y0]
     p, trace = _repair_and_lift(g0, [x0l, y0l],
                                 block_decomposition(g0).bridges)

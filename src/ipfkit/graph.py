@@ -17,6 +17,7 @@ or ``surgery``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -66,17 +67,12 @@ class Graph:
     same neighbours in ascending order.  Adjacency, connectivity and graph6
     coding read the masks.
 
-    The `_blocks`, `_k4minus`, `_bad` and `_g6` slots hold the graph's
-    `BlockDecomposition`, its induced K4-minus list, its badness report and
-    its graph6 text once `block_decomposition`,
-    `ipf.induced_k4minus_subgraphs`, `constructive.recognize_bad` and
-    `parse_graph6` or `write_graph6` have computed them.  Caching is safe
-    because nothing changes a Graph after construction; every derived graph
-    is a new object with empty slots.  Equality and hashing read only `n`
-    and `edges`."""
+    `_memo` holds what the `per_graph` functions have computed for the
+    graph.  Caching is safe because nothing changes a Graph after
+    construction; every derived graph is a new object with an empty memo.
+    Equality and hashing read only `n` and `edges`."""
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_blocks", "_k4minus",
-                 "_bad", "_g6")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -105,10 +101,7 @@ class Graph:
         self.adj_mask = tuple(masks)
         self.adj = tuple([tuple(row) for row in adj])
         self.edges = frozenset(pairs)
-        self._blocks = None
-        self._k4minus = None
-        self._bad = None
-        self._g6 = None
+        self._memo = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -187,6 +180,27 @@ class Graph:
         return Graph(len(vs), edges), old_to_new
 
 
+_MISSING = object()
+
+
+def per_graph(fn):
+    """Decorate fn(g, *args) so that each Graph computes it once per args:
+    the first call keeps the result in g's memo, and later calls return
+    that same object, so callers must treat it as read-only.  An entry is
+    keyed by fn's module and qualified name, then the (hashable) args, so
+    functions of two modules never share one."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memoised(g: Graph, *args):
+        key = (name, *args)
+        out = g._memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = g._memo[key] = fn(g, *args)
+        return out
+    return memoised
+
+
 # ---------------------------------------------------------------------------
 # graph6 (short form, n <= 62) and a plain adjacency-list text format
 # ---------------------------------------------------------------------------
@@ -196,6 +210,8 @@ class Graph:
 # bits of, high bit first, as chr(63 + value); the last byte pads with zeros
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 _G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+# write_graph6's memo entry, which parse_graph6 seeds with the line it read
+_G6_KEY = (f"{__name__}.write_graph6",)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -240,19 +256,14 @@ def parse_graph6(text: str) -> Graph:
             edges.append((low.bit_length() - 1, v))
             row ^= low
     g = Graph(n, edges)
-    g._g6 = line  # validated above, so it is the one encoding of g
+    g._memo[_G6_KEY] = line  # validated above, so it is the one encoding of g
     return g
 
 
+@per_graph
 def write_graph6(g: Graph) -> str:
-    """g's short-form graph6 line, encoded on the first call and kept in
-    g's `_g6` slot; a graph from `parse_graph6` starts with its line."""
-    if g._g6 is None:
-        g._g6 = _encode_graph6(g)
-    return g._g6
-
-
-def _encode_graph6(g: Graph) -> str:
+    """g's short-form graph6 line, encoded once per graph; a graph from
+    `parse_graph6` starts with its line."""
     if g.n > 62:
         raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
     stream = "".join([format(g.adj_mask[v] & ((1 << v) - 1), f"0{v}b")[::-1]
@@ -352,11 +363,9 @@ def _biconnected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+@per_graph
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """The blocks and bridges of g, computed on the first call and kept in
-    g's `_blocks` slot; later calls return that same object."""
-    if g._blocks is not None:
-        return g._blocks
+    """The blocks and bridges of g, computed once per graph."""
     comps = _biconnected_components(g)
     bridges = frozenset((min(c), max(c)) for c in comps if len(c) == 2)
     blocks = sorted((frozenset(c) for c in comps if len(c) > 2), key=min)
@@ -369,8 +378,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         distinct = len(frozenset().union(*blocks))
         if total != distinct:
             raise AssertionError("blocks of a subcubic graph must be vertex-disjoint")
-    g._blocks = BlockDecomposition(bridges, tuple(blocks), block_of)
-    return g._blocks
+    return BlockDecomposition(bridges, tuple(blocks), block_of)
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph, _bits, block_decomposition
+from .graph import Graph, _bits, block_decomposition, per_graph
 
 
 class IpfError(ValueError):
@@ -209,16 +209,11 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
     return WellBehavedReport(not witnesses, witnesses)
 
 
+@per_graph
 def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """All induced K4- subgraphs, reported as (a, b, c, d) with ab the
     missing edge and cd the edge joining the two degree-3-in-H vertices,
-    in the order of cd, then a, then b.
-
-    Computed on the first call and kept in g's `_k4minus` slot, as
-    `block_decomposition` keeps the blocks; later calls return that same
-    tuple."""
-    if g._k4minus is not None:
-        return g._k4minus
+    in the order of cd, then a, then b; computed once per graph."""
     masks = g.adj_mask
     found = []
     for c, d in g.sorted_edges():
@@ -229,8 +224,7 @@ def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]
                 for b in ws[i + 1:]:
                     if not masks[a] >> b & 1:
                         found.append((a, b, c, d))
-    g._k4minus = tuple(found)
-    return g._k4minus
+    return tuple(found)
 
 
 def is_standardised(ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:

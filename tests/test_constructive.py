@@ -171,7 +171,11 @@ def test_blocktree_rejects_small_or_uncovering_blocks():
                           (4, 5)])
     # two C5 joined through a degree-2 vertex that lies in no block
     apart = joined(joined(cycle(5), Graph(1), 0, 0), cycle(5), 5, 0)
-    for g in (triangles, apart):
+    # too small, a degree-4 vertex, and two C5 with no bridge between
+    rejected = [cycle(5), cycle(6).with_edges([(0, 2), (0, 3)]),
+                Graph(10, list(cycle(5).edges)
+                      + [(u + 5, v + 5) for u, v in cycle(5).edges])]
+    for g in [triangles, apart] + rejected:
         assert _blocktree_hypotheses(g) is None
         with pytest.raises(GraphError, match="block-tree hypotheses"):
             ipf_blocktree(g)
@@ -438,27 +442,37 @@ def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
     assert [args[0].n for args, _ in recursed] == [11]
 
 
+def badness_tested(monkeypatch, g):
+    """The distinct graphs ipf_blocktree(g) asks recognize_bad about, in
+    the order their reports are computed; every call on one graph returns
+    the one report its memo keeps."""
+    calls = spy(monkeypatch, "recognize_bad")
+    ipf_blocktree(g)
+    reports = {}
+    for (h,), report in calls:
+        assert reports.setdefault(id(h), (h, report))[1] is report
+    assert all(recognize_bad(h) is report for h, report in reports.values())
+    return [h for h, _ in reports.values()]
+
+
 def test_blocktree_tests_each_graph_for_badness_once(monkeypatch):
-    # recognize_bad keeps its report in the graph's _bad slot, so each
-    # graph is computed once: the host for its bound; the free split tests
-    # both bad sides and the bridge assembly reuses those side graphs; each
-    # side minus its bridge endpoint is tested for its own bound (the two
-    # sides are equal graphs, but different subgraphs)
+    # recognize_bad keeps its report in the graph's memo, so each graph is
+    # computed once: the host for its bound; the free split tests both bad
+    # sides and the bridge assembly reuses those side graphs; each side
+    # minus its bridge endpoint is tested for its own bound (the two sides
+    # are equal graphs, but different subgraphs)
     bad = bad_graph(6, (0,), 1)
     g = joined(bad, bad, 0, 0)
-    tested = spy(monkeypatch, "_recognize_bad")
-    ipf_blocktree(g)
-    assert sorted(args[0].n for args, _ in tested) == [11, 11, 12, 12, 24]
-    assert len({id(args[0]) for args, _ in tested}) == 5
-    assert recognize_bad(g) is tested[-1][1] and len(tested) == 5
+    tested = badness_tested(monkeypatch, g)
+    assert sorted(h.n for h in tested) == [11, 11, 12, 12, 24]
+    assert any(h is g for h in tested)
     # the star host of test_blocktree_star_suppression_leaving_a_bad_host:
     # the suppressed rest, the host and the order-11 rest
     ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
     hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
     g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
-    tested.clear()
-    ipf_blocktree(g)
-    assert [args[0].n for args, _ in tested] == [12, 18, 11]
+    monkeypatch.undo()
+    assert [h.n for h in badness_tested(monkeypatch, g)] == [12, 18, 11]
 
 
 def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):
@@ -532,6 +546,20 @@ def test_cubic_k4minus_reroutes_ends_on_one_path(monkeypatch):
     # the search tests the remainder's connectivity on g's masks, so the
     # route builds the 14-vertex remainder once
     assert [out[0].n for args, out in built if args[0] is g] == [14]
+
+
+def test_cubic_builds_each_subgraph_once(monkeypatch):
+    # the host of test_cubic_k4minus_reroutes_ends_on_one_path: its
+    # repaired remainder's 2-factor reduction is a block tree of an order-5
+    # and an order-7 block, which the badness test, the block-tree
+    # hypotheses and the bridge assembly each ask for
+    g = parse_graph6("QI?G_UC_k?H@H??Qc??_???K??w")
+    built = spy(monkeypatch, "induced_subgraph", (Graph,))
+    check_certificate(g, ipf_cubic(g))
+    keys = [(id(args[0]), frozenset(args[1])) for args, _ in built]
+    assert len(set(keys)) == len(keys)
+    assert [(args[0].n, out[0].n) for args, out in built] == [
+        (18, 14), (12, 5), (12, 7)]
 
 
 def test_cubic_verifies_each_built_ipf_once(monkeypatch):
@@ -665,6 +693,18 @@ def test_suppressing_a_bridge_centre_carries_the_merged_bridge(monkeypatch):
     # the 11-vertex side's bridges (4, 10) and (9, 10) meet at its centre
     # 10, whose suppression leaves both order-5 sides joined by (4, 9)
     assert [(h.n, bridges) for h, bridges in carried()] == [(10, {(4, 9)})]
+
+
+@pytest.mark.parametrize("k", [7, 9])
+def test_blocktree_sides_keep_the_host_cycles(monkeypatch, k):
+    # J_k's 2-factor reduction is a block tree of an order-3k and an
+    # order-k block joined by a bridge; the free split covers each side
+    # with the cycle the hypotheses found on the host, so the whole host
+    # and each block are searched once
+    g = flower_snark(k)
+    searches = spy_hamilton(monkeypatch)
+    check_certificate(g, ipf_cubic(g))
+    assert [args[0].n for args, _ in searches] == [4 * k, 3 * k, k]
 
 
 def test_cubic_nonhamiltonian_host_searched_once_whole(monkeypatch):

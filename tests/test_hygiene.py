@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses,
 no private top-level helper is left unread, ``ipfkit.__all__`` lists
-exactly what ``__init__`` imports (and its ``__version__``), and every
-option of a CLI subcommand is read by its handler."""
+exactly what ``__init__`` imports (and its ``__version__``), every
+per-graph cache goes through ``graph.per_graph``, and every option of a
+CLI subcommand is read by its handler."""
 
 import argparse
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ipfkit
-from ipfkit import cli, ipf_cubic, write_graph6
+from ipfkit import Graph, cli, ipf_cubic, write_graph6
 from ipfkit.families import petersen
 
 SRC = Path(__file__).parents[1] / "src" / "ipfkit"
@@ -76,6 +77,18 @@ def test_all_lists_what_init_imports():
                 for t in node.targets if isinstance(t, ast.Name)}
     assert set(ipfkit.__all__) == \
         set(imported_names(tree)) | (assigned - {"__all__"})
+
+
+def test_per_graph_caches_share_one_memo():
+    # Graph has no slot for another cache, and no module but graph.py
+    # reads or writes the memo, so a new cache has to be a per_graph
+    # function
+    assert Graph.__slots__ == ("n", "edges", "adj", "adj_mask", "_memo")
+    touching = [path.name for path in sorted(SRC.glob("*.py"))
+                if path.name != "graph.py" and any(
+                    isinstance(node, ast.Attribute) and node.attr == "_memo"
+                    for node in ast.walk(ast.parse(path.read_text())))]
+    assert not touching, f"modules that touch Graph._memo: {touching}"
 
 
 class RecordingNamespace(argparse.Namespace):

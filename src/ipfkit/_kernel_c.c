@@ -8,12 +8,11 @@
  *
  *   search and left arms   the opening paragraphs (solve, grow, grow_right)
  *   last-path closure      "Last-path closure" (close_last)
- *   dead nodes             "Dead nodes" (the Node.stop return in grow)
  *   counting identity      "Counting identity" (close_path, Node.target)
  *   end-count bound        "End-count bound" (weight, close_path, grow)
  *   seen states            "Seen states" (seen_before)
  *   upper bound            "Upper bound"
- *   lower bound            "Lower bound" (the stop in solve, Node.stop)
+ *   lower bound            "Lower bound" (the stops in solve and grow)
  *   budget                 "Budget" (out_of_budget, the node limit in solve)
  *
  * The seen-state table is C's own: an open-addressing hash table of u64
@@ -62,12 +61,11 @@ typedef struct {
     Seen seen;
 } Solver;
 
-/* The node being enumerated: its uncovered set avail, branch vertex v,
- * the counting identity's target e(U) - |U|, and stop = max(count + 2,
- * lower): grow returns once best_count <= stop. */
+/* The node being enumerated: its uncovered set avail, branch vertex v
+ * and the counting identity's target e(U) - |U|. */
 typedef struct {
     u64 covered, avail;
-    int count, v, target, stop;
+    int count, v, target;
 } Node;
 
 static void solve(Solver *s, u64 covered, int count, int depth);
@@ -276,8 +274,8 @@ static void grow(Solver *s, const Node *nd, u64 path, int p, int tip,
 {
     u64 rest, bits, cands, blocked, tipbit = 1ULL << tip;
     int count = nd->count;
-    if (out_of_budget(s) || s->best_count <= nd->stop)
-        return;  /* out of budget, a dead node or the lower bound met */
+    if (out_of_budget(s) || s->best_count <= s->lower)
+        return;  /* out of budget, or a cover meets the lower bound */
     rest = nd->avail & ~path;
     for (bits = settled & s->adj[tip]; bits; bits &= bits - 1) {
         u64 nb = s->adj[CTZ(bits)] & rest;
@@ -346,7 +344,6 @@ static void solve(Solver *s, u64 covered, int count, int depth)
     nd.avail = avail;
     nd.count = count;
     nd.v = v;
-    nd.stop = count + 2 > s->lower ? count + 2 : s->lower;
     /* the counting identity's target e(U) - |U| (see _kernel_py) */
     nd.target = 0;
     for (bits = avail; bits; bits &= bits - 1)

@@ -27,16 +27,6 @@ all.  ``close_last`` checks that in O(n) instead of enumerating, so node
 counts, node-limit truncation and the witness edge set are those of the
 full enumeration.
 
-Dead nodes: once the incumbent falls to best <= count + 2 while a node
-enumerates its paths, ``grow`` stops.  Every child it could still close has
-count + 1 paths and uncovered vertices left, so the bound cuts it before it
-is counted.  The one exception, a path covering every uncovered vertex,
-exists only when G[uncovered] is itself a path, and then it is the first
-path the enumeration closes (each arm has one way to grow, and both grow
-to their ends before any close), so it was tried before the incumbent
-fell.  Node counts, witnesses and node-limit truncation are therefore
-those of the full enumeration.
-
 Counting identity: while count + 3 == best, a child improves only if its
 close_last succeeds, that is if the uncovered set U minus the closed path
 A is one induced path B.  Then, with c(x) = deg_U(x) - 2,
@@ -84,6 +74,11 @@ as well on the right arm's first step).  It returns once
 count + 1 + ceil(f_S / 2) >= best.  Both prunes drop only children that
 cannot beat the incumbent: rho, the witness edge sets and the order of
 incumbents stay those of the full enumeration, and node counts fall.
+The same test ends a node whose incumbent falls to best <= count + 2:
+its right side is then at most 0, so only steps with f_S = 0 can pass,
+and they close children with count + 1 paths that the count + 1 bound in
+``solve`` cuts before counting them, but for a path covering U, which is
+the first one the node closes (see "Budget"), before the incumbent fell.
 
 Seen states: with ``seen_cap`` > 0, ``solve`` keeps a table from each
 covered set it entered to the lowest count at which it entered it, and a
@@ -111,16 +106,15 @@ only for covers with strictly fewer paths; when it finds none, it returns
 Lower bound: ``lower`` > 0 is a number of paths that the caller knows no
 cover beats.  The search stops as soon as best_count <= lower: ``solve``
 returns at once, before it records a cover or counts a node, and ``grow``
-at its dead-node test, which a node makes against max(count + 2, lower).
-So the node count and the witness are those of the moment the cover was
-found; only the clock, read on growth steps while the search unwinds, may
-still mark it truncated, as after a dead node.  Below a certified lower
-bound there is no cover to find, so the stop loses none.  A search from
-``upper`` = t + 1 with ``lower`` = t asks only whether t paths suffice;
-``rho_exact`` probes its two lowest levels that way (see its docstring).
-With ``lower`` = 0 the stop fires only on the null graph, whose search
-has nothing to do, so node counts, witnesses and truncation are those of
-the search without it.
+before it weighs a growth step.  So the node count and the witness are
+those of the moment the cover was found; only the clock, read on growth
+steps while the search unwinds, may still mark it truncated.  Below a
+certified lower bound there is no cover to find, so the stop loses none.
+A search from ``upper`` = t + 1 with ``lower`` = t asks only whether t
+paths suffice; ``rho_exact`` probes its two lowest levels that way (see
+its docstring).  With ``lower`` = 0 the stop fires only on the null
+graph, whose search has nothing to do, so node counts, witnesses and
+truncation are those of the search without it.
 
 Budget: ``solve`` checks the node limit where it counts a node; ``grow``
 counts every growth step and, with a time limit, reads the clock on every
@@ -129,9 +123,10 @@ Counted nodes need no clock read: one that makes no growth step is a
 ``close_last`` leaf or has an isolated branch vertex, does O(n) work and
 covers vertices, so at most n follow a growth step.  The stop loses
 nothing: past the node limit, the only cover ``grow`` could still record
-is a path covering a stacked node's uncovered set, which that node's
-enumeration closes first (see "Dead nodes"), before the descent that hit
-the limit.
+is a path covering a stacked node's uncovered set U, and that path is the
+first one the node's enumeration closes, before the descent that hit the
+limit.  It exists only when G[U] is itself a path, and then each arm has
+one way to grow and both grow to their ends before any close.
 """
 
 from __future__ import annotations
@@ -264,7 +259,6 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
             c[w] = d - 2
             degsum += d
         target = degsum // 2 - avail.bit_count()
-        stop = max(count + 2, lower)  # grow returns once best_count <= stop
 
         def grow(pathmask: int, tip: int, rstarts: int, p: int,
                  settled: int, f: int, fresh: int) -> None:
@@ -279,8 +273,8 @@ def solve_min_ipf(n: int, adj: tuple[int, ...], node_limit: int = 0,
                              and time.monotonic() > deadline):
                 truncated = True
                 return  # a budget is out
-            if best_count <= stop:
-                return  # a dead node, or a cover meets the lower bound
+            if best_count <= lower:
+                return  # a cover meets the lower bound: stop
             rest = avail & ~pathmask
             bits = settled & adj[tip]
             while bits:

@@ -24,7 +24,7 @@ from .solver import (
 class BoundReport:
     k: int
     value: Fraction
-    formula: str  # tree_closed_form | tree_recurrence | ck_odd | ck_even | ck_c3 | ck_c4
+    formula: str  # ck_odd | ck_even | ck_c3 | ck_c4
     inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -164,7 +164,6 @@ def _census_one(args):
         res = rho_exact(g, node_limit=node_limit, time_limit=time_limit,
                         incumbent=cert.ipf if mode == "both" else None)
         out["rho"] = res.rho
-        out["optimal"] = res.optimal
         if not res.optimal:
             out["truncated"] = True
         elif res.rho > limit:

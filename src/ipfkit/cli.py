@@ -152,6 +152,9 @@ def _cmd_verify(args) -> int:
                for e in edges):
             # bool is an int subclass, so true/false would pass isinstance
             raise TypeError("every edge must be a pair of integer vertices")
+        if any("path_count" in d and type(d["path_count"]) is not int
+               for d in (doc, ipf_doc)):
+            raise TypeError('"path_count" must be an integer')
     except (KeyError, TypeError, Graph6Error) as exc:
         raise CliError(f"malformed IPF document: {exc}")
     try:
@@ -180,12 +183,15 @@ def _parse_params(raw: str) -> dict:
         if "=" not in part:
             raise CliError(f"parameter {part!r} is not key=value")
         key, val = part.split("=", 1)
+        key = key.strip()
+        if key in params:
+            raise CliError(f"parameter {key!r} is given twice")
         try:
-            params[key.strip()] = int(val)
+            params[key] = int(val)
         except ValueError:
             # tuple-valued parameters like subdivided=0:2
             try:
-                params[key.strip()] = tuple(int(x) for x in val.split(":"))
+                params[key] = tuple(int(x) for x in val.split(":"))
             except ValueError:
                 raise CliError(f"parameter value {val!r} is not an integer "
                                "or colon-separated integers")

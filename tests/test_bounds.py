@@ -381,16 +381,16 @@ def test_census_seeded_search_under_node_limit(monkeypatch):
     of the 85 n=12 hosts, where the unseeded one, which probes level 2
     from an upper bound of 3, proves 57, one of them by the greedy cover
     that meets the level its cut search proved; its rho never exceeds the
-    certificate's path count and is the true rho when it is reported
-    optimal."""
+    certificate's path count and is the true rho when it is not marked
+    truncated."""
     lines = census_path(12).read_text().splitlines()
     outs = [bounds._census_one((i, line, "both", 2, 0))
             for i, line in enumerate(lines)]
     for out, line in zip(outs, lines):
         assert out["rho"] <= out["construct_paths"]
-        if out["optimal"]:
+        if "truncated" not in out:
             assert out["rho"] == rho_exact(parse_graph6(line)).rho
-    assert sum(out["optimal"] for out in outs) == 73
+    assert sum("truncated" not in out for out in outs) == 73
     assert census(lines, mode="both", node_limit=2).budget_exhausted == 12
     _unseeded(monkeypatch)
     assert census(lines, mode="both", node_limit=2).budget_exhausted == 28

@@ -333,6 +333,13 @@ def test_verify_path_count_mismatch(capsys, tmp_path):
     {"graph6": "A_", "edges": [[0, None]]},
     {"graph6": "A_", "edges": [[0, 1.0]]},
     {"graph6": "A_", "edges": [[False, True]]},
+    # a path_count that is no integer is not compared against the edges
+    {"graph6": "C~", "edges": [[0, 1]], "path_count": "3"},
+    {"graph6": "A_", "edges": [[0, 1]], "path_count": True},
+    {"graph6": "A_", "edges": [[0, 1]], "path_count": 1.0},
+    {"graph6": "A_", "edges": [[0, 1]], "path_count": None},
+    {"graph6": "A_", "ipf": {"edges": [[0, 1]], "path_count": "1"}},
+    {"graph6": "A_", "ipf": {"edges": [[0, 1]], "path_count": True}},
 ])
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
@@ -340,6 +347,30 @@ def test_verify_rejects_mistyped_fields(capsys, tmp_path, doc):
     code, _, err = run(capsys, ["verify", "--input", str(p)])
     assert code == EXIT_USAGE
     assert "malformed IPF document" in err
+
+
+def test_verify_rejects_non_json(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("{not json")
+    code, out, err = run(capsys, ["verify", "--input", str(p)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: input is not JSON: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "construct"])
+@pytest.mark.parametrize("fmt, text, message", [
+    ("graph6", "C~x\n", "trailing bytes after bit field"),
+    ("adjlist", "4\n0 1\n", "bad adjacency-list header '4'"),
+])
+def test_unparsable_input_graph(capsys, tmp_path, command, fmt, text,
+                                message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, [command, "--input", str(p),
+                                  "--format", fmt])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: cannot parse input graph: ")
+    assert message in err
 
 
 def test_generate_roundtrip(capsys):
@@ -363,6 +394,7 @@ def test_generate_tuple_params(capsys):
     ("n", "parameter 'n' is not key=value"),
     ("n=x", "parameter value 'x' is not an integer or colon-separated "
             "integers"),
+    ("n=9,n=12", "parameter 'n' is given twice"),
 ])
 def test_generate_malformed_params(capsys, params, message):
     code, out, err = run(capsys, ["generate", "--family", "triangle_ring",

@@ -1,12 +1,14 @@
 """Source hygiene of the package: no module imports a name it never uses,
 no private top-level helper is left unread, ``ipfkit.__all__`` lists
 exactly what ``__init__`` imports (and its ``__version__``), every
-per-graph cache goes through ``graph.per_graph``, and every option of a
-CLI subcommand is read by its handler."""
+per-graph cache goes through ``graph.per_graph``, the compiled kernel's
+section map names exactly the paragraphs of its Python twin's docstring,
+and every option of a CLI subcommand is read by its handler."""
 
 import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,24 @@ def test_per_graph_caches_share_one_memo():
                     isinstance(node, ast.Attribute) and node.attr == "_memo"
                     for node in ast.walk(ast.parse(path.read_text())))]
     assert not touching, f"modules that touch Graph._memo: {touching}"
+
+
+def test_kernel_section_map_matches_the_twin_docstring():
+    # each quoted name in the map of _kernel_c.c's header comment heads a
+    # paragraph of _kernel_py's docstring, and each such heading but the
+    # opening "State:" is in the map, so a deleted rule leaves no stale
+    # entry and a new one gets its entry
+    header = (SRC / "_kernel_c.c").read_text().split("*/", 1)[0]
+    mapped = [name for line in header.splitlines()
+              if re.match(r" \*   \S", line)
+              for name in re.findall(r'"([^"]+)"', line)]
+    doc = ast.get_docstring(ast.parse((SRC / "_kernel_py.py").read_text()))
+    headings = [m.group(1) for para in doc.split("\n\n")
+                if (m := re.match(r"([A-Z][\w -]*):", para))]
+    assert headings[0] == "State" and len(set(mapped)) == len(mapped)
+    assert set(mapped) == set(headings[1:]), \
+        f"map only: {set(mapped) - set(headings)}; " \
+        f"docstring only: {set(headings[1:]) - set(mapped)}"
 
 
 class RecordingNamespace(argparse.Namespace):

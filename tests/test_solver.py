@@ -173,8 +173,8 @@ def test_pinned_node_counts(kernel, monkeypatch):
     """Node counts of the search on the BFS relabelling, summed over the
     level probes and the open search, with the count + 1 bound, the
     counting identity's prune of the last two paths and the end-count
-    bound; the last-path closure, the stop at dead nodes and the skipped
-    left arms must change no count.  The identity, the end-count bound and
+    bound; the last-path closure and the skipped left arms must change no
+    count.  The identity, the end-count bound and
     the seen-state table only drop children that cannot beat the
     incumbent, so no census host may take more nodes than the search
     without them took (``census_node_caps.json``, summing to 252, 2,569

@@ -86,10 +86,11 @@ def _json_out(args, obj) -> str:
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
+    g6 = write_graph6(g)  # the kernel needs n <= 62: fail before any search
     res = rho_exact(g, node_limit=args.nodes, time_limit=args.budget)
     if args.json:
         payload = res.to_json_fragment()
-        payload["graph6"] = write_graph6(g)
+        payload["graph6"] = g6
         _emit(args, _json_out(args, payload))
     else:
         lines = [f"n = {g.n}", f"rho = {res.rho}",

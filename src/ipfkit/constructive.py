@@ -44,7 +44,6 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class BadnessReport:
-    is_triangle_ring: bool
     is_bad: bool
     hub: frozenset[int] | None = None
     # (subdivided ring edge in host labels, subdivision vertex, order-5 block)
@@ -97,8 +96,8 @@ def recognize_bad(g: Graph) -> BadnessReport:
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("badness is defined for connected {2,3}-graphs")
     if is_triangle_ring(g):
-        return BadnessReport(True, True, hub=frozenset(range(g.n)))
-    not_bad = BadnessReport(False, False)
+        return BadnessReport(True, hub=frozenset(range(g.n)))
+    not_bad = BadnessReport(False)
     if g.n % 3 or g.n < 12:
         return not_bad
     dec = block_decomposition(g)
@@ -124,7 +123,7 @@ def recognize_bad(g: Graph) -> BadnessReport:
         if u not in hub or v in hub:
             return not_bad
         a, b = (w for w in g.adj[u] if w != v)
-        attachments.append(((a, b), u, dec.blocks[dec.block_of[v]]))
+        attachments.append(((a, b), u, next(x for x in leaves if v in x)))
     attachments.sort(key=lambda att: att[1])
     # suppress every subdivision vertex; the result must be a triangle ring
     # and each restored edge must not lie in one of its triangles
@@ -141,7 +140,7 @@ def recognize_bad(g: Graph) -> BadnessReport:
             ring.adj_mask[remap[a]] & ring.adj_mask[remap[b]]
             for a, b in restored):
         return not_bad
-    return BadnessReport(False, True, hub=hub, attachments=attachments)
+    return BadnessReport(True, hub=hub, attachments=attachments)
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +186,22 @@ def _ends_apart(ipf: Ipf, x: int, y: int) -> bool:
     return x in ends and y in ends and ipf.path_of[x] != ipf.path_of[y]
 
 
-def lift(g: Graph, record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
-    """Pull an IPF of the surgery's result back to g through an
-    augment/paste/suppress surgery.  The record must be that of a surgery
-    on g (its `source` equals g) and the IPF's host its `result`; a
-    surgery is deterministic, so this is the same as redoing it on g.
+def lift(record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
+    """Pull an IPF of the surgery's `result` back to its `source` through
+    an augment/paste/suppress surgery.  The IPF's host must be the
+    record's `result`.
 
     Path count guarantees: unchanged for augment_triangle and
     paste_k4minus, at most one more for suppress_vertex.  Endpoint
     guarantees: a path ends at the triangle's degree-2 vertex (augment),
     two distinct paths end at the pasted edge's endpoints (paste), a path
     ends at the suppressed vertex (suppress)."""
-    if record.source != g or record.result != ipf_prime.host:
+    if record.result != ipf_prime.host:
         raise ConstructionError(
             f"surgery record {record.kind}{record.args} does not transform "
-            "the graph into the IPF's host")
+            "its source into the IPF's host")
     star = standardise(ipf_prime)
+    g = record.source
     kind, n = record.kind, g.n
     if kind in ("augment_triangle", "paste_k4minus"):
         # the surgery only appended vertices: keep the edges among g's own
@@ -635,7 +634,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
             x2, y2, l2 = leaves[j]
             g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1 - l2)
             g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
-            p0 = lift(g0, rec, ipf_blocktree(g0p))
+            p0 = lift(rec, ipf_blocktree(g0p))
             edges = _edges_up(p0.edges, n2o0)
             edges |= leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
             return Ipf.from_edges(g, edges)
@@ -672,7 +671,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1)
     g0p, rec = suppress_vertex(g0, o2n0[x1])
     if not recognize_bad(g0p).is_bad or recognize_bad(g).is_bad:
-        p0 = lift(g0, rec, ipf_blocktree(g0p))
+        p0 = lift(rec, ipf_blocktree(g0p))
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
         return Ipf.from_edges(g, edges)
     # suppression produced a bad graph while the host is not bad: the
@@ -715,7 +714,8 @@ def ipf_23_with_2factor(g: Graph) -> Ipf | None:
     hyp = _blocktree_hypotheses(g)
     if hyp is not None:
         return _blocktree(g, *hyp)
-    cycles = two_factor_search(g)
+    # a hamiltonian host of order >= 7 is one block and met the hypotheses
+    cycles = two_factor_search(g, fewest_possible=2)
     return None if cycles is None else _two_factor_reduction(g, cycles)
 
 
@@ -844,7 +844,7 @@ def _cubic_recurse(g: Graph, bridges=None) -> tuple[Ipf, list[str]]:
     hit = _find_reducible_k4minus(g)
     if hit is not None:
         return _cubic_k4minus(g, hit)
-    cycles = two_factor_search(g)
+    cycles = two_factor_search(g, fewest_possible=2)  # g is not hamiltonian
     if cycles is None:
         raise ConstructionError("bridgeless cubic host with no reducible K4- "
                                 "and no 2-factor of long cycles")
@@ -879,7 +879,7 @@ def _repair_and_lift(g: Graph, zs: list[int],
         bridges = frozenset(kept)
     inner, trace = _repair_and_lift(nxt, [rec.old_to_new[w] for w in rest],
                                     bridges)
-    return lift(g, rec, inner), trace
+    return lift(rec, inner), trace
 
 
 def _cubic_bridge_split(g: Graph, bridges) -> tuple[Ipf, list[str]]:

@@ -309,17 +309,12 @@ class BlockDecomposition:
     """Bridges plus the biconnected components of order >= 3.
 
     Components of order 2 (single edges) are exactly the bridges and are not
-    listed as blocks.  `block_of` maps each vertex that lies in a listed
-    block to the index of the lowest such block; in a subcubic host the
-    listed blocks are pairwise vertex-disjoint so the map is unambiguous.
-
-    `block_decomposition` computes it once per Graph and hands the same
-    object to every caller, so it is read-only, the `block_of` dict included.
+    listed as blocks.  `block_decomposition` computes it once per Graph and
+    hands the same object to every caller, so it is read-only.
     """
 
     bridges: frozenset[tuple[int, int]]
     blocks: tuple[frozenset[int], ...]
-    block_of: dict[int, int]
 
 
 def _biconnected_components(g: Graph) -> list[list[int]]:
@@ -369,16 +364,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     comps = _biconnected_components(g)
     bridges = frozenset((min(c), max(c)) for c in comps if len(c) == 2)
     blocks = sorted((frozenset(c) for c in comps if len(c) > 2), key=min)
-    block_of: dict[int, int] = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            block_of.setdefault(v, i)
     if g.is_subcubic() and blocks:
         total = sum(len(b) for b in blocks)
         distinct = len(frozenset().union(*blocks))
         if total != distinct:
             raise AssertionError("blocks of a subcubic graph must be vertex-disjoint")
-    return BlockDecomposition(bridges, tuple(blocks), block_of)
+    return BlockDecomposition(bridges, tuple(blocks))
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
@@ -532,7 +523,8 @@ def is_hamiltonian(g: Graph) -> bool:
     return hamilton_cycle(g) is not None
 
 
-def two_factor_search(g: Graph) -> Optional[list[list[int]]]:
+def two_factor_search(g: Graph, fewest_possible: int = 1
+                      ) -> Optional[list[list[int]]]:
     """The 2-factor of a connected {2,3}-graph with the fewest cycles (the
     first found among ties) among those whose cycles all have length >= 5,
     as its cycle vertex lists, or None if there is none.  Each cycle starts
@@ -543,6 +535,8 @@ def two_factor_search(g: Graph) -> Optional[list[list[int]]]:
     induced on the degree-3 vertices; every such matching is tried, the
     lowest unmatched vertex first and its partners in `adj` order, except
     partners that leave an unmatched neighbour of either end with none.
+    The search stops at the first factor of `fewest_possible` cycles: a
+    caller that knows g has no hamilton cycle passes 2.
     """
     if not g.is_23_graph():
         raise GraphError("two_factor_search requires a {2,3}-graph")
@@ -586,6 +580,8 @@ def two_factor_search(g: Graph) -> Optional[list[list[int]]]:
             left[v] ^= 1 << w
             left[w] ^= 1 << v
             search(after)
+            if fewest <= fewest_possible:
+                return  # no later factor can have fewer cycles
             left[v] ^= 1 << w
             left[w] ^= 1 << v
 

@@ -193,8 +193,7 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
         vs = [v for v in path if v in S]
         if len(vs) <= 1:
             continue
-        blocks_hit = {dec.block_of.get(v, -1 - v) for v in vs}
-        if len(blocks_hit) == 1 and min(blocks_hit) >= 0:
+        if any(b.issuperset(vs) for b in dec.blocks):
             continue
         ok = False
         if len(vs) == 2:

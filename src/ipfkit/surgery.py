@@ -1,11 +1,11 @@
 """Local graph surgeries with records for lifting IPFs back.
 
 Every operation returns (new_graph, SurgeryRecord).  The record carries the
-graph the surgery took (`source`) and the graph it returned (`result`), the
-old-to-new vertex map (vertices absent from the map were deleted) and the
-indices of freshly created vertices.  That is exactly what the IPF lift
-needs: it checks that it lifts from `result` to `source`, since a surgery
-is deterministic, and translates edge sets between the two graphs.
+graph the surgery took (`source`), the graph it returned (`result`) and the
+old-to-new vertex map (vertices absent from the map were deleted; new
+vertices are those of `result` numbered from `source.n` on).  That is
+exactly what the IPF lift needs: it lifts an IPF of `result` back to
+`source`, translating edge sets between the two graphs.
 
 Vertex numbering: new vertices are appended after the existing ones in
 creation order; deletions shift higher indices down to keep indices dense.
@@ -13,7 +13,7 @@ creation order; deletions shift higher indices down to keep indices dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -29,9 +29,6 @@ class SurgeryRecord:
     source: Graph
     result: Graph
     old_to_new: dict  # old index -> new index; deleted vertices absent
-    new_vertices: tuple[int, ...] = ()
-    # for glue_at_vertex: map from the second graph's indices
-    aux_to_new: dict = field(default_factory=dict)
 
 
 def _identity(n: int) -> dict:
@@ -49,8 +46,7 @@ def subdivide_edge(g: Graph, u: int, v: int) -> tuple[Graph, SurgeryRecord]:
     w = g.n
     edges = (g.edges - {(min(u, v), max(u, v))}) | {(u, w), (v, w)}
     h = Graph(g.n + 1, edges)
-    return h, SurgeryRecord("subdivide_edge", (u, v), g, h, _identity(g.n),
-                            (w,))
+    return h, SurgeryRecord("subdivide_edge", (u, v), g, h, _identity(g.n))
 
 
 def suppress_vertex(g: Graph, c: int) -> tuple[Graph, SurgeryRecord]:
@@ -76,8 +72,7 @@ def paste_k4minus(g: Graph, a: int, b: int) -> tuple[Graph, SurgeryRecord]:
     edges = (g.edges - {(min(a, b), max(a, b))}) \
         | {(a, c), (a, d), (b, c), (b, d), (c, d)}
     h = Graph(g.n + 2, edges)
-    return h, SurgeryRecord("paste_k4minus", (a, b), g, h, _identity(g.n),
-                            (c, d))
+    return h, SurgeryRecord("paste_k4minus", (a, b), g, h, _identity(g.n))
 
 
 def augment_triangle(g: Graph, a: int, b: int, c: int) -> tuple[Graph, SurgeryRecord]:
@@ -92,7 +87,7 @@ def augment_triangle(g: Graph, a: int, b: int, c: int) -> tuple[Graph, SurgeryRe
     edges = (g.edges - {(min(a, b), max(a, b))}) | {(a, d), (b, d), (c, d)}
     h = Graph(g.n + 1, edges)
     return h, SurgeryRecord("augment_triangle", (a, b, c), g, h,
-                            _identity(g.n), (d,))
+                            _identity(g.n))
 
 
 def glue_at_vertex(g: Graph, h: Graph, vg: int, vh: int) -> tuple[Graph, SurgeryRecord]:
@@ -113,7 +108,7 @@ def glue_at_vertex(g: Graph, h: Graph, vg: int, vh: int) -> tuple[Graph, Surgery
     edges = list(g.edges) + [(aux[x], aux[y]) for x, y in h.edges]
     glued = Graph(nxt, edges)
     return glued, SurgeryRecord("glue_at_vertex", (vg, vh), g, glued,
-                                _identity(g.n), tuple(range(g.n, nxt)), aux)
+                                _identity(g.n))
 
 
 def add_edge(g: Graph, u: int, v: int) -> tuple[Graph, SurgeryRecord]:

@@ -135,7 +135,8 @@ def test_criterion_8_lift_contracts():
     def check(g, h, rec, slack, ends, distinct=None):
         nonlocal count
         prime = rho_exact(h).witness
-        out = lift(g, rec, prime)
+        out = lift(rec, prime)
+        assert out.host is g
         paths = verify_ipf(g, out.edges)
         assert len(paths) <= prime.path_count + slack
         e = out.endpoints()

@@ -274,6 +274,23 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     assert called == []
 
 
+@pytest.mark.parametrize("g", [Graph(63, []), cycle(64)])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_solve_beyond_graph6_fails_before_any_work(capsys, tmp_path,
+                                                    monkeypatch, g, mode):
+    # 63 isolated vertices need no kernel, and C64 is too wide for it; both
+    # must fail on the graph6 limit in text and JSON mode alike
+    path = tmp_path / "big.txt"
+    path.write_text(write_adjlist(g))
+    called = []
+    monkeypatch.setattr(cli, "rho_exact", lambda *a, **k: called.append(a))
+    code, out, err = run(capsys, ["solve", "--input", str(path),
+                                  "--format", "adjlist", *mode])
+    assert code == EXIT_VIOLATION
+    assert "n <= 62" in err and out == ""
+    assert called == []
+
+
 def test_construct_table_output(capsys, petersen_file):
     code, out, _ = run(capsys, ["construct", "--input", petersen_file])
     assert code == EXIT_OK

@@ -13,7 +13,7 @@ from ipfkit import (
     Graph, Graph6Error, GraphError, hamilton_cycle,
     ipf_23_with_2factor, ipf_blocktree, ipf_cubic, ipf_ham23, ipf_small_ham,
     is_triangle_ring, is_well_behaved, parse_graph6, recognize_bad,
-    rho_exact, verify_ipf, write_graph6,
+    rho_exact, two_factor_search, verify_ipf, write_graph6,
 )
 from ipfkit import Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
@@ -128,7 +128,8 @@ def test_recognize_bad_rejects_plain_graphs():
     assert not recognize_bad(petersen()).is_bad
     # a plain triangle ring counts as bad with no attachments
     rep = recognize_bad(triangle_ring(9))
-    assert rep.is_triangle_ring and rep.is_bad and not rep.attachments
+    assert is_triangle_ring(triangle_ring(9))
+    assert rep.is_bad and not rep.attachments
     bridgeless = [g for g in census_graphs(12) if not graph.bridges(g)]
     assert len(bridgeless) == 81
     assert not any(recognize_bad(g).is_bad for g in bridgeless)
@@ -592,7 +593,7 @@ def test_lift_scans_the_host_k4minus_once(monkeypatch):
     prime = Ipf.from_paths(prime_host, [[0, 8, 1, 2, 3], [9], [4, 5, 6, 7]])
     asked = spy(monkeypatch, "induced_k4minus_subgraphs",
                 (ipf_module, constructive))
-    out = lift(g, rec, prime)
+    out = lift(rec, prime)
     assert 10 in out.endpoints()
     assert len(asked) >= 2
     assert {id(found) for _, found in asked} == {id(asked[0][1])}
@@ -705,6 +706,38 @@ def test_blocktree_sides_keep_the_host_cycles(monkeypatch, k):
     searches = spy_hamilton(monkeypatch)
     check_certificate(g, ipf_cubic(g))
     assert [args[0].n for args, _ in searches] == [4 * k, 3 * k, k]
+
+
+def test_blocktree_nested_free_split_keeps_the_host_cycles(monkeypatch):
+    # a chain of three order-8 blocks (C8 plus the chords 0-4, 1-5, 2-6),
+    # block j's vertex 7 bridged to block j+1's vertex 3; the free split's
+    # order-16 side is itself a two-block chain that splits again, and every
+    # side reuses the cycles found on the host, so each block is searched
+    # once and the host never as a whole
+    def block(j):
+        o = 8 * j
+        return [(o + i, o + (i + 1) % 8) for i in range(8)] \
+            + [(o, o + 4), (o + 1, o + 5), (o + 2, o + 6)]
+    g = Graph(24, block(0) + block(1) + block(2) + [(7, 11), (15, 19)])
+    searches = spy_hamilton(monkeypatch)
+    ipf = ipf_23_with_2factor(g)
+    assert verify_ipf(g, ipf.edges) and ipf.path_count == 6
+    assert [args[0].n for args, _ in searches] == [8, 8, 8]
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 11])
+def test_two_factor_search_stop_keeps_the_flower_snark_factor(k):
+    g = flower_snark(k)
+    assert two_factor_search(g, fewest_possible=2) == two_factor_search(g)
+
+
+def test_two_factor_search_stops_at_two_cycles_on_j15():
+    g = flower_snark(15)
+    start = time.perf_counter()
+    cycles = two_factor_search(g, fewest_possible=2)
+    assert time.perf_counter() - start < 0.1
+    assert_two_factor(g, cycles)
+    assert len(cycles) == 2 and min(map(len, cycles)) >= 5
 
 
 def test_cubic_nonhamiltonian_host_searched_once_whole(monkeypatch):

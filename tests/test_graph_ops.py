@@ -62,8 +62,8 @@ def test_block_decomposition_two_triangles_and_bridge():
     assert sorted(map(sorted, dec.blocks)) == [[0, 1, 2], [3, 4, 5]]
     # blocks of order 2 (plain bridges) are not listed
     assert all(len(b) >= 3 for b in dec.blocks)
-    assert dec.block_of[0] == dec.block_of[1] == dec.block_of[2]
-    assert dec.block_of[0] != dec.block_of[3]
+    assert any(b >= {0, 1, 2} for b in dec.blocks)
+    assert not any(b >= {0, 3} for b in dec.blocks)
 
 
 def test_blocks_disjoint_in_subcubic_hosts():

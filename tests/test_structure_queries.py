@@ -7,7 +7,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ipfkit import Graph, recognize_bad, two_factor_search
+from ipfkit import (
+    Graph, hamilton_cycle, is_triangle_ring, recognize_bad, two_factor_search,
+)
 from ipfkit.families import _joining_edges, bad_graph, triangle_ring
 from ipfkit.graph import block_decomposition
 
@@ -78,10 +80,9 @@ def test_block_decomposition_matches_definitions(n, seed):
         assert sum(key == keys[e] for key in keys.values()) == 1
     mins = [min(b) for b in dec.blocks]
     assert mins == sorted(mins)
-    # block_of names the lowest block holding a vertex
-    assert dec.block_of == {
-        v: min(i for i, b in enumerate(dec.blocks) if v in b)
-        for v in set().union(*dec.blocks)}
+    # the blocks hold exactly the vertices on a cycle
+    assert set().union(*dec.blocks) == {
+        v for e in g.edges - dec.bridges for v in e}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,20 @@ def test_two_factor_search_finds_fewest_long_cycles(n, seed):
         assert len(found) == fewest
 
 
+def test_two_factor_search_stop_keeps_the_factor_on_nonhamiltonian_hosts():
+    # with no hamilton cycle no factor has one cycle, so stopping at the
+    # first two-cycle factor returns the factor the full search keeps
+    rng = random.Random(29)
+    found = 0
+    for _ in range(1500):
+        g = random_23_graph(rng, rng.randrange(10, 23))
+        if hamilton_cycle(g) is None:
+            stopped = two_factor_search(g, fewest_possible=2)
+            assert stopped == two_factor_search(g)
+            found += stopped is not None
+    assert found >= 50
+
+
 # ---------------------------------------------------------------------------
 # Bad graphs
 # ---------------------------------------------------------------------------
@@ -182,7 +197,7 @@ def test_relabelled_bad_graphs_are_recognised(seed):
         g, perm = relabel(bad_graph(r, subdivided, chords), rng)
         rep = recognize_bad(g)
         assert rep.is_bad
-        assert rep.is_triangle_ring == (not subdivided)
+        assert is_triangle_ring(g) == (not subdivided)
         # bad_graph numbers the ring first, then per subdivided edge the
         # subdivision vertex x and its order-5 leaf x+1..x+5
         xs = [r + 6 * i for i in range(len(subdivided))]
@@ -218,5 +233,5 @@ def test_near_misses_are_not_bad(seed):
     for r in (6, 9, 12, 15):
         for g in near_misses(r):
             assert g.n % 3 == 0 and g.n >= 12 and g.is_23_graph()
-            rep = recognize_bad(relabel(g, rng)[0])
-            assert not rep.is_bad and not rep.is_triangle_ring
+            h = relabel(g, rng)[0]
+            assert not recognize_bad(h).is_bad and not is_triangle_ring(h)

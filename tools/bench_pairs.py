@@ -17,7 +17,12 @@ line) and metrics are printed as it ends.  At the end, for each metric:
 each side's median and quartiles, the pairs the change won (ties count for
 neither side), and whether a gain may be claimed: wins in at least nine
 tenths of the pairs and a median gap, in the better direction, larger than
-the distance between the base's quartiles.  The exit code is 1, after the
+the distance between the base's quartiles.  Each metric also gets a
+verdict against its `bound` in `BENCHMARK.json`: "worse than bound" when
+the change's median is worse than the base's by more than `bound` of the
+base's; otherwise "unresolved" when the base's quartile spread exceeds
+`bound` of its median, unless every change run beats every base run; and
+"within bound" otherwise.  The exit code is 1, after the
 runs made so far are reported, if any run fails or prints no result or
 no `# env` line, or if the two runs of a pair report different kernel
 backends: a checkout with the C kernel built in place times the compiled
@@ -64,6 +69,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(m: dict, b: list[float], c: list[float]) -> str:
+    """m's no-regression verdict on the base runs b and the change runs c."""
+    sign, bound = (1 if m["better"] == "higher" else -1), m["bound"]
+    bq, cq = quartiles(b), quartiles(c)
+    if sign * (bq[1] - cq[1]) > bound * abs(bq[1]):
+        return "worse than bound"
+    beats_all = all(sign * (y - x) > 0 for x in b for y in c)
+    if bq[2] - bq[0] > bound * abs(bq[1]) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def report(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
     pairs = len(base)
     print(f"# {pairs} pairs; median [q1, q3] per side")
@@ -78,7 +95,8 @@ def report(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
         print(f"{name:14s} base {bq[1]:.4f} [{bq[0]:.4f}, {bq[2]:.4f}]  "
               f"change {cq[1]:.4f} [{cq[0]:.4f}, {cq[2]:.4f}]  "
               f"{m['better']} is better; change wins {wins}/{pairs}; "
-              f"{'gain' if claim else 'no gain'} by the pair rule")
+              f"{'gain' if claim else 'no gain'} by the pair rule; "
+              f"{verdict(m, b, c)}")
 
 
 def main(argv=None) -> int:

@@ -91,13 +91,17 @@ static double now(Solver *s)
     return d;
 }
 
-/* Count a growth step and, with a time limit, read the clock on every
- * 4096th; stop growing once truncated is set, by either budget or by a
- * seen table that cannot grow. */
+/* Count a growth step and, on every 4096th, run the handlers of pending
+ * signals (the Python twin runs them between bytecodes; a handler that
+ * raises, as Ctrl-C's does, stops the search with its exception) and,
+ * with a time limit, read the clock; stop growing once truncated is set,
+ * by either budget, a raising handler or a seen table that cannot grow. */
 static int out_of_budget(Solver *s)
 {
-    if (s->truncated || (++s->steps % 4096 == 0 && s->monotonic
-                         && (now(s) > s->deadline || PyErr_Occurred())))
+    if (s->truncated || (++s->steps % 4096 == 0
+                         && (PyErr_CheckSignals() < 0
+                             || (s->monotonic && (now(s) > s->deadline
+                                                  || PyErr_Occurred())))))
         s->truncated = 1;
     return s->truncated;
 }

@@ -119,6 +119,11 @@ truncation are those of the search without it.
 Budget: ``solve`` checks the node limit where it counts a node; ``grow``
 counts every growth step and, with a time limit, reads the clock on every
 4096th.  Once either budget sets ``truncated``, ``grow`` returns at once.
+The interpreter runs signal handlers between bytecodes here; the compiled
+twin runs no bytecode, so it runs the handlers of pending signals on
+every 4096th step, with or without a time limit.  A handler that raises,
+as Ctrl-C's does, sets ``truncated`` there and the call ends with its
+exception, so either twin stops within 4096 steps of a signal.
 Counted nodes need no clock read: one that makes no growth step is a
 ``close_last`` leaf or has an isolated branch vertex, does O(n) work and
 covers vertices, so at most n follow a growth step.  The stop loses

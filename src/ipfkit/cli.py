@@ -79,7 +79,7 @@ def _strip_timings(obj):
 
 
 def _json_out(args, obj) -> str:
-    if getattr(args, "stable", False):
+    if args.stable:
         obj = _strip_timings(obj)
     return json.dumps(obj, indent=2, sort_keys=True)
 

@@ -544,12 +544,8 @@ def _blocktree(g: Graph, dec, cycles) -> Ipf:
 
 
 def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
-    n = g.n
     if len(dec.blocks) == 1:
         return _ham23(g, cycles[0])
-    if n <= 12:
-        (bridge,) = dec.bridges
-        return _bridge_assembly(g, bridge)
     # a bridge whose larger side is not bad lets the two sides recurse
     # freely.  _sub relabels in sorted order, so each block of a side is
     # the same graph as from g and keeps the hamilton cycle found for g
@@ -566,9 +562,13 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
                 p = _blocktree(side, block_decomposition(side), own)
                 edges |= _edges_up(p.edges, n2o)
             return Ipf.from_edges(g, edges)
-    # a bridge with both sides of order >= 6: each side is order 6 or bad
+    # a bridge whose sides both have order <= 7, or both order >= 6 (each
+    # side then has order 6 or is bad): the assembly covers both sides.
+    # The first holds for the one bridge of a host of order <= 12, whose
+    # two blocks have order >= 5, and else implies the second
     for bridge in sorted(dec.bridges):
-        if min(map(len, _bridge_sides(g, bridge))) >= 6:
+        small, large = sorted(map(len, _bridge_sides(g, bridge)))
+        if large <= 7 or small >= 6:
             return _bridge_assembly(g, bridge)
     return _star_assembly(g, dec)
 
@@ -807,7 +807,7 @@ def ipf_cubic(g: Graph) -> Certificate:
     if not g.is_connected() or not g.is_cubic():
         raise GraphError("host must be a connected cubic graph")
     graph6 = write_graph6(g)  # fails on n > 62 before any search
-    ipf, trace = _cubic_recurse(g)
+    ipf, trace = _cubic_recurse(g, block_decomposition(g).bridges)
     limit = cubic_limit(g.n)
     if ipf.path_count > limit:
         raise ConstructionError(
@@ -822,15 +822,12 @@ def ipf_cubic(g: Graph) -> Certificate:
     )
 
 
-def _cubic_recurse(g: Graph, bridges=None) -> tuple[Ipf, list[str]]:
-    """IPF and route trace of connected cubic g; `bridges`, when given, is
-    g's bridge set, which the repairs after a bridge split or a K4- cut
-    carry down so that the repaired graph needs no block decomposition of
-    its own."""
+def _cubic_recurse(g: Graph, bridges) -> tuple[Ipf, list[str]]:
+    """IPF and route trace of connected cubic g; `bridges` is g's bridge
+    set, which the repairs after a bridge split or a K4- cut carry down so
+    that the repaired graph needs no block decomposition of its own."""
     if g.n <= 6:
         return _small_cubic(g), ["base-small"]
-    if bridges is None:
-        bridges = block_decomposition(g).bridges
     if bridges:
         return _cubic_bridge_split(g, bridges)
     # a bridgeless cubic host is never bad and has no degree-2 vertex, so a

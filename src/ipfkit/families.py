@@ -8,11 +8,22 @@ Several families are k-regular except at a root vertex of smaller degree.
 They are emitted as-is; the deficiency only shifts the induced path number
 by a constant, which is irrelevant for the ratio bounds these families
 certify.
+
+Every generator that takes a size computes the order of the member from
+its parameters first, and raises ``GraphError`` above 62 vertices, the
+graph6 limit, before it builds anything.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import GRAPH6_MAX_N, Graph, GraphError
+
+
+def _check_order(n: int) -> None:
+    if n > GRAPH6_MAX_N:
+        raise GraphError("the family member would have more than "
+                         f"{GRAPH6_MAX_N} vertices; graph6 needs "
+                         f"n <= {GRAPH6_MAX_N}")
 
 
 def triangle_ring(n: int) -> Graph:
@@ -23,6 +34,7 @@ def triangle_ring(n: int) -> Graph:
     Edge count is n + n/3; each triangle has one degree-2 vertex."""
     if n < 6 or n % 3:
         raise GraphError("triangle ring order must be >= 6 and divisible by 3")
+    _check_order(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.append((n - 1, 1))
     for j in range(1, n // 3):
@@ -58,11 +70,12 @@ def bad_graph(ring_order: int, subdivided: tuple[int, ...] = (0,),
     (C5 plus one chord, or plus a 2-chord matching).  Vertices: the ring
     first, then per subdivided edge the subdivision vertex x_e followed by
     the 5 host vertices.  The bridge meets the host at a degree-2 vertex."""
-    ring = triangle_ring(ring_order)
+    ring = triangle_ring(ring_order)  # checks ring_order first
     joins = _joining_edges(ring_order)
     idxs = sorted(set(subdivided))
     if not all(0 <= i < len(joins) for i in idxs):
         raise GraphError("subdivided edge index out of range")
+    _check_order(ring_order + 6 * len(idxs))
     host = _order5_host(h5_chords)
     anchor = 3  # degree-2 host vertex that receives the bridge
     edges = set(ring.edges)
@@ -88,6 +101,7 @@ def fig1_subcubic(n: int) -> Graph:
     edge to v.  Requires n divisible by 4 with n/4 >= 3."""
     if n % 4 or n // 4 < 3:
         raise GraphError("order must be divisible by 4 with n/4 >= 3")
+    _check_order(n)
     m = n // 4
     edges = [(i, (i + 1) % m) for i in range(m)]
     for v in range(m):
@@ -121,6 +135,7 @@ def subdivided_complete(m: int) -> Graph:
     Any IPF of this graph needs at least ceil(m/2) paths."""
     if m < 3:
         raise GraphError("subdivided complete graph needs m >= 3")
+    _check_order(m + 1)
     edges = []
     _glue_subdivided_complete(edges, m, m, 0)
     return Graph(m + 1, edges)
@@ -132,11 +147,26 @@ def perfect_tree(k: int, h: int) -> Graph:
     degree 1."""
     if k < 3 or h < 0:
         raise GraphError("perfect tree needs k >= 3 and h >= 0")
+    _check_order(_tree_order(k, h)[0])
     layers = _tree_layers(k, h)
     edges = [(p, c) for up, down in zip(layers, layers[1:])
              for i, p in enumerate(up)
              for c in down[i * (k - 1):(i + 1) * (k - 1)]]
     return Graph(layers[-1][-1] + 1, edges)
+
+
+def _tree_order(k: int, h: int) -> tuple[int, int]:
+    """Order and leaf count of ``perfect_tree(k, h)``, counted layer by
+    layer; the count stops once the order passes the graph6 limit, so a
+    huge h costs nothing and the order returned is then only a lower
+    bound."""
+    n = leaves = 1
+    for _ in range(h):
+        if n > GRAPH6_MAX_N:
+            break
+        leaves *= k - 1
+        n += leaves
+    return n, leaves
 
 
 def _tree_layers(k: int, h: int) -> list[list[int]]:
@@ -174,6 +204,8 @@ def odd_k_glued_tree(k: int, h: int) -> Graph:
         raise GraphError("this family needs odd k >= 3")
     if h < 0:
         raise GraphError("height must be nonnegative")
+    order, leaf_count = _tree_order(k, h)
+    _check_order(order + leaf_count * (k - 1) // 2 * (k + 1))
     tree = perfect_tree(k, h)
     edges = list(tree.edges)
     leaves = _tree_layers(k, h)[-1]
@@ -194,6 +226,7 @@ def even_k_glued_cycle(k: int, h: int) -> Graph:
         raise GraphError("this family needs even k >= 4")
     if h < 3:
         raise GraphError("cycle length must be at least 3")
+    _check_order(h + h * (k + 1) * (k - 2) // 2)
     edges = [(i, (i + 1) % h) for i in range(h)]
     nxt = h
     for v in range(h):
@@ -210,6 +243,8 @@ def c4_binary_tree(h: int) -> Graph:
     Vertices: the tree breadth-first, then the K5 blocks leaf by leaf."""
     if h < 1:
         raise GraphError("height must be at least 1")
+    order, leaf_count = _tree_order(3, h)
+    _check_order(order + 5 * leaf_count)
     tree = perfect_tree(3, h)
     edges = list(tree.edges)
     layers = _tree_layers(3, h)

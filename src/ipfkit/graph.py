@@ -108,18 +108,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n \
             and self.adj_mask[u] >> v & 1 == 1
 
-    def max_degree(self) -> int:
-        return max(map(len, self.adj), default=0)
-
     def is_subcubic(self) -> bool:
-        return self.max_degree() <= 3
+        return max(map(len, self.adj), default=0) <= 3
 
     def is_k_regular(self, k: int) -> bool:
         return all(len(a) == k for a in self.adj)
@@ -212,6 +206,8 @@ _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 _G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
 # write_graph6's memo entry, which parse_graph6 seeds with the line it read
 _G6_KEY = (f"{__name__}.write_graph6",)
+# the largest order the short form encodes in its one size byte
+GRAPH6_MAX_N = 62
 
 
 def parse_graph6(text: str) -> Graph:
@@ -264,8 +260,9 @@ def parse_graph6(text: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     """g's short-form graph6 line, encoded once per graph; a graph from
     `parse_graph6` starts with its line."""
-    if g.n > 62:
-        raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
+    if g.n > GRAPH6_MAX_N:
+        raise Graph6Error(f"short-form graph6 supports n <= {GRAPH6_MAX_N}, "
+                          f"got n={g.n}")
     stream = "".join([format(g.adj_mask[v] & ((1 << v) - 1), f"0{v}b")[::-1]
                       for v in range(1, g.n)])
     stream += "0" * (-len(stream) % 6)
@@ -372,10 +369,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(bridges, tuple(blocks))
 
 
-def bridges(g: Graph) -> frozenset[tuple[int, int]]:
-    return block_decomposition(g).bridges
-
-
 # ---------------------------------------------------------------------------
 # 2-edge-cuts and the ladder decomposition of a cubic graph
 # ---------------------------------------------------------------------------
@@ -389,10 +382,11 @@ def find_2_edge_cut(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]
     """
     if not g.is_connected():
         raise GraphError("find_2_edge_cut requires a connected graph")
-    if bridges(g):
+    if block_decomposition(g).bridges:
         raise GraphError("find_2_edge_cut requires a bridgeless graph")
     for e in g.sorted_edges():
-        later = [f for f in bridges(g.without_edges([e])) if f > e]
+        later = [f for f in block_decomposition(g.without_edges([e])).bridges
+                 if f > e]
         if later:
             return e, min(later)
     return None

@@ -1,6 +1,7 @@
 """Shared fixtures: census file loading, random graph generators, the
 enumeration of hamiltonian {2,3}-graphs used by several suites, the
-compiled search kernel, and the derandomized hypothesis profile."""
+compiled search kernel, a stand-in exact solver, and the derandomized
+hypothesis profile."""
 
 import importlib.util
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ipfkit import Graph, parse_graph6
+from ipfkit import Graph, Ipf, SolveResult, parse_graph6
 
 # every run and every machine draws the same hypothesis examples: the seed
 # comes from each test, and no example database is read or written (each
@@ -32,6 +33,11 @@ def census_graphs(n: int) -> list:
     lines = census_path(n).read_text().splitlines()
     assert len(lines) == CENSUS_COUNTS[n]
     return [parse_graph6(line) for line in lines]
+
+
+def rho_four(g, **budget):
+    """A stand-in for rho_exact that claims an optimal 4-path cover."""
+    return SolveResult(4, Ipf.from_edges(g, set()), "bnb")
 
 
 def random_connected_subcubic(rng: random.Random, n: int) -> Graph:

@@ -18,7 +18,7 @@ from ipfkit.families import (
     perfect_tree, petersen, subdivided_complete, triangle_ring,
 )
 
-from conftest import CENSUS_COUNTS, census_path
+from conftest import CENSUS_COUNTS, census_path, rho_four
 
 
 def test_tree_formula_values():
@@ -202,7 +202,7 @@ def test_census_skips_and_errors():
 
 def test_census_reports_an_overlong_construction(monkeypatch):
     # one-vertex paths everywhere: n > (n-1)/3 paths on every host
-    def overlong(g):
+    def overlong(g, bridges):
         return Ipf.from_edges(g, set()), ["two-factor"]
     monkeypatch.setattr(constructive, "_cubic_recurse", overlong)
     g6 = write_graph6(petersen())
@@ -213,6 +213,27 @@ def test_census_reports_an_overlong_construction(monkeypatch):
     assert violation["detail"] == ("construction failed: cubic construction "
                                    "used 10 paths, allowed 3")
     assert rep.n_to_max_rho == {}
+
+
+def test_census_reports_an_exact_rho_above_the_limit(monkeypatch):
+    # Petersen's limit is (10-1)/3 = 3 paths
+    monkeypatch.setattr(bounds, "rho_exact", rho_four)
+    g6 = write_graph6(petersen())
+    rep = census([g6], mode="exact_rho")
+    (violation,) = rep.violations
+    assert violation["line"] == 1 and violation["graph6"] == g6
+    assert violation["detail"] == "exact rho 4 > 3"
+    assert rep.n_to_max_rho == {10: 4}
+
+
+def test_worker_exceptions_cross_the_pipe():
+    # IpfError's __init__ takes a kind besides its message, which pickle
+    # does not pass back, so it would not unpickle in the caller
+    ipf_error = bounds._portable(IpfError("x", "chord"))
+    assert type(ipf_error) is RuntimeError
+    assert str(ipf_error) == "IpfError: x"
+    value_error = ValueError("y")
+    assert bounds._portable(value_error) is value_error
 
 
 def test_census_file_parallel_matches_serial():

@@ -10,14 +10,15 @@ import time
 import pytest
 
 from ipfkit import Graph, Ipf, verify_ipf, write_adjlist, write_graph6
-from ipfkit import cli, constructive, solver
-from ipfkit.constructive import ipf_cubic, ipf_ham23
+from ipfkit import bounds, cli, constructive, solver
+from ipfkit.constructive import ConstructionError, ipf_cubic, ipf_ham23
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
 from ipfkit.families import petersen, triangle_ring
 
-from conftest import census_graphs, census_path, random_connected_cubic
+from conftest import (census_graphs, census_path, random_connected_cubic,
+                      rho_four)
 
 
 @pytest.fixture
@@ -274,6 +275,15 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     assert called == []
 
 
+def test_construct_failure_exit_code(capsys, petersen_file, monkeypatch):
+    def fail(g):
+        raise ConstructionError("boom")
+    monkeypatch.setattr(cli, "ipf_cubic", fail)
+    code, out, err = run(capsys, ["construct", "--input", petersen_file])
+    assert code == EXIT_VIOLATION
+    assert out == "" and err == "construction failed: boom\n"
+
+
 @pytest.mark.parametrize("g", [Graph(63, []), cycle(64)])
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_solve_beyond_graph6_fails_before_any_work(capsys, tmp_path,
@@ -420,6 +430,16 @@ def test_generate_malformed_params(capsys, params, message):
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_generate_oversize_member_fails_before_it_is_built(capsys):
+    # a height-40 ternary tree has about 2.2e12 vertices
+    t0 = time.monotonic()
+    code, out, err = run(capsys, ["generate", "--family", "perfect_tree",
+                                  "--params", "k=3,h=40"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_USAGE
+    assert out == "" and "n <= 62" in err
+
+
 def test_generate_unknown_family(capsys):
     code, _, err = run(capsys, ["generate", "--family", "zorp"])
     assert code == EXIT_USAGE
@@ -450,13 +470,23 @@ def test_census_table_output(capsys, tmp_path):
 
 def test_census_violation_exit_code(capsys, petersen_file, monkeypatch):
     # one-vertex paths everywhere: n > (n-1)/3 paths on every host
-    def overlong(g):
+    def overlong(g, bridges):
         return Ipf.from_edges(g, set()), ["two-factor"]
     monkeypatch.setattr(constructive, "_cubic_recurse", overlong)
     code, out, _ = run(capsys, ["census", "--input", petersen_file,
                                 "--mode", "verify_theorem"])
     assert code == EXIT_VIOLATION
     assert "violations: 1" in out.splitlines()
+
+
+def test_census_exact_rho_violation_exit_code(capsys, petersen_file,
+                                              monkeypatch):
+    monkeypatch.setattr(bounds, "rho_exact", rho_four)
+    code, out, _ = run(capsys, ["census", "--input", petersen_file,
+                                "--mode", "exact_rho", "--json"])
+    assert code == EXIT_VIOLATION
+    (violation,) = json.loads(out)["violations"]
+    assert violation["detail"] == "exact rho 4 > 3"
 
 
 def test_census_budget_exit_code(capsys, tmp_path):

@@ -130,7 +130,8 @@ def test_recognize_bad_rejects_plain_graphs():
     rep = recognize_bad(triangle_ring(9))
     assert is_triangle_ring(triangle_ring(9))
     assert rep.is_bad and not rep.attachments
-    bridgeless = [g for g in census_graphs(12) if not graph.bridges(g)]
+    bridgeless = [g for g in census_graphs(12)
+                  if not graph.block_decomposition(g).bridges]
     assert len(bridgeless) == 81
     assert not any(recognize_bad(g).is_bad for g in bridgeless)
 
@@ -629,8 +630,8 @@ def test_cubic_decomposes_each_host_once(monkeypatch):
     assert len(passes) == 1 + len(bridged)
     # a derived graph is a new object with its own decomposition
     c6 = cycle(6)
-    assert not graph.bridges(c6)
-    assert graph.bridges(c6.without_edges([(0, 1)])) == {
+    assert not graph.block_decomposition(c6).bridges
+    assert graph.block_decomposition(c6.without_edges([(0, 1)])).bridges == {
         (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
 
 
@@ -659,9 +660,11 @@ def k4minus_over_a_2_cut():
 
 
 def spy_carried(monkeypatch):
-    """(graph, bridges) of every _cubic_recurse call given a bridge set."""
+    """(graph, bridges) of every _cubic_recurse call, the host's own among
+    them; the spy records a call when it returns, so a host's call comes
+    after the calls below it."""
     calls = spy(monkeypatch, "_cubic_recurse")
-    return lambda: [args for args, _ in calls if len(args) == 2]
+    return lambda: [args for args, _ in calls]
 
 
 BRIDGE_PANELS = {
@@ -677,9 +680,11 @@ BRIDGE_PANELS = {
 @pytest.mark.parametrize("panel", sorted(BRIDGE_PANELS))
 def test_bridge_split_carries_each_graph_its_bridges(monkeypatch, panel):
     carried = spy_carried(monkeypatch)
-    for g in BRIDGE_PANELS[panel]():
+    hosts = BRIDGE_PANELS[panel]()
+    for g in hosts:
         ipf_cubic(g)
-    assert carried()
+    # each panel recurses below some host with a carried bridge set
+    assert [h for h, _ in carried() if not any(h is g for g in hosts)]
     for h, bridges in carried():
         fresh = Graph(h.n, h.edges)  # nothing cached
         assert bridges == graph.block_decomposition(fresh).bridges
@@ -693,7 +698,9 @@ def test_suppressing_a_bridge_centre_carries_the_merged_bridge(monkeypatch):
     assert cert.trace == ["bridge-split", "bridge-split"]
     # the 11-vertex side's bridges (4, 10) and (9, 10) meet at its centre
     # 10, whose suppression leaves both order-5 sides joined by (4, 9)
-    assert [(h.n, bridges) for h, bridges in carried()] == [(10, {(4, 9)})]
+    *below, (host, _) = carried()
+    assert host is g
+    assert [(h.n, bridges) for h, bridges in below] == [(10, {(4, 9)})]
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -12,7 +12,7 @@ from ipfkit import (
     verify_ipf, write_graph6,
 )
 from ipfkit.constructive import _bridge_sides
-from ipfkit.graph import bridges
+from ipfkit.graph import block_decomposition
 
 from conftest import random_bridged_cubic, random_connected_subcubic
 
@@ -99,7 +99,7 @@ def test_bridge_sides_match_components(seed):
     hosts = [random_bridged_cubic(rng, rng.randrange(10, 63)),
              random_connected_subcubic(rng, rng.randrange(2, 40))]
     for g in hosts:
-        for bridge in bridges(g):
+        for bridge in block_decomposition(g).bridges:
             parts = g.without_edges([bridge]).components()
             first = next(set(p) for p in parts if bridge[0] in p)
             assert _bridge_sides(g, bridge) == (first, set(range(g.n)) - first)

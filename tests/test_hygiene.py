@@ -1,5 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
-no private top-level helper is left unread, ``ipfkit.__all__`` lists
+no private top-level helper and no ``Graph`` method is left unread,
+``ipfkit.__all__`` lists
 exactly what ``__init__`` imports (and its ``__version__``), every
 per-graph cache goes through ``graph.per_graph``, the compiled kernel's
 section map names exactly the paragraphs of its Python twin's docstring,
@@ -17,7 +18,8 @@ import ipfkit
 from ipfkit import Graph, cli, ipf_cubic, write_graph6
 from ipfkit.families import petersen
 
-SRC = Path(__file__).parents[1] / "src" / "ipfkit"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "ipfkit"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -71,6 +73,26 @@ def test_every_private_helper_is_read():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and node.name not in read]
     assert not orphans, f"private helpers nothing reads: {orphans}"
+
+
+def test_every_graph_method_is_read():
+    # a non-dunder method of Graph counts as read when the package, the
+    # tools or the benchmark load it as an attribute; the tests do not
+    # count, so a method kept only for them is found
+    graph_class = next(
+        node for node in ast.parse((SRC / "graph.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    methods = {node.name for node in graph_class.body
+               if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    read = {node.attr
+            for root in ("src", "tools", "perfbench")
+            for path in sorted((ROOT / root).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)}
+    assert methods and not methods - read, \
+        f"Graph methods nothing reads: {sorted(methods - read)}"
 
 
 def test_all_lists_what_init_imports():

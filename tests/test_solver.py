@@ -3,6 +3,7 @@ backend parity, and budget handling."""
 
 import json
 import random
+import signal
 import time
 from types import SimpleNamespace
 
@@ -14,8 +15,8 @@ from ipfkit.solver import (SEEN_CAP, _bfs_order, _greedy_cover,
                            _lower_bound, longest_induced_path_order)
 from ipfkit import _kernel_py, solver
 from ipfkit.constructive import ipf_cubic
-from ipfkit.families import (bad_graph, fig1_subcubic, perfect_tree,
-                             petersen, triangle_ring)
+from ipfkit.families import (bad_graph, c4_binary_tree, fig1_subcubic,
+                             perfect_tree, petersen, triangle_ring)
 
 from conftest import (DATA, census_graphs, random_connected_bounded,
                       random_connected_cubic, random_connected_regular,
@@ -496,6 +497,36 @@ def test_end_bound_proves_high_rho_hosts(kernel, g, rho, nodes):
         h.n, h.adj_mask, 4 * nodes, 0, 0, SEEN_CAP)
     assert (count, got, truncated) == (rho, nodes, False)
     assert Ipf.from_edges(h, edges).path_count == rho
+
+
+class Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                    reason="needs POSIX interval timers")
+def test_raising_signal_handler_stops_the_search(kernel):
+    """A signal handler that raises, as Ctrl-C's does, ends the search
+    with its exception, with no time limit set.  The compiled kernel used
+    to call into Python only to read the clock, which runs no handlers, so
+    it ran on to its node limit first (4.5 s for these 20M nodes on a
+    shared 2-CPU machine) before the exception came."""
+    g = c4_binary_tree(3)
+    g = relabel(g, _bfs_order(g))
+
+    def ring(signum, frame):
+        raise Alarm
+
+    old = signal.signal(signal.SIGALRM, ring)
+    try:
+        t0 = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Alarm):
+            kernel.solve_min_ipf(g.n, g.adj_mask, 20_000_000)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_kernel_input_guard(kernel):

@@ -86,11 +86,10 @@ def _json_out(args, obj) -> str:
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
-    g6 = write_graph6(g)  # the kernel needs n <= 62: fail before any search
     res = rho_exact(g, node_limit=args.nodes, time_limit=args.budget)
     if args.json:
         payload = res.to_json_fragment()
-        payload["graph6"] = g6
+        payload["graph6"] = write_graph6(g)
         _emit(args, _json_out(args, payload))
     else:
         lines = [f"n = {g.n}", f"rho = {res.rho}",
@@ -102,7 +101,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args)
-    g6 = write_graph6(g)  # the output needs it: fail on n > 62 before any work
     try:
         if g.is_cubic() and g.is_connected():
             cert = ipf_cubic(g)
@@ -116,7 +114,7 @@ def _cmd_construct(args) -> int:
                     raise CliError("no construction applies to this input",
                                    EXIT_VIOLATION)
                 ipf, method = rho_exact(g).witness, "exact"
-            payload = {"graph6": g6, "n": g.n,
+            payload = {"graph6": write_graph6(g), "n": g.n,
                        "method": method, "ipf": ipf.to_json_fragment(),
                        "verified": True}
     except (ConstructionError, GraphError, IpfError) as exc:
@@ -210,7 +208,7 @@ def _cmd_generate(args) -> int:
         _emit(args, _json_out(args, {"family": args.family,
                                      "params": params, "n": g.n,
                                      "edges": len(g.edges),
-                                     "graph6": write_graph6(g)}))
+                                     args.format: out}))
     else:
         _emit(args, out)
     return EXIT_OK

@@ -53,7 +53,7 @@ class BadnessReport:
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     out = []
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         for w in g.adj[u]:
             if w > v and g.has_edge(v, w):
                 out.append((u, v, w))
@@ -413,7 +413,6 @@ def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
     # greedy hit n/3 on a non-ring host: a triangle-ring skeleton is present
     # and some extra chord x_a x_b with a,b = 1 (mod 3) allows a repair
     assert n % 3 == 0 and ipf.path_count * 3 == n
-    idx = {v: i + 1 for i, v in enumerate(lab)}  # 1-based labels
 
     def vert(i: int) -> int:
         return lab[(i - 1) % n]

@@ -147,12 +147,13 @@ def perfect_tree(k: int, h: int) -> Graph:
     degree 1."""
     if k < 3 or h < 0:
         raise GraphError("perfect tree needs k >= 3 and h >= 0")
-    _check_order(_tree_order(k, h)[0])
-    layers = _tree_layers(k, h)
-    edges = [(p, c) for up, down in zip(layers, layers[1:])
-             for i, p in enumerate(up)
-             for c in down[i * (k - 1):(i + 1) * (k - 1)]]
-    return Graph(layers[-1][-1] + 1, edges)
+    n, leaves = _tree_order(k, h)
+    _check_order(n)
+    # breadth-first, the children of p are (k-1)p+1 .. (k-1)p+k-1, so
+    # every vertex but the last `leaves` has some
+    edges = [(p, (k - 1) * p + i) for p in range(n - leaves)
+             for i in range(1, k)]
+    return Graph(n, edges)
 
 
 def _tree_order(k: int, h: int) -> tuple[int, int]:
@@ -167,17 +168,6 @@ def _tree_order(k: int, h: int) -> tuple[int, int]:
         leaves *= k - 1
         n += leaves
     return n, leaves
-
-
-def _tree_layers(k: int, h: int) -> list[list[int]]:
-    """The vertices of ``perfect_tree(k, h)`` by depth, each layer in
-    breadth-first order: the children of a layer's i-th vertex are the
-    next layer's i-th run of k-1."""
-    layers = [[0]]
-    for _ in range(h):
-        start = layers[-1][-1] + 1
-        layers.append(list(range(start, start + len(layers[-1]) * (k - 1))))
-    return layers
 
 
 def _glue_subdivided_complete(edges: list, anchor: int, m: int,
@@ -206,11 +196,9 @@ def odd_k_glued_tree(k: int, h: int) -> Graph:
         raise GraphError("height must be nonnegative")
     order, leaf_count = _tree_order(k, h)
     _check_order(order + leaf_count * (k - 1) // 2 * (k + 1))
-    tree = perfect_tree(k, h)
-    edges = list(tree.edges)
-    leaves = _tree_layers(k, h)[-1]
-    nxt = tree.n
-    for leaf in leaves:
+    edges = list(perfect_tree(k, h).edges)
+    nxt = order
+    for leaf in range(order - leaf_count, order):
         for _ in range((k - 1) // 2):
             nxt = _glue_subdivided_complete(edges, leaf, k + 1, nxt)
     return Graph(nxt, edges)
@@ -245,14 +233,10 @@ def c4_binary_tree(h: int) -> Graph:
         raise GraphError("height must be at least 1")
     order, leaf_count = _tree_order(3, h)
     _check_order(order + 5 * leaf_count)
-    tree = perfect_tree(3, h)
-    edges = list(tree.edges)
-    layers = _tree_layers(3, h)
-    for layer in layers[1:]:
-        for i in range(0, len(layer), 2):
-            edges.append((layer[i], layer[i + 1]))
-    nxt = tree.n
-    for leaf in layers[-1]:
+    edges = list(perfect_tree(3, h).edges)
+    edges += [(2 * p + 1, 2 * p + 2) for p in range(order - leaf_count)]
+    nxt = order
+    for leaf in range(order - leaf_count, order):
         nxt = _glue_subdivided_complete(edges, leaf, 5, nxt)
     return Graph(nxt, edges)
 

@@ -168,9 +168,8 @@ class Graph:
         """Subgraph on `vertices`; returns (subgraph, old->new index map)."""
         vs = sorted(set(vertices))
         old_to_new = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
         edges = [(old_to_new[u], old_to_new[v]) for u, v in self.edges
-                 if u in keep and v in keep]
+                 if u in old_to_new and v in old_to_new]
         return Graph(len(vs), edges), old_to_new
 
 
@@ -271,7 +270,10 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_adjlist(text: str) -> Graph:
-    """Text fixture format: header line "n m", then one "u v" line per edge."""
+    """Text fixture format: header line "n m", then one "u v" line per edge.
+
+    A header order above ``GRAPH6_MAX_N`` raises GraphError before any
+    graph is built: the CLI commands that read this format need n <= 62."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -280,6 +282,9 @@ def parse_adjlist(text: str) -> Graph:
     if len(head) != 2:
         raise GraphError(f"bad adjacency-list header {lines[0]!r}, expected 'n m'")
     n, m = int(head[0]), int(head[1])
+    if n > GRAPH6_MAX_N:
+        raise GraphError(f"the header gives n={n}; graph6 needs "
+                         f"n <= {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphError(f"header claims {m} edges but {len(lines) - 1} lines follow")
     edges = []

@@ -58,21 +58,21 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     if not es <= g.edges:
         stray = sorted(es - g.edges)
         raise IpfError(f"edges not in host: {stray}", "edges", stray)
-    deg = [0] * g.n
     nbr: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in es:
-        deg[u] += 1
-        deg[v] += 1
         nbr[u].append(v)
         nbr[v].append(u)
     for v in range(g.n):
-        if deg[v] > 2:
-            raise IpfError(f"vertex {v} has degree {deg[v]} in the edge subset",
-                           "degree", v)
+        if len(nbr[v]) > 2:
+            raise IpfError(f"vertex {v} has degree {len(nbr[v])} in the edge "
+                           "subset", "degree", v)
     seen = [False] * g.n
     paths: list[list[int]] = []
+    # each walk starts at the lowest unseen end, so paths come out sorted
+    # by first vertex, each from its lower end: a lower unseen end would
+    # have started the walk
     for s in range(g.n):
-        if seen[s] or deg[s] == 2:
+        if seen[s] or len(nbr[s]) == 2:
             continue
         # s is an endpoint (degree <= 1): walk to the other end
         seen[s] = True
@@ -106,7 +106,6 @@ def verify_ipf(g: Graph, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
             pm |= 1 << v
         if sum([(masks[v] & pm).bit_count() for v in path]) > 2 * len(path) - 2:
             _raise_first_chord(g, path)
-    paths.sort(key=lambda p: p[0])
     assert len(paths) == g.n - len(es)
     return paths
 

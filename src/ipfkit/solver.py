@@ -300,7 +300,9 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
     for probe in (True, True, False):
         if best <= lower:
             break  # optimal
-        nodes_left = node_limit - nodes if node_limit else 0
+        # the compiled kernel takes a 64-bit limit, and no search counts
+        # 2**63 - 1 nodes, so a larger budget is the same as that one
+        nodes_left = min(node_limit - nodes, 2**63 - 1) if node_limit else 0
         time_left = deadline - time.monotonic() if time_limit else 0.0
         if (node_limit and nodes_left <= 0) or (time_limit and time_left <= 0):
             break  # the budget is out; 0 would mean no limit to the kernel

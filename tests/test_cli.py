@@ -270,9 +270,23 @@ def test_construct_beyond_graph6_fails_before_any_work(capsys, tmp_path,
                             lambda *a, name=name, **k: called.append(name))
     code, _, err = run(capsys, ["construct", "--input", str(path),
                                 "--format", "adjlist"])
-    assert code == EXIT_VIOLATION
+    assert code == EXIT_USAGE
     assert "n <= 62" in err
     assert called == []
+
+
+@pytest.mark.parametrize("command", ["solve", "construct"])
+def test_huge_adjlist_header_fails_before_any_graph(capsys, tmp_path,
+                                                   command):
+    # a graph of 10^9 vertices would take about 100 GB to build
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, [command, "--input", str(path),
+                                  "--format", "adjlist"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_USAGE
+    assert out == "" and "n <= 62" in err
 
 
 def test_construct_failure_exit_code(capsys, petersen_file, monkeypatch):
@@ -296,7 +310,7 @@ def test_solve_beyond_graph6_fails_before_any_work(capsys, tmp_path,
     monkeypatch.setattr(cli, "rho_exact", lambda *a, **k: called.append(a))
     code, out, err = run(capsys, ["solve", "--input", str(path),
                                   "--format", "adjlist", *mode])
-    assert code == EXIT_VIOLATION
+    assert code == EXIT_USAGE
     assert "n <= 62" in err and out == ""
     assert called == []
 
@@ -428,6 +442,17 @@ def test_generate_malformed_params(capsys, params, message):
                                   "--params", params])
     assert code == EXIT_USAGE
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt, text", [("graph6", write_graph6),
+                                       ("adjlist", write_adjlist)])
+def test_generate_json_carries_the_requested_format(capsys, fmt, text):
+    code, out, _ = run(capsys, ["generate", "--family", "petersen",
+                                "--format", fmt, "--json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc[fmt] == text(petersen())
+    assert set(doc) == {"family", "params", "n", "edges", fmt}
 
 
 def test_generate_oversize_member_fails_before_it_is_built(capsys):

@@ -1,4 +1,5 @@
 """Source hygiene of the package: no module imports a name it never uses,
+no function binds a local it never reads,
 no private top-level helper and no ``Graph`` method is left unread,
 ``ipfkit.__all__`` lists
 exactly what ``__init__`` imports (and its ``__version__``), every
@@ -55,6 +56,71 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def target_names(node: ast.expr):
+    """The names an assignment target binds, through tuple unpacking."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from target_names(elt)
+    elif isinstance(node, ast.Starred):
+        yield from target_names(node.value)
+
+
+def own_nodes(fn: ast.AST):
+    """The nodes of fn's body that are not inside a nested function, lambda
+    or class, which bind names of their own scope."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def bound_locals(fn: ast.AST):
+    """(name, line) for each name an assignment, a loop or comprehension
+    target or a ``with`` target binds in fn's own body."""
+    for node in own_nodes(fn):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            targets = [node.target] if node.value is not None else []
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            targets = [node.target]
+        elif isinstance(node, ast.withitem):
+            targets = [node.optional_vars] if node.optional_vars else []
+        else:
+            continue
+        for target in targets:
+            for name in target_names(target):
+                yield name, getattr(node, "lineno", target.lineno)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tools").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_local_is_read(path):
+    # a local counts as read when the function or a function nested in it
+    # loads it; _names and names declared global or nonlocal are exempt
+    tree = ast.parse(path.read_text(), str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read |= {name for node in own_nodes(fn)
+                 if isinstance(node, (ast.Global, ast.Nonlocal))
+                 for name in node.names}
+        unread += [f"{fn.name}:{name} (line {line})"
+                   for name, line in bound_locals(fn)
+                   if not name.startswith("_") and name not in read]
+    assert not unread, f"{path.name} binds locals it never reads: {unread}"
 
 
 def test_every_private_helper_is_read():

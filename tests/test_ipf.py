@@ -1,6 +1,8 @@
 """IPF verification, path decomposition, well-behavedness and
 standardisation."""
 
+import random
+
 import pytest
 
 from ipfkit import (
@@ -8,6 +10,8 @@ from ipfkit import (
     is_well_behaved, standardise, verify_ipf,
 )
 from ipfkit import ipf as ipf_module
+
+from conftest import random_connected_subcubic
 
 
 def path_graph(n):
@@ -39,6 +43,24 @@ def test_orientation_is_canonical():
     g = path_graph(4)
     paths = verify_ipf(g, [(2, 1), (3, 2), (1, 0)])
     assert paths == [[0, 1, 2, 3]]
+
+
+def test_paths_come_out_by_first_vertex_from_their_lower_ends():
+    # no sort enforces this order: each walk starts at the lowest unseen
+    # path end
+    rng = random.Random(31)
+    accepted = 0
+    for _ in range(3000):
+        g = random_connected_subcubic(rng, rng.randint(1, 14))
+        subset = [e for e in sorted(g.edges) if rng.random() < 0.5]
+        try:
+            paths = verify_ipf(g, subset)
+        except IpfError:
+            continue
+        accepted += 1
+        assert all(p[0] <= p[-1] for p in paths)
+        assert all(a[0] < b[0] for a, b in zip(paths, paths[1:]))
+    assert accepted >= 1000
 
 
 def test_degree_violation():

@@ -222,6 +222,16 @@ def test_pinned_census_witnesses(kernel, monkeypatch):
         assert sorted(map(list, got)) == edges, code
 
 
+def test_node_budget_beyond_64_bits_is_no_node_budget(kernel, monkeypatch):
+    """A node budget above 2**63 - 1, more than the compiled kernel takes,
+    gives the answer of no node budget.  Run on each twin."""
+    monkeypatch.setattr(solver, "_kernel", kernel)
+    for g in [petersen()] + census_graphs(12):
+        want, got = rho_exact(g), rho_exact(g, node_limit=10**20)
+        assert (got.rho, got.witness.edges, got.stats["nodes"]) == \
+            (want.rho, want.witness.edges, want.stats["nodes"])
+
+
 def test_bfs_order_is_a_fixed_point():
     """A host already in its BFS order maps to the identity, so the helper
     applied twice equals it applied once."""

@@ -41,7 +41,6 @@ from .surgery import (
     suppress_vertex,
 )
 from .constructive import (
-    BadnessReport,
     Certificate,
     ConstructionError,
     ipf_23_with_2factor,
@@ -79,7 +78,7 @@ __all__ = [
     "SurgeryError", "SurgeryRecord", "add_edge", "augment_triangle",
     "delete_edges", "delete_vertices", "glue_at_vertex", "paste_k4minus",
     "subdivide_edge", "suppress_vertex",
-    "BadnessReport", "Certificate", "ConstructionError",
+    "Certificate", "ConstructionError",
     "ipf_23_with_2factor", "ipf_blocktree", "ipf_cubic", "ipf_ham23",
     "ipf_small_ham", "is_triangle_ring", "lift", "recognize_bad",
     "standardise",

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .constructive import ConstructionError, cubic_limit, ipf_cubic
 from .graph import Graph, Graph6Error, GraphError, parse_graph6
+from .ipf import IpfError
 from .solver import (
     DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, check_budget, rho_exact,
 )
@@ -156,8 +157,8 @@ def _census_one(args):
         try:
             cert = ipf_cubic(g)
             out["construct_paths"] = cert.ipf.path_count
-        except (ConstructionError, GraphError) as exc:
-            # ipf_cubic raises ConstructionError above cubic_limit(n) paths
+        except (ConstructionError, GraphError, IpfError) as exc:
+            # an IPF over cubic_limit(n) paths, or no IPF, from a reduction
             out["violation"] = f"construction failed: {exc}"
             return out
     if mode in ("exact_rho", "both"):

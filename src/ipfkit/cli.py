@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import census, check_jobs, ck_lower_report, rho_tree
@@ -246,7 +247,18 @@ def _cmd_bounds(args) -> int:
             doc = ck_lower_report(args.ck).to_json()
         else:  # the parser requires exactly one of --ck and --tree
             k, h = args.tree
-            doc = {"k": k, "h": h, "value": str(rho_tree(k, h)),
+            # refuse a value longer than the interpreter's int-to-str limit
+            # (0: none); for k >= 3 it has about h*log10(k-1) digits, so a
+            # far height is refused before the power is computed
+            limit = sys.get_int_max_str_digits()
+            far = limit and k >= 3 and (h > 4 * (limit + 1)
+                                        or h * math.log10(k - 1) > limit + 1)
+            value = None if far else rho_tree(k, h)
+            if limit and (far or value >= 10 ** limit):
+                raise ValueError(f"the tree value at K={k}, H={h} has more "
+                                 f"than {limit} digits, the interpreter's "
+                                 "limit for integer string conversion")
+            doc = {"k": k, "h": h, "value": str(value),
                    "formula": "tree_closed_form"}
     except ValueError as exc:  # a parameter out of the formula's range
         raise CliError(str(exc))

@@ -15,7 +15,7 @@ instead of producing an invalid certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     Graph, GraphError, _bits, _reach, block_decomposition,
@@ -41,15 +41,6 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Triangle rings and bad graphs
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BadnessReport:
-    is_bad: bool
-    hub: frozenset[int] | None = None
-    # (subdivided ring edge in host labels, subdivision vertex, order-5 block)
-    attachments: list[tuple[tuple[int, int], int, frozenset[int]]] = field(
-        default_factory=list)
-
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     out = []
@@ -87,19 +78,20 @@ def is_triangle_ring(g: Graph) -> bool:
 
 
 @per_graph
-def recognize_bad(g: Graph) -> BadnessReport:
-    """Structural recognition of bad graphs, computed once per graph.
+def recognize_bad(g: Graph) -> frozenset[int] | None:
+    """The hub of a bad graph g, or None when g is not bad; computed once
+    per graph.
 
     A bad graph is a triangle ring in which some set of non-triangle edges
     was each subdivided by a vertex carrying a bridge to a hamiltonian
-    {2,3}-graph of order 5."""
+    {2,3}-graph of order 5.  Its hub is the ring with the subdivision
+    vertices: all of g when g is a triangle ring."""
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("badness is defined for connected {2,3}-graphs")
     if is_triangle_ring(g):
-        return BadnessReport(True, hub=frozenset(range(g.n)))
-    not_bad = BadnessReport(False)
+        return frozenset(range(g.n))
     if g.n % 3 or g.n < 12:
-        return not_bad
+        return None
     dec = block_decomposition(g)
     big = [b for b in dec.blocks if len(b) >= 6]
     leaves = [b for b in dec.blocks if len(b) < 6]
@@ -111,27 +103,24 @@ def recognize_bad(g: Graph) -> BadnessReport:
             or len(dec.bridges) != len(leaves)
             or not all(is_hamiltonian(_sub(g, b)[0])
                        for b in leaves)):
-        return not_bad
+        return None
     # every bridge must join a leaf to a subdivision vertex u on the hub; u
     # has two hub neighbours a, b (a block vertex has two in its block, and
     # degree 3 leaves no room for more); adjacent a, b fail the final test
     hub = big[0]
-    attachments = []
+    subdivided, restored = set(), []
     for u, v in dec.bridges:
         if v in hub:
             u, v = v, u
         if u not in hub or v in hub:
-            return not_bad
-        a, b = (w for w in g.adj[u] if w != v)
-        attachments.append(((a, b), u, next(x for x in leaves if v in x)))
-    attachments.sort(key=lambda att: att[1])
+            return None
+        subdivided.add(u)
+        restored.append(tuple(w for w in g.adj[u] if w != v))
     # suppress every subdivision vertex; the result must be a triangle ring
     # and each restored edge must not lie in one of its triangles
-    subdivided = {u for _, u, _ in attachments}
-    restored = [edge for edge, _, _ in attachments]
     if (len(set(restored)) != len(restored)
             or any(a in subdivided or b in subdivided for a, b in restored)):
-        return not_bad
+        return None
     remap = {v: i for i, v in enumerate(sorted(hub - subdivided))}
     ring = Graph(len(remap), [(remap[u], remap[v]) for u, v in
                               itertools.chain(g.edges, restored)
@@ -139,8 +128,8 @@ def recognize_bad(g: Graph) -> BadnessReport:
     if not is_triangle_ring(ring) or any(
             ring.adj_mask[remap[a]] & ring.adj_mask[remap[b]]
             for a, b in restored):
-        return not_bad
-    return BadnessReport(True, hub=hub, attachments=attachments)
+        return None
+    return hub
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +489,7 @@ def _blocktree_hypotheses(g: Graph):
 
 def _allowed_bound(g: Graph) -> int:
     """Maximum path count promised for a block-tree host."""
-    if g.n >= 7 and not recognize_bad(g).is_bad:
+    if g.n >= 7 and recognize_bad(g) is None:
         return (g.n - 1) // 3
     return g.n // 3
 
@@ -552,7 +541,7 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
         s0, s1 = _bridge_sides(g, bridge)
         for sa, sb in ((s0, s1), (s1, s0)):
             if len(sa) < 7 or len(sb) < 6 \
-                    or recognize_bad(_sub(g, sa)[0]).is_bad:
+                    or recognize_bad(_sub(g, sa)[0]) is not None:
                 continue
             edges = set()
             for s in (sa, sb):
@@ -583,8 +572,8 @@ def _bridge_assembly(g: Graph, bridge) -> Ipf:
         if len(side) <= 7:
             p = ipf_small_ham(sub, o2n[x])
         else:
-            bad = recognize_bad(sub)
-            if not bad.is_bad or o2n[x] not in bad.hub \
+            hub = recognize_bad(sub)
+            if hub is None or o2n[x] not in hub \
                     or _triangle_of(sub, o2n[x]) is None:
                 raise ConstructionError(
                     "bridge endpoint of a large side is not in a triangle "
@@ -669,7 +658,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     x1, y1, l1 = leaves[0]
     g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1)
     g0p, rec = suppress_vertex(g0, o2n0[x1])
-    if not recognize_bad(g0p).is_bad or recognize_bad(g).is_bad:
+    if recognize_bad(g0p) is None or recognize_bad(g) is not None:
         p0 = lift(rec, ipf_blocktree(g0p))
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
         return Ipf.from_edges(g, edges)
@@ -736,8 +725,8 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
         raise ConstructionError("no removable inter-cycle edges found")
     reduced = g.without_edges(S_prime)
     removed = set(S_prime)
-    bad = recognize_bad(reduced)
-    if bad.is_bad:
+    hub = recognize_bad(reduced)
+    if hub is not None:
         # swap: re-add one removed inter-cycle edge and cut the bridge that
         # ties its order-5 block to the hub, leaving a degree-2 hub vertex
         # outside any triangle.  A removed edge may end at a triangle's
@@ -751,14 +740,14 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
         if blk_u is None or len(blk_u) != 5:
             raise ConstructionError("swap edge has no order-5 endpoint block")
         wx = next(br for br in sorted(dec.bridges)
-                  if (br[0] in bad.hub) != (br[0] in blk_u)
+                  if (br[0] in hub) != (br[0] in blk_u)
                   and (br[0] in blk_u or br[1] in blk_u)
-                  and (br[0] in bad.hub or br[1] in bad.hub))
+                  and (br[0] in hub or br[1] in hub))
         removed = (removed | {wx}) - {S_prime[0]}
         reduced = g.without_edges(removed)
         if not reduced.is_connected():
             raise ConstructionError("swap disconnected the host")
-        if recognize_bad(reduced).is_bad:
+        if recognize_bad(reduced) is not None:
             raise ConstructionError("swap did not remove badness")
     p = ipf_blocktree(reduced)
     out = Ipf.from_edges(g, p.edges)  # re-verify against the full edge set
@@ -775,14 +764,18 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
 
 @dataclass
 class Certificate:
-    """A verified IPF of a connected cubic graph with its promised bound:
-    2 paths for order at most 6, (n-1)/3 paths beyond."""
-    graph6: str
-    n: int
-    bound: str
+    """A verified IPF of a connected cubic graph and its route trace; n,
+    graph6 and the promised bound (2 paths for n <= 6, (n-1)/3 beyond) are
+    read from the IPF's host, and ``ipf_cubic`` verifies every IPF."""
     ipf: Ipf
-    verified: bool
     trace: list[str]
+
+    n = property(lambda self: self.ipf.host.n)
+    graph6 = property(lambda self: write_graph6(self.ipf.host))
+    # "2" where cubic_limit's rule for n <= 6, not the formula, decides
+    bound = property(lambda self: "(n-1)/3" if cubic_limit(self.n)
+                     == (self.n - 1) // 3 else "2")
+    verified = property(lambda self: True)
 
     def to_json(self) -> dict:
         return {
@@ -805,20 +798,13 @@ def ipf_cubic(g: Graph) -> Certificate:
     (n-1)/3 paths (n > 6)."""
     if not g.is_connected() or not g.is_cubic():
         raise GraphError("host must be a connected cubic graph")
-    graph6 = write_graph6(g)  # fails on n > 62 before any search
+    write_graph6(g)  # fails on n > 62 before any search
     ipf, trace = _cubic_recurse(g, block_decomposition(g).bridges)
     limit = cubic_limit(g.n)
     if ipf.path_count > limit:
         raise ConstructionError(
             f"cubic construction used {ipf.path_count} paths, allowed {limit}")
-    return Certificate(
-        graph6=graph6,
-        n=g.n,
-        bound="2" if g.n <= 6 else "(n-1)/3",
-        ipf=ipf,
-        verified=True,
-        trace=trace,
-    )
+    return Certificate(ipf, trace)
 
 
 def _cubic_recurse(g: Graph, bridges) -> tuple[Ipf, list[str]]:

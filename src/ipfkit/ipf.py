@@ -12,7 +12,7 @@ edges)`` is unchecked: it verifies on the first question about its paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -173,9 +173,9 @@ class Ipf:
 
 @dataclass
 class WellBehavedReport:
-    verdict: bool
     # one entry per failing path: (path, offending low-degree pair)
-    witnesses: list[tuple[tuple[int, ...], tuple[int, int]]] = field(default_factory=list)
+    witnesses: list[tuple[tuple[int, ...], tuple[int, int]]]
+    verdict = property(lambda self: not self.witnesses)  # no path fails
 
 
 def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
@@ -204,7 +204,7 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
                     ok = True
         if not ok:
             witnesses.append((tuple(path), (vs[0], vs[1])))
-    return WellBehavedReport(not witnesses, witnesses)
+    return WellBehavedReport(witnesses)
 
 
 @per_graph

@@ -1,7 +1,7 @@
 """Shared fixtures: census file loading, random graph generators, the
 enumeration of hamiltonian {2,3}-graphs used by several suites, the
-compiled search kernel, a stand-in exact solver, and the derandomized
-hypothesis profile."""
+compiled search kernel, stand-ins for the exact solver and the greedy
+construction, and the derandomized hypothesis profile."""
 
 import importlib.util
 import random
@@ -38,6 +38,21 @@ def census_graphs(n: int) -> list:
 def rho_four(g, **budget):
     """A stand-in for rho_exact that claims an optimal 4-path cover."""
     return SolveResult(4, Ipf.from_edges(g, set()), "bnb")
+
+
+def chorded_census_lines() -> tuple[list[str], int]:
+    """Lines 1-5, 14 and 19 of the n=10 census, and the number 5: with
+    `cycle_as_one_path` in place of the greedy hamiltonian construction,
+    the path it emits has a chord on each of the first five hosts, and
+    the last two hosts never reach that construction."""
+    lines = census_path(10).read_text().splitlines()
+    return lines[:5] + [lines[13], lines[18]], 5
+
+
+def cycle_as_one_path(g, lab):
+    """A stand-in for constructive._greedy_paths: the labelled hamilton
+    cycle as a single path, which is no IPF once the host has a chord."""
+    return [lab]
 
 
 def random_connected_subcubic(rng: random.Random, n: int) -> Graph:

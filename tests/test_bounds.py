@@ -18,7 +18,10 @@ from ipfkit.families import (
     perfect_tree, petersen, subdivided_complete, triangle_ring,
 )
 
-from conftest import CENSUS_COUNTS, census_path, rho_four
+from conftest import (
+    CENSUS_COUNTS, census_path, chorded_census_lines, cycle_as_one_path,
+    rho_four,
+)
 
 
 def test_tree_formula_values():
@@ -213,6 +216,23 @@ def test_census_reports_an_overlong_construction(monkeypatch):
     assert violation["detail"] == ("construction failed: cubic construction "
                                    "used 10 paths, allowed 3")
     assert rep.n_to_max_rho == {}
+
+
+def test_census_reports_an_invalid_construction(monkeypatch):
+    # a reduction that emits a non-IPF makes Ipf.from_edges raise IpfError;
+    # census reports the host as a violation and goes on with the rest
+    monkeypatch.setattr(constructive, "_greedy_paths", cycle_as_one_path)
+    lines, bad = chorded_census_lines()
+    rep = census(lines, mode="both")
+    assert rep.graphs_processed == len(lines) and not rep.errors
+    assert [v["line"] for v in rep.violations] == list(range(1, bad + 1))
+    assert [v["graph6"] for v in rep.violations] == lines[:bad]
+    assert rep.violations[0]["detail"] == (
+        "construction failed: path [0, 7, 4, 5, 2, 1, 3, 6, 9, 8] has chord "
+        "(0, 9): non-consecutive vertices adjacent in host")
+    assert all(v["detail"].startswith("construction failed: path ")
+               for v in rep.violations)
+    assert rep.rho_histogram == {3: len(lines) - bad}
 
 
 def test_census_reports_an_exact_rho_above_the_limit(monkeypatch):

@@ -3,13 +3,17 @@ pipe contract."""
 
 import io
 import json
+import math
 import os
 import random
+import sys
 import time
 
 import pytest
 
-from ipfkit import Graph, Ipf, verify_ipf, write_adjlist, write_graph6
+from ipfkit import (
+    Graph, Ipf, rho_tree, verify_ipf, write_adjlist, write_graph6,
+)
 from ipfkit import bounds, cli, constructive, solver
 from ipfkit.constructive import ConstructionError, ipf_cubic, ipf_ham23
 from ipfkit.cli import (
@@ -17,8 +21,8 @@ from ipfkit.cli import (
 )
 from ipfkit.families import petersen, triangle_ring
 
-from conftest import (census_graphs, census_path, random_connected_cubic,
-                      rho_four)
+from conftest import (census_graphs, census_path, chorded_census_lines,
+                      cycle_as_one_path, random_connected_cubic, rho_four)
 
 
 @pytest.fixture
@@ -504,6 +508,20 @@ def test_census_violation_exit_code(capsys, petersen_file, monkeypatch):
     assert "violations: 1" in out.splitlines()
 
 
+def test_census_invalid_construction_exit_code(capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.setattr(constructive, "_greedy_paths", cycle_as_one_path)
+    lines, bad = chorded_census_lines()
+    p = tmp_path / "n10.g6"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, ["census", "--input", str(p), "--json"])
+    assert code == EXIT_VIOLATION
+    doc = json.loads(out)
+    assert doc["graphs_processed"] == len(lines)
+    assert [v["line"] for v in doc["violations"]] == list(range(1, bad + 1))
+    assert doc["rho_histogram"] == {"3": len(lines) - bad}
+
+
 def test_census_exact_rho_violation_exit_code(capsys, petersen_file,
                                               monkeypatch):
     monkeypatch.setattr(bounds, "rho_exact", rho_four)
@@ -585,6 +603,46 @@ def test_bounds_tree_at_height_3000_is_immediate(capsys):
     assert time.perf_counter() - start < 0.1
     assert code == EXIT_OK
     assert int(out) == (2 ** 3001 + 1) // 3
+
+
+def tree_height_at_the_str_limit() -> tuple[int, int]:
+    """The interpreter's int-to-str digit limit and the greatest height H
+    at which `bounds --tree 3 H` still has at most that many digits."""
+    limit = sys.get_int_max_str_digits()
+    assert limit, "the interpreter converts integers of any length"
+    h = int(limit / math.log10(2)) - 2  # about limit - 0.7 digits
+    while rho_tree(3, h + 1) < 10 ** limit:
+        h += 1
+    return limit, h
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_bounds_tree_just_below_the_str_limit_prints(capsys, json_mode):
+    limit, h = tree_height_at_the_str_limit()
+    code, out, _ = run(capsys, ["bounds", "--tree", "3", str(h)]
+                       + ["--json"] * json_mode)
+    assert code == EXIT_OK
+    value = json.loads(out)["value"] if json_mode else out.strip()
+    assert len(value) == limit
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("above", [1, 10 ** 9])
+def test_bounds_tree_past_the_str_limit_is_usage_error(capsys, json_mode,
+                                                       above):
+    """A height past the limit is refused by name, at once (no power of
+    2 with a billion bits is computed), and the limit stays as it was."""
+    limit, h = tree_height_at_the_str_limit()
+    height = h + 1 if above == 1 else above
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["bounds", "--tree", "3", str(height)]
+                         + ["--json"] * json_mode)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: the tree value at K=3, H={height} has more than "
+                   f"{limit} digits, the interpreter's limit for integer "
+                   "string conversion\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,6 +2,7 @@
 hamiltonian {2,3} bound, block-tree assembly, 2-factor assembly, and the
 full cubic pipeline."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,7 +16,7 @@ from ipfkit import (
     is_triangle_ring, is_well_behaved, parse_graph6, recognize_bad,
     rho_exact, two_factor_search, verify_ipf, write_graph6,
 )
-from ipfkit import Ipf, constructive, graph
+from ipfkit import Certificate, Ipf, constructive, graph
 from ipfkit import ipf as ipf_module
 from ipfkit.constructive import _allowed_bound, _blocktree_hypotheses, lift
 from ipfkit.surgery import paste_k4minus, subdivide_edge, suppress_vertex
@@ -118,22 +119,22 @@ def test_recognize_bad_accepts_constructions():
     for ring, subdivided, chords in ((6, (0,), 1), (6, (0, 1), 2),
                                      (9, (1,), 1), (9, (0, 2), 2)):
         g = bad_graph(ring, subdivided, chords)
-        rep = recognize_bad(g)
-        assert rep.is_bad
-        assert len(rep.attachments) == len(subdivided)
+        # the hub is the ring and the subdivision vertices, each of which
+        # bad_graph numbers after the ring and the leaves before it
+        xs = {ring + 6 * i for i in range(len(subdivided))}
+        assert recognize_bad(g) == frozenset(range(ring)) | xs
 
 
 def test_recognize_bad_rejects_plain_graphs():
-    assert not recognize_bad(cycle(9)).is_bad
-    assert not recognize_bad(petersen()).is_bad
-    # a plain triangle ring counts as bad with no attachments
-    rep = recognize_bad(triangle_ring(9))
+    assert recognize_bad(cycle(9)) is None
+    assert recognize_bad(petersen()) is None
+    # a plain triangle ring counts as bad, and is its own hub
     assert is_triangle_ring(triangle_ring(9))
-    assert rep.is_bad and not rep.attachments
+    assert recognize_bad(triangle_ring(9)) == frozenset(range(9))
     bridgeless = [g for g in census_graphs(12)
                   if not graph.block_decomposition(g).bridges]
     assert len(bridgeless) == 81
-    assert not any(recognize_bad(g).is_bad for g in bridgeless)
+    assert all(recognize_bad(g) is None for g in bridgeless)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_ham23_triangle_ring_needs_n_over_3():
     # the only bad hamiltonian hosts are triangle rings; bad graphs with
     # attachments always contain bridges
     g = triangle_ring(9)
-    assert recognize_bad(g).is_bad
+    assert recognize_bad(g) is not None
     assert hamilton_cycle(g) is not None
     assert ipf_ham23(g).path_count == 3
     assert hamilton_cycle(bad_graph(6, (0,), 1)) is None
@@ -218,6 +219,24 @@ def check_certificate(g, cert):
     assert cert.verified and cert.n == g.n
     doc = json.loads(json.dumps(cert.to_json()))
     assert doc["ipf"]["path_count"] == cert.ipf.path_count
+
+
+@pytest.mark.parametrize("g, bound", [(census_graphs(6)[1], "2"),
+                                      (petersen(), "(n-1)/3")])
+def test_certificate_keeps_only_its_ipf_and_trace(g, bound):
+    """n, graph6, bound and verified are read from the IPF, not stored,
+    and cannot be set apart from it."""
+    assert [f.name for f in dataclasses.fields(Certificate)] == \
+        ["ipf", "trace"]
+    cert = ipf_cubic(g)
+    assert cert.ipf.host is g
+    assert (cert.n, cert.graph6, cert.bound, cert.verified) == \
+        (g.n, write_graph6(g), bound, True)
+    assert list(cert.to_json()) == ["graph6", "n", "bound", "ipf",
+                                    "verified", "trace"]
+    for name in ("n", "graph6", "bound", "verified"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
 
 
 def test_cubic_small_orders():
@@ -434,7 +453,7 @@ def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
     ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
     hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
     g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
-    assert g.n == 18 and not recognize_bad(g).is_bad
+    assert g.n == 18 and recognize_bad(g) is None
     suppressed = spy(monkeypatch, "suppress_vertex")
     lifted = spy(monkeypatch, "lift")
     recursed = spy(monkeypatch, "ipf_blocktree")
@@ -446,8 +465,8 @@ def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
 
 def badness_tested(monkeypatch, g):
     """The distinct graphs ipf_blocktree(g) asks recognize_bad about, in
-    the order their reports are computed; every call on one graph returns
-    the one report its memo keeps."""
+    the order their hubs are computed; every call on one graph returns
+    the one hub (or None) its memo keeps."""
     calls = spy(monkeypatch, "recognize_bad")
     ipf_blocktree(g)
     reports = {}
@@ -458,7 +477,7 @@ def badness_tested(monkeypatch, g):
 
 
 def test_blocktree_tests_each_graph_for_badness_once(monkeypatch):
-    # recognize_bad keeps its report in the graph's memo, so each graph is
+    # recognize_bad keeps its hub in the graph's memo, so each graph is
     # computed once: the host for its bound; the free split tests both bad
     # sides and the bridge assembly reuses those side graphs; each side
     # minus its bridge endpoint is tested for its own bound (the two sides
@@ -493,9 +512,9 @@ def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):
     ipf = constructive._two_factor_reduction(g, cycles)
     assert len(verify_ipf(g, ipf.edges)) == ipf.path_count == 5
     (first, bad_first), (swapped, bad_swapped) = badness[:2]
-    assert first[0] == g.without_edges([(0, 9)]) and bad_first.is_bad
+    assert first[0] == g.without_edges([(0, 9)]) and bad_first is not None
     assert swapped[0] == g.without_edges([(1, 5)])
-    assert not bad_swapped.is_bad
+    assert bad_swapped is None
 
 
 def test_2factor_reduction_swaps_at_the_far_end_of_a_hub_tip_edge(monkeypatch):
@@ -514,10 +533,10 @@ def test_2factor_reduction_swaps_at_the_far_end_of_a_hub_tip_edge(monkeypatch):
     ipf = ipf_23_with_2factor(g)
     assert len(verify_ipf(g, ipf.edges)) == ipf.path_count == _allowed_bound(g)
     (first, bad_first), (swapped, bad_swapped) = badness[:2]
-    assert first[0] == g.without_edges([(0, 9)]) and bad_first.is_bad
-    assert 0 in bad_first.hub and g.degree(0) == 3
+    assert first[0] == g.without_edges([(0, 9)]) and bad_first is not None
+    assert 0 in bad_first and g.degree(0) == 3
     assert swapped[0] == g.without_edges([(6, 7)])
-    assert not bad_swapped.is_bad
+    assert bad_swapped is None
 
 
 @pytest.mark.parametrize("k", [5, 7])

@@ -37,6 +37,18 @@ def test_bad_graph_shape():
         bad_graph(6, (5,), 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: bad_graph(6, (0,), 3), "order-5 host takes 1 or 2 chords"),
+    (lambda: subdivided_complete(2), "subdivided complete graph needs m >= 3"),
+    (lambda: odd_k_glued_tree(3, -1), "height must be nonnegative"),
+    (lambda: even_k_glued_cycle(4, 2), "cycle length must be at least 3"),
+    (lambda: c4_binary_tree(0), "height must be at least 1"),
+])
+def test_out_of_range_parameters_are_refused(build, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        build()
+
+
 def test_petersen_and_tietze():
     p = petersen()
     assert p.n == 10 and p.is_cubic() and not is_hamiltonian(p)

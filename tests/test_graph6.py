@@ -154,6 +154,14 @@ def test_malformed_lines_rejected(bad):
         parse_graph6(bad)
 
 
+def test_size_byte_below_63_rejected():
+    # "0" is byte 48; the short form's size byte is n + 63
+    with pytest.raises(Graph6Error, match="invalid graph6 size character '0'") \
+            as info:
+        parse_graph6("0")
+    assert info.value.offset == 0
+
+
 def test_error_reports_offset():
     try:
         parse_graph6("C\x19")

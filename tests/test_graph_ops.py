@@ -27,6 +27,10 @@ def test_graph_invariants():
         Graph(3, [(0, 0)])
     with pytest.raises(GraphError):
         Graph(2, [(0, 3)])
+    with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+        Graph(-1)
+    with pytest.raises(GraphError, match=r"edges not present: \[\(0, 2\)\]"):
+        cycle(4).without_edges([(0, 1), (2, 0)])
     g = Graph(4, [(0, 1), (1, 0)])  # duplicates collapse
     assert len(g.edges) == 1
     assert g.adj[0] == (1,) and g.adj[1] == (0,)

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 no function binds a local it never reads,
-no private top-level helper and no ``Graph`` method is left unread,
+no private top-level helper, no ``Graph`` method and no dataclass field
+is left unread,
 ``ipfkit.__all__`` lists
 exactly what ``__init__`` imports (and its ``__version__``), every
 per-graph cache goes through ``graph.per_graph``, the compiled kernel's
@@ -159,6 +160,37 @@ def test_every_graph_method_is_read():
             if isinstance(node, ast.Attribute)}
     assert methods and not methods - read, \
         f"Graph methods nothing reads: {sorted(methods - read)}"
+
+
+def dataclass_fields():
+    """(class name, field name) for each field of a dataclass in the
+    package: an annotated name in the body of a class decorated with
+    ``dataclass`` or ``dataclass(...)``."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                yield from ((cls.name, node.target.id) for node in cls.body
+                            if isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read when the package or the benchmark loads it as
+    # an attribute; the tests do not count, so a field that only a test
+    # reads is found.  LadderDecomposition goes with the tracer-only code
+    # that wraps it
+    read = {node.attr
+            for root in ("src", "perfbench")
+            for path in sorted((ROOT / root).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = list(dataclass_fields())
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if cls != "LadderDecomposition" and name not in read]
+    assert fields and not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_all_lists_what_init_imports():

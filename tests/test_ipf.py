@@ -1,6 +1,7 @@
 """IPF verification, path decomposition, well-behavedness and
 standardisation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -159,7 +160,9 @@ def test_not_well_behaved_reports_witness():
     ipf = Ipf.from_paths(g, [[1, 2, 3, 4, 5], [0], [6]])
     rep = is_well_behaved(ipf)
     assert not rep.verdict
-    assert rep.witnesses
+    assert rep.witnesses == [((1, 2, 3, 4, 5), (1, 3))]
+    # the verdict is read from the witnesses, the report's one field
+    assert [f.name for f in dataclasses.fields(rep)] == ["witnesses"]
     # excusing the offending vertices restores the verdict
     assert is_well_behaved(ipf, R={1, 3}).verdict
 

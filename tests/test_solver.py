@@ -540,10 +540,18 @@ def test_raising_signal_handler_stops_the_search(kernel):
 
 
 def test_kernel_input_guard(kernel):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kernel supports at most 62 "
+                                         "vertices$"):
         kernel.solve_min_ipf(63, (0,) * 63)
     with pytest.raises(ValueError, match="lower"):
         kernel.solve_min_ipf(3, (0,) * 3, 0, 0.0, 0, 0, -1)
+
+
+@pytest.mark.parametrize("negative", ["upper", "seen_cap", "lower"])
+def test_kernel_refuses_each_negative_bound(kernel, negative):
+    with pytest.raises(ValueError, match="^upper, seen_cap and lower must "
+                                         "be at least 0$"):
+        kernel.solve_min_ipf(3, (0,) * 3, **{negative: -1})
 
 
 def test_incumbent_is_the_witness_when_optimal():

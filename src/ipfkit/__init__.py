@@ -11,7 +11,6 @@ from .graph import (
     BlockDecomposition,
     block_decomposition,
     hamilton_cycle,
-    is_hamiltonian,
     parse_adjlist,
     parse_graph6,
     two_factor_search,
@@ -21,7 +20,6 @@ from .graph import (
 from .ipf import (
     Ipf,
     IpfError,
-    WellBehavedReport,
     induced_k4minus_subgraphs,
     is_standardised,
     is_well_behaved,
@@ -55,7 +53,6 @@ from .constructive import (
 )
 from .families import generate
 from .bounds import (
-    BoundReport,
     CensusReport,
     census,
     ck_lower,
@@ -69,11 +66,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Graph6Error", "GraphError", "BlockDecomposition",
-    "block_decomposition", "hamilton_cycle", "is_hamiltonian",
-    "parse_adjlist", "parse_graph6",
+    "block_decomposition", "hamilton_cycle", "parse_adjlist", "parse_graph6",
     "two_factor_search", "write_adjlist", "write_graph6",
-    "Ipf", "IpfError", "WellBehavedReport", "induced_k4minus_subgraphs",
-    "is_standardised", "is_well_behaved", "verify_ipf",
+    "Ipf", "IpfError", "induced_k4minus_subgraphs", "is_standardised",
+    "is_well_behaved", "verify_ipf",
     "SolveResult", "kernel_backend", "rho_exact", "rho_exhaustive",
     "SurgeryError", "SurgeryRecord", "add_edge", "augment_triangle",
     "delete_edges", "delete_vertices", "glue_at_vertex", "paste_k4minus",
@@ -83,7 +79,7 @@ __all__ = [
     "ipf_small_ham", "is_triangle_ring", "lift", "recognize_bad",
     "standardise",
     "generate",
-    "BoundReport", "CensusReport", "census", "ck_lower", "ck_lower_report",
+    "CensusReport", "census", "ck_lower", "ck_lower_report",
     "glue_lower_bound", "rho_tree", "rho_tree_recurrence",
     "__version__",
 ]

@@ -21,22 +21,6 @@ from .solver import (
 )
 
 
-@dataclass
-class BoundReport:
-    k: int
-    value: Fraction
-    formula: str  # ck_odd | ck_even | ck_c3 | ck_c4
-    inputs: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "value": str(self.value),
-            "formula": self.formula,
-            "inputs": dict(self.inputs),
-        }
-
-
 def rho_tree_recurrence(k: int, h: int) -> Fraction:
     """Minimum path count for a perfect (k-1)-ary tree of height h, by the
     recurrence a(h) = 1 + (k-3) a(h-1) + 2(k-2) sum_{i<=h-2} a(i),
@@ -72,9 +56,12 @@ def ck_lower(k: int) -> Fraction:
     return Fraction(1, 2) - Fraction(1, 2 * k - 2)
 
 
-def ck_lower_report(k: int) -> BoundReport:
-    formula = {3: "ck_c3", 4: "ck_c4"}.get(k, "ck_odd" if k % 2 else "ck_even")
-    return BoundReport(k=k, value=ck_lower(k), formula=formula)
+def ck_lower_report(k: int) -> dict:
+    """The ``bounds --ck K --json`` document: k, ``ck_lower(k)`` as a
+    string, and the name of the formula that gave it."""
+    return {"k": k, "value": str(ck_lower(k)),
+            "formula": {3: "ck_c3", 4: "ck_c4"}.get(
+                k, "ck_odd" if k % 2 else "ck_even")}
 
 
 # ---------------------------------------------------------------------------

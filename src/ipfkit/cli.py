@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, construct, verify, generate, census, bounds.
-Exit codes: 0 success, 1 usage error, 2 verification or bound violation,
-3 budget exhausted.
+Exit codes: 0 success, 1 usage error or stdout closed by its reader,
+2 verification or bound violation, 3 budget exhausted.
 
 IPF interchange format: a JSON object with a "graph6" string and an
 "edges" list of [u, v] pairs (a construct certificate works directly,
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bounds import census, check_jobs, ck_lower_report, rho_tree
@@ -54,9 +55,15 @@ def _read_graph(args) -> Graph:
     text = _read_text(args.input).strip()
     if not text:
         raise CliError("empty input")
+    if args.format == "graph6":
+        lines = len([line for line in text.splitlines() if line.strip()])
+        if lines > 1:
+            raise CliError(f"graph6 input has {lines} lines, one graph "
+                           f"each; {args.command} takes one graph, census "
+                           "a stream of them")
     try:
         if args.format == "graph6":
-            return parse_graph6(text.splitlines()[0].strip())
+            return parse_graph6(text)
         return parse_adjlist(text)
     except (Graph6Error, GraphError, ValueError) as exc:
         raise CliError(f"cannot parse input graph: {exc}")
@@ -244,7 +251,7 @@ def _cmd_census(args) -> int:
 def _cmd_bounds(args) -> int:
     try:
         if args.ck is not None:
-            doc = ck_lower_report(args.ck).to_json()
+            doc = ck_lower_report(args.ck)
         else:  # the parser requires exactly one of --ck and --tree
             k, h = args.tree
             # refuse a value longer than the interpreter's int-to-str limit
@@ -357,7 +364,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit does not raise again (the recipe in the Python
+        # documentation's note on SIGPIPE), and end with status 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .graph import (
     Graph, GraphError, _bits, _reach, block_decomposition,
-    hamilton_cycle, is_hamiltonian, per_graph, two_factor_search,
-    write_graph6,
+    hamilton_cycle, per_graph, two_factor_search, write_graph6,
 )
 from .ipf import (
     Ipf, IpfError, induced_k4minus_subgraphs, is_standardised, is_well_behaved,
@@ -101,8 +100,7 @@ def recognize_bad(g: Graph) -> frozenset[int] | None:
     if (len(big) != 1 or not leaves or any(len(b) != 5 for b in leaves)
             or sum(len(b) for b in dec.blocks) != g.n
             or len(dec.bridges) != len(leaves)
-            or not all(is_hamiltonian(_sub(g, b)[0])
-                       for b in leaves)):
+            or any(hamilton_cycle(_sub(g, b)[0]) is None for b in leaves)):
         return None
     # every bridge must join a leaf to a subdivision vertex u on the hub; u
     # has two hub neighbours a, b (a block vertex has two in its block, and
@@ -144,8 +142,8 @@ def standardise(ipf: Ipf) -> Ipf:
         raise GraphError("standardisation is defined for subcubic hosts")
     limit = len(induced_k4minus_subgraphs(g)) + 1
     for _ in range(limit):
-        ok, failing = is_standardised(ipf)
-        if ok:
+        failing = is_standardised(ipf)
+        if not failing:
             return ipf
         a, b, c, d = failing[0]
         eh = {tuple(sorted(p)) for p in
@@ -524,10 +522,10 @@ def _blocktree(g: Graph, dec, cycles) -> Ipf:
         raise ConstructionError(
             f"block-tree construction used {out.path_count} paths, "
             f"allowed {_allowed_bound(g)}")
-    wb = is_well_behaved(out)
-    if not wb.verdict:
+    failing = is_well_behaved(out)
+    if failing:
         raise ConstructionError(
-            f"block-tree IPF is not well-behaved: {wb.witnesses[:1]}")
+            f"block-tree IPF is not well-behaved: {failing[:1]}")
     return out
 
 

@@ -518,10 +518,6 @@ def hamilton_cycle(g: Graph) -> Optional[list[int]]:
     return None
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    return hamilton_cycle(g) is not None
-
-
 def two_factor_search(g: Graph, fewest_possible: int = 1
                       ) -> Optional[list[list[int]]]:
     """The 2-factor of a connected {2,3}-graph with the fewest cycles (the

@@ -171,17 +171,12 @@ class Ipf:
 # Well-behaved and standardised predicates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WellBehavedReport:
-    # one entry per failing path: (path, offending low-degree pair)
-    witnesses: list[tuple[tuple[int, ...], tuple[int, int]]]
-    verdict = property(lambda self: not self.witnesses)  # no path fails
-
-
-def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
-    """Check every path's low-degree vertices lie in one block of the host,
-    or form the endpoints of a bridge-centred 4-vertex subpath; S excludes
-    R."""
+def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()
+                    ) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """The paths whose vertices of degree at most 2 outside R neither lie
+    in one block of the host nor are the two ends of a 4-vertex subpath
+    centred on a bridge, each as (path, its first two such vertices): the
+    IPF is well-behaved iff the list is empty."""
     g = ipf.host
     if not g.is_subcubic():
         raise ValueError("well-behavedness is defined for subcubic hosts")
@@ -204,7 +199,7 @@ def is_well_behaved(ipf: Ipf, R: Iterable[int] = ()) -> WellBehavedReport:
                     ok = True
         if not ok:
             witnesses.append((tuple(path), (vs[0], vs[1])))
-    return WellBehavedReport(witnesses)
+    return witnesses
 
 
 @per_graph
@@ -225,13 +220,12 @@ def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]
     return tuple(found)
 
 
-def is_standardised(ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:
-    """True iff the IPF is standardised on every induced K4- subgraph of
-    its host: the two degree-3 vertices c, d end distinct paths, through
-    the edges ca and db or cb and da.
-
-    Returns (verdict, failing K4- tuples as produced by
-    induced_k4minus_subgraphs)."""
+def is_standardised(ipf: Ipf) -> list[tuple[int, int, int, int]]:
+    """The induced K4- subgraphs of the host, as produced by
+    induced_k4minus_subgraphs, on which the IPF is not standardised: the
+    IPF is standardised on one when its two degree-3 vertices c, d end
+    distinct paths, through the edges ca and db or cb and da.  The IPF is
+    standardised iff the list is empty."""
     g = ipf.host
     if not g.is_subcubic():
         raise ValueError("standardisation is defined for subcubic hosts")
@@ -242,8 +236,7 @@ def is_standardised(ipf: Ipf) -> tuple[bool, list[tuple[int, int, int, int]]]:
         """A path ends at v with the edge vw."""
         return v in ends and (min(v, w), max(v, w)) in ipf.edges
 
-    failing = [(a, b, c, d) for a, b, c, d in induced_k4minus_subgraphs(g)
-               if path_of[c] == path_of[d]
-               or not any(ends_through(c, x) and ends_through(d, y)
-                          for x, y in ((a, b), (b, a)))]
-    return not failing, failing
+    return [(a, b, c, d) for a, b, c, d in induced_k4minus_subgraphs(g)
+            if path_of[c] == path_of[d]
+            or not any(ends_through(c, x) and ends_through(d, y)
+                       for x, y in ((a, b), (b, a)))]

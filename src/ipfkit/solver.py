@@ -43,11 +43,15 @@ def kernel_backend() -> str:
 
 @dataclass
 class SolveResult:
-    rho: int
     witness: Ipf
     method: str  # 'bnb' | 'exhaustive'
     optimal: bool = True
     stats: dict = field(default_factory=dict)
+
+    @property
+    def rho(self) -> int:
+        """The witness's path count: rho(g) when ``optimal``."""
+        return self.witness.path_count
 
     def to_json_fragment(self) -> dict:
         return {
@@ -153,10 +157,8 @@ def rho_exhaustive(g: Graph) -> SolveResult:
         search(idx + 1)
 
     search(0)
-    witness = Ipf.from_edges(g, best_edges)
     return SolveResult(
-        rho=n - len(best_edges),
-        witness=witness,
+        witness=Ipf.from_edges(g, best_edges),
         method="exhaustive",
         optimal=True,
         stats={"nodes": nodes, "seconds": time.monotonic() - t0},
@@ -326,7 +328,6 @@ def rho_exact(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT,
         best = witness.path_count
     assert witness.path_count == best
     return SolveResult(
-        rho=best,
         witness=witness,
         method="bnb",
         optimal=best <= lower,

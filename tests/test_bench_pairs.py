@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(SPEC)
@@ -28,3 +30,28 @@ def test_report_gives_each_metric_its_verdict(capsys):
     assert verdicts == {"worse": "worse than bound", "noisy": "unresolved",
                         "noisy_beaten": "within bound",
                         "steady": "within bound"}
+
+
+def pair_rule_verdicts(capsys, pairs):
+    """The pair-rule part of each line: a change that wins every pair by
+    a wide margin."""
+    metrics = [{"name": "rate", "better": "higher", "bound": 0.25}]
+    base = [{"rate": 100 + i % 3} for i in range(pairs)]
+    change = [{"rate": 200 + i % 3} for i in range(pairs)]
+    bench_pairs.report(metrics, base, change)
+    (line,) = capsys.readouterr().out.splitlines()[1:]
+    return line.split("; ")[2]
+
+
+def test_fewer_than_ten_pairs_claim_no_gain(capsys):
+    assert pair_rule_verdicts(capsys, 9) == "too few pairs for the pair rule"
+    assert pair_rule_verdicts(capsys, 10) == "gain by the pair rule"
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_are_a_usage_error(capsys, pairs):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "a", "--change", "b", "--workload", "w",
+                          "--pairs", pairs])
+    assert exc.value.code == 2
+    assert f"must be at least 1, got {pairs}" in capsys.readouterr().err

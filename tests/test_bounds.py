@@ -81,12 +81,11 @@ def test_ck_lower_below_half_and_monotone_by_parity():
 
 
 def test_ck_lower_report_formula_names():
-    assert ck_lower_report(3).formula == "ck_c3"
-    assert ck_lower_report(4).formula == "ck_c4"
-    assert ck_lower_report(5).formula == "ck_odd"
-    assert ck_lower_report(6).formula == "ck_even"
-    doc = ck_lower_report(4).to_json()
-    assert doc["value"] == "3/7"
+    assert ck_lower_report(3)["formula"] == "ck_c3"
+    assert ck_lower_report(4)["formula"] == "ck_c4"
+    assert ck_lower_report(5)["formula"] == "ck_odd"
+    assert ck_lower_report(6)["formula"] == "ck_even"
+    assert ck_lower_report(4) == {"k": 4, "value": "3/7", "formula": "ck_c4"}
 
 
 def test_glue_lower_bound_subdivided_k5():

@@ -591,6 +591,12 @@ def test_bounds_ck(capsys):
     assert out.strip() == "3/7"
 
 
+def test_bounds_ck_json(capsys):
+    code, out, _ = run(capsys, ["bounds", "--ck", "4", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out) == {"k": 4, "value": "3/7", "formula": "ck_c4"}
+
+
 def test_bounds_tree(capsys):
     code, out, _ = run(capsys, ["bounds", "--tree", "3", "2"])
     assert code == EXIT_OK
@@ -679,6 +685,52 @@ def test_empty_input_is_usage_error(capsys, tmp_path):
     p.write_text("")
     code, _, err = run(capsys, ["solve", "--input", str(p)])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["solve", "construct"])
+def test_graph6_input_holding_several_graphs_is_usage_error(capsys, tmp_path,
+                                                            command):
+    p = tmp_path / "three.g6"
+    p.write_text("\n".join(census_path(10).read_text().splitlines()[:3])
+                 + "\n\n")
+    code, out, err = run(capsys, [command, "--input", str(p), "--json"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: graph6 input has 3 lines, one graph each; "
+                   f"{command} takes one graph, census a stream of them\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "construct"])
+@pytest.mark.parametrize("text", ["{}\n", "\n>>graph6<<{}\n\n"])
+def test_one_graph6_line_with_blank_lines_or_header(capsys, tmp_path,
+                                                    command, text):
+    g6 = write_graph6(petersen())
+    p = tmp_path / "petersen.g6"
+    p.write_text(text.format(g6))
+    code, out, _ = run(capsys, [command, "--input", str(p), "--json"])
+    assert code == EXIT_OK and json.loads(out)["graph6"] == g6
+
+
+def test_stdout_closed_by_its_reader_ends_quietly(petersen_file):
+    """The reader's end of the pipe is closed before the child writes, so
+    the child's write fails with EPIPE: it exits nonzero with an empty
+    stderr, neither a traceback nor a failed flush at exit."""
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "ipfkit.cli", "solve", "--json",
+             "--input", petersen_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert res.stderr == ""
 
 
 def test_console_script_entry_point():

@@ -1,6 +1,8 @@
 """Exact solvers: branch-and-bound vs the edge-subset oracle, kernel
 backend parity, and budget handling."""
 
+import dataclasses
+import gc
 import json
 import random
 import signal
@@ -9,8 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ipfkit import (Graph, Ipf, IpfError, parse_graph6, rho_exact,
-                    rho_exhaustive, verify_ipf)
+from ipfkit import (Graph, Ipf, IpfError, SolveResult, parse_graph6,
+                    rho_exact, rho_exhaustive, verify_ipf)
 from ipfkit.solver import (SEEN_CAP, _bfs_order, _greedy_cover,
                            _lower_bound, longest_induced_path_order)
 from ipfkit import _kernel_py, solver
@@ -100,6 +102,33 @@ def test_witness_is_valid_and_counts_match():
         res = rho_exact(g)
         paths = verify_ipf(g, res.witness.edges)
         assert len(paths) == res.rho
+
+
+def test_solve_result_reads_rho_from_its_witness():
+    assert [f.name for f in dataclasses.fields(SolveResult)] == [
+        "witness", "method", "optimal", "stats"]
+    for solve in (rho_exact, rho_exhaustive):
+        res = solve(petersen())
+        assert res.rho == res.witness.path_count == 3
+        assert res.to_json_fragment()["rho"] == 3
+
+
+def test_a_kernel_count_its_edges_miss_is_caught(monkeypatch):
+    """A kernel that reports 2 paths with the edges of a 3-path cover of
+    Petersen would make rho_exact prove rho = 2 at its first probe; the
+    check that the witness has the kernel's count stops it."""
+    real = solver._kernel.solve_min_ipf
+    counts = []
+
+    def short_count(n, adj, node_limit, time_limit, upper, cap, lower):
+        count, edges, used, truncated = real(n, adj, node_limit, time_limit,
+                                             n, cap, lower)
+        counts.append(count)
+        return count - 1, edges, used, truncated
+    monkeypatch.setattr(solver._kernel, "solve_min_ipf", short_count)
+    with pytest.raises(AssertionError):
+        rho_exact(petersen())
+    assert counts == [3]
 
 
 def agrees_with_the_oracle(g):
@@ -520,13 +549,21 @@ def test_raising_signal_handler_stops_the_search(kernel):
     with its exception, with no time limit set.  The compiled kernel used
     to call into Python only to read the clock, which runs no handlers, so
     it ran on to its node limit first (4.5 s for these 20M nodes on a
-    shared 2-CPU machine) before the exception came."""
+    shared 2-CPU machine) before the exception came.
+
+    A handler that runs inside a garbage collector callback written in
+    Python, such as the one hypothesis installs, has its exception
+    reported as unraisable and dropped by the interpreter, so the Python
+    twin would run on to its node limit: the callbacks are set aside
+    while the search runs."""
     g = c4_binary_tree(3)
     g = relabel(g, _bfs_order(g))
 
     def ring(signum, frame):
         raise Alarm
 
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     old = signal.signal(signal.SIGALRM, ring)
     try:
         t0 = time.monotonic()
@@ -537,6 +574,7 @@ def test_raising_signal_handler_stops_the_search(kernel):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+        gc.callbacks[:] = callbacks
 
 
 def test_kernel_input_guard(kernel):

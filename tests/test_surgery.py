@@ -116,10 +116,9 @@ def check_lift(g, h, rec, slack, must_end, distinct_pair=None):
         pa = next(i for i, p in enumerate(paths) if p[0] == a or p[-1] == a)
         pb = next(i for i, p in enumerate(paths) if p[0] == b or p[-1] == b)
         assert pa != pb
-    if is_well_behaved(prime).verdict:
-        rep = is_well_behaved(out, R=must_end if not distinct_pair
-                              else distinct_pair)
-        assert rep.verdict
+    if not is_well_behaved(prime):
+        assert not is_well_behaved(out, R=must_end if not distinct_pair
+                                   else distinct_pair)
     return out
 
 

@@ -17,8 +17,9 @@ line) and metrics are printed as it ends.  At the end, for each metric:
 each side's median and quartiles, the pairs the change won (ties count for
 neither side), and whether a gain may be claimed: wins in at least nine
 tenths of the pairs and a median gap, in the better direction, larger than
-the distance between the base's quartiles.  Each metric also gets a
-verdict against its `bound` in `BENCHMARK.json`: "worse than bound" when
+the distance between the base's quartiles; with fewer than ten pairs it
+says "too few pairs" instead.  Each metric also gets a verdict against
+its `bound` in `BENCHMARK.json`: "worse than bound" when
 the change's median is worse than the base's by more than `bound` of the
 base's; otherwise "unresolved" when the base's quartile spread exceeds
 `bound` of its median, unless every change run beats every base run; and
@@ -38,6 +39,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_PAIRS = 10  # the fewest pairs the pair rule can grant a gain on
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
@@ -91,12 +94,21 @@ def report(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
         bq, cq = quartiles(b), quartiles(c)
         wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
         gap = sign * (cq[1] - bq[1])
-        claim = wins >= 0.9 * pairs and gap > bq[2] - bq[0]
+        rule = ("too few pairs for" if pairs < MIN_PAIRS
+                else "gain by" if wins >= 0.9 * pairs and gap > bq[2] - bq[0]
+                else "no gain by")
         print(f"{name:14s} base {bq[1]:.4f} [{bq[0]:.4f}, {bq[2]:.4f}]  "
               f"change {cq[1]:.4f} [{cq[0]:.4f}, {cq[2]:.4f}]  "
               f"{m['better']} is better; change wins {wins}/{pairs}; "
-              f"{'gain' if claim else 'no gain'} by the pair rule; "
+              f"{rule} the pair rule; "
               f"{verdict(m, b, c)}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -104,7 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=positive_int, required=True)
     ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())

@@ -187,21 +187,19 @@ def lift(record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
         raise ConstructionError(
             f"surgery record {record.kind}{record.args} does not transform "
             "its source into the IPF's host")
-    star = standardise(ipf_prime)
-    g = record.source
-    kind, n = record.kind, g.n
+    g, kind = record.source, record.kind
+    # the surgeries relabel in increasing order, so normalised edges stay
+    # normalised; the vertices outside n2o are those augment and paste add
+    n2o = {i: v for v, i in record.old_to_new.items()}
+    edges = {(n2o[u], n2o[v]) for u, v in standardise(ipf_prime).edges
+             if u in n2o and v in n2o}
     if kind in ("augment_triangle", "paste_k4minus"):
-        # the surgery only appended vertices: keep the edges among g's own
-        edges = {(u, v) for u, v in star.edges if u < n and v < n}
         allowed = ipf_prime.path_count
     elif kind == "suppress_vertex":
-        n2o = {i: v for v, i in record.old_to_new.items()}
-        edges = {tuple(sorted((n2o[u], n2o[v]))) for u, v in star.edges}
         c = record.args[0]
-        a, b = g.adj[c]
-        ab = (min(a, b), max(a, b))
+        ab = g.adj[c]  # sorted, so already an edge in normal form
         if ab in edges:
-            edges = (edges - {ab}) | {tuple(sorted((c, a)))}
+            edges = (edges - {ab}) | {(c, ab[0])}
         allowed = ipf_prime.path_count + 1
     else:
         raise ConstructionError(f"lift does not support surgery {kind!r}")
@@ -319,26 +317,19 @@ def _label_for_greedy(g: Graph, cyc: list[int]) -> list[int]:
         i = cyc.index(a)
         step = 1 if cyc[(i + k) % n] == b else -1
         options.append([cyc[(i + step * t) % n] for t in range(1, n + 1)])
+    lab = options[0]
     if k == 2:
-        half = (n + 1) // 2
-        for lab in options:
-            far = 0  # x_3 .. x_half
-            for w in lab[2:half]:
-                far |= 1 << w
-            if not g.adj_mask[lab[0]] & far:
-                return lab
-        raise ConstructionError("no orientation satisfies the k=2 condition")
+        # no chord x_1 x_3 .. x_1 x_half: the orientations share x_1, whose
+        # one chord meets at most one of their disjoint ranges x_3 .. x_half
+        far = sum(1 << w for w in lab[2:(n + 1) // 2])
+        return options[1] if masks[lab[0]] & far else lab
     if k == 3:
-        lab = options[0]
-        # every shift keeps a chord x_n x_3: shift 0 by construction, and
-        # shift s + 1 is tried only when x_1 x_4 of shift s, its x_n x_3,
-        # is an edge
-        for shift in range(3):
-            cur = lab[shift:] + lab[:shift]
-            if not g.has_edge(cur[0], cur[3]):
-                return cur
-        raise ConstructionError("no shift satisfies the k=3 condition")
-    return options[0]
+        # the first shift without the chord x_1 x_4; shift s + 1 has the
+        # chord x_n x_3 as shift s has x_1 x_4.  Shift 2 always passes: x_3
+        # of shift 0 has x_2, x_4 and x_n, so no chord x_3 x_6 (n >= 7)
+        s = next((s for s in (0, 1) if not g.has_edge(lab[s], lab[s + 3])), 2)
+        return lab[s:] + lab[:s]
+    return lab
 
 
 def _greedy_paths(g: Graph, lab: list[int]) -> list[list[int]]:
@@ -417,16 +408,9 @@ def _ham23(g: Graph, cyc: list[int] | None) -> Ipf:
         raise ConstructionError("no repair chord found on a non-ring host")
     a, b = pair
     if n == 9:
-        # rotate in steps of 3 so the extra chord is x_1 x_4
-        for shift in (0, 3, 6):
-            sa = [((i - 1 + shift) % 9) + 1 for i in (1, 4)]
-            if g.has_edge(vert(sa[0]), vert(sa[1])) \
-                    and (sa[0] % 3, sa[1] % 3) == (1, 1) \
-                    and (sa[1] - sa[0]) % 9 == 3:
-                s = shift
-                break
-        else:
-            raise ConstructionError("n=9 repair: no aligned chord")
+        # rotate by 3 so the extra chord is x_1 x_4; the pair found above
+        # is one of the three chords among spots 1, 4 and 7
+        s = next(s for s in (0, 3, 6) if g.has_edge(vert(s + 1), vert(s + 4)))
         def sv(i: int) -> int:
             return vert(i + s)
         paths2 = [[sv(8), sv(9), sv(1), sv(4)],
@@ -462,13 +446,14 @@ def _sub(g: Graph, verts: frozenset[int]):
 
 
 def _edges_up(edges, n2o):
-    return {tuple(sorted((n2o[u], n2o[v]))) for u, v in edges}
+    """_sub's edges in g's labels; n2o increases, so they stay normalised."""
+    return {(n2o[u], n2o[v]) for u, v in edges}
 
 
 def _blocktree_hypotheses(g: Graph):
     """Blocks of order >= 5, hamiltonian, vertex sets partitioning V; the
-    one hamiltonicity test of the block-tree routes.  Returns None or the
-    decomposition with a hamilton cycle per block, in the labels of
+    one hamiltonicity test of the block-tree routes.  Returns None or a
+    hamilton cycle per block of block_decomposition(g), in the labels of
     _sub(g, block): g's own labels when one block spans g."""
     if g.n < 6 or not g.is_23_graph() or not g.is_connected():
         return None
@@ -482,7 +467,7 @@ def _blocktree_hypotheses(g: Graph):
         if cyc is None:
             return None
         cycles.append(cyc)
-    return dec, cycles
+    return cycles
 
 
 def _allowed_bound(g: Graph) -> int:
@@ -510,14 +495,14 @@ def ipf_blocktree(g: Graph) -> Ipf:
 
     Path count is at most (n-1)/3 when n >= 7 and the host is not bad,
     and at most n/3 otherwise."""
-    hyp = _blocktree_hypotheses(g)
-    if hyp is None:
+    cycles = _blocktree_hypotheses(g)
+    if cycles is None:
         raise GraphError("host does not satisfy the block-tree hypotheses")
-    return _blocktree(g, *hyp)
+    return _blocktree(g, cycles)
 
 
-def _blocktree(g: Graph, dec, cycles) -> Ipf:
-    out = _blocktree_inner(g, dec, cycles)
+def _blocktree(g: Graph, cycles) -> Ipf:
+    out = _blocktree_inner(g, cycles)
     if out.path_count > _allowed_bound(g):
         raise ConstructionError(
             f"block-tree construction used {out.path_count} paths, "
@@ -529,7 +514,8 @@ def _blocktree(g: Graph, dec, cycles) -> Ipf:
     return out
 
 
-def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
+def _blocktree_inner(g: Graph, cycles) -> Ipf:
+    dec = block_decomposition(g)
     if len(dec.blocks) == 1:
         return _ham23(g, cycles[0])
     # a bridge whose larger side is not bad lets the two sides recurse
@@ -545,7 +531,7 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
             for s in (sa, sb):
                 side, _, n2o = _sub(g, s)
                 own = [c for b, c in zip(dec.blocks, cycles) if b <= s]
-                p = _blocktree(side, block_decomposition(side), own)
+                p = _blocktree(side, own)
                 edges |= _edges_up(p.edges, n2o)
             return Ipf.from_edges(g, edges)
     # a bridge whose sides both have order <= 7, or both order >= 6 (each
@@ -556,7 +542,7 @@ def _blocktree_inner(g: Graph, dec, cycles) -> Ipf:
         small, large = sorted(map(len, _bridge_sides(g, bridge)))
         if large <= 7 or small >= 6:
             return _bridge_assembly(g, bridge)
-    return _star_assembly(g, dec)
+    return _star_assembly(g)
 
 
 def _bridge_assembly(g: Graph, bridge) -> Ipf:
@@ -582,10 +568,11 @@ def _bridge_assembly(g: Graph, bridge) -> Ipf:
     return Ipf.from_edges(g, edges)
 
 
-def _star_assembly(g: Graph, dec) -> Ipf:
+def _star_assembly(g: Graph) -> Ipf:
     """Host shaped as a central block C with order-5 leaf blocks attached
     by bridges (the only shape left once bridge splits are exhausted)."""
     n = g.n
+    dec = block_decomposition(g)
     # every bridge must hang a whole order-5 block off the centre
     leaves = []  # (x on C, y on leaf, leaf vertex set)
     for bridge in sorted(dec.bridges):
@@ -608,7 +595,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     def leaf_ipf_edges(x, y, leaf):
         sub, o2n, n2o = _sub(g, leaf)
         p = ipf_small_ham(sub, o2n[y])
-        return _edges_up(p.edges, n2o) | {tuple(sorted((x, y)))}
+        return _edges_up(p.edges, n2o) | {(x, y)}
 
     # two adjacent attachment vertices: cut both leaves off and paste a
     # K4-minus over the edge between them
@@ -639,8 +626,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
             raise ConstructionError("centre attachments not at distance 2")
         u, v, w = cyc[1], cyc[3], cyc[4]
         edges = leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
-        edges |= {tuple(sorted((u, x1))), tuple(sorted((u, x2))),
-                  tuple(sorted((v, w)))}
+        edges |= {(u, x1), (u, x2), (v, w)}
         return Ipf.from_edges(g, edges)
 
     # an attachment vertex inside a triangle of C: delete it with its leaf
@@ -676,7 +662,7 @@ def _star_assembly(g: Graph, dec) -> Ipf:
     g2, _, n2o2 = _sub(g, frozenset(range(n)) - l1 - {x1, v})
     p2 = ipf_blocktree(g2)
     edges = _edges_up(p2.edges, n2o2) | leaf_ipf_edges(x1, y1, l1)
-    edges |= {tuple(sorted((v, x1)))}
+    edges |= {(v, x1)}
     return Ipf.from_edges(g, edges)
 
 
@@ -697,9 +683,9 @@ def ipf_23_with_2factor(g: Graph) -> Ipf | None:
         raise GraphError("the 2-factor construction requires order >= 7")
     if not g.is_connected() or not g.is_23_graph():
         raise GraphError("host must be a connected {2,3}-graph")
-    hyp = _blocktree_hypotheses(g)
-    if hyp is not None:
-        return _blocktree(g, *hyp)
+    cycles = _blocktree_hypotheses(g)
+    if cycles is not None:
+        return _blocktree(g, cycles)
     # a hamiltonian host of order >= 7 is one block and met the hypotheses
     cycles = two_factor_search(g, fewest_possible=2)
     return None if cycles is None else _two_factor_reduction(g, cycles)
@@ -935,5 +921,5 @@ def _cubic_k4minus(g: Graph, hit) -> tuple[Ipf, list[str]]:
             raise ConstructionError(
                 "K4- reduction could not separate the outside path ends")
     edges = _edges_up(p.edges, n2o)
-    edges |= {tuple(sorted(e)) for e in ((x0, a), (a, c), (y0, b), (b, d))}
+    edges |= {(x0, a), (a, c), (y0, b), (b, d)}
     return Ipf.from_edges(g, edges), ["k4minus-reduction"] + trace

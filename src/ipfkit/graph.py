@@ -165,8 +165,12 @@ class Graph:
         return Graph(self.n, self.edges - gone)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Subgraph on `vertices`; returns (subgraph, old->new index map)."""
+        """Subgraph on `vertices`, relabelled in increasing order, and the
+        old->new index map; GraphError for a vertex outside 0..n-1."""
         vs = sorted(set(vertices))
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
+            bad = vs[0] if vs[0] < 0 else vs[-1]
+            raise GraphError(f"vertex {bad} is not in 0..{self.n - 1}")
         old_to_new = {v: i for i, v in enumerate(vs)}
         edges = [(old_to_new[u], old_to_new[v]) for u, v in self.edges
                  if u in old_to_new and v in old_to_new]

@@ -198,10 +198,13 @@ def _bfs_relabel(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
 
 def check_budget(node_limit, time_limit) -> None:
-    """Raise ValueError unless both budgets are at least 0; NaN is refused."""
-    if not (node_limit >= 0 and time_limit >= 0):
-        raise ValueError(f"budgets must be at least 0, got node_limit="
-                         f"{node_limit}, time_limit={time_limit}")
+    """Raise ValueError unless both budgets are at least 0 and the node
+    budget is an int; NaN is refused."""
+    if not (isinstance(node_limit, int) and node_limit >= 0
+            and time_limit >= 0):
+        raise ValueError(f"budgets must be at least 0 and the node budget an "
+                         f"integer, got node_limit={node_limit}, "
+                         f"time_limit={time_limit}")
 
 
 def _lower_bound(g: Graph) -> int:

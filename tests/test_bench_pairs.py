@@ -55,3 +55,30 @@ def test_pairs_below_one_are_a_usage_error(capsys, pairs):
                           "--pairs", pairs])
     assert exc.value.code == 2
     assert f"must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["0", "-2", "nan"])
+def test_seconds_not_above_zero_are_a_usage_error(capsys, seconds):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "a", "--change", "b", "--workload", "w",
+                          "--pairs", "1", "--seconds", seconds])
+    assert exc.value.code == 2
+    assert f"must be above 0, got {seconds}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given, used", [([], 7.0),
+                                         (["--seconds", "0.5"], 0.5)])
+def test_run_seconds_apply_only_when_seconds_is_absent(
+        tmp_path, monkeypatch, given, used):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7.0, "end_to_end": []}')
+    asked = []
+
+    def run_once(checkout, workload, seed, seconds):
+        asked.append(seconds)
+        return "python", {}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--base", str(tmp_path), "--change",
+                             str(tmp_path), "--workload", "w",
+                             "--pairs", "1", *given]) == 0
+    assert asked == [used, used]

@@ -36,6 +36,17 @@ def test_graph_invariants():
     assert g.adj[0] == (1,) and g.adj[1] == (0,)
 
 
+def test_induced_subgraph_refuses_vertices_outside_the_graph():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for stray in ([0, 99], [-1, 2], [3]):
+        with pytest.raises(GraphError, match=r"is not in 0\.\.2"):
+            g.induced_subgraph(stray)
+    # kept vertices are numbered in increasing order
+    assert g.induced_subgraph([2, 0, 1]) == (g, {0: 0, 1: 1, 2: 2})
+    sub, o2n = g.induced_subgraph([2, 1])
+    assert o2n == {1: 0, 2: 1} and sub.edges == {(0, 1)}
+
+
 def test_degree_queries():
     g = triangle_ring(9)
     assert sorted(map(len, g.adj)) == [2, 2, 2, 3, 3, 3, 3, 3, 3]

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ipfkit import (
     Graph, glue_at_vertex, rho_exact, rho_exhaustive, subdivide_edge,
-    verify_ipf,
+    suppress_vertex, verify_ipf,
 )
+from ipfkit.constructive import _edges_up, _sub
 
 from conftest import random_connected_subcubic
 
@@ -79,3 +80,25 @@ def test_gluing_strictness_witness():
     g, _ = glue_at_vertex(a, a, 1, 1)
     assert rho_exact(a).rho == 1
     assert rho_exact(g).rho == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_construct_relabels_are_increasing(seed):
+    """The relabels that the construct layer maps normalised edges through
+    without sorting them: _sub's new->old map, and suppress_vertex's
+    old->new map, both increase."""
+    rng = random.Random(seed)
+    g = random_connected_subcubic(rng, rng.randrange(2, 13))
+    verts = frozenset(v for v in range(g.n) if rng.random() < 0.7)
+    sub, o2n, n2o = _sub(g, verts)
+    assert [n2o[i] for i in range(sub.n)] == sorted(verts)
+    assert o2n == {v: i for i, v in n2o.items()}
+    edges = rho_exact(sub).witness.edges
+    assert _edges_up(edges, n2o) \
+        == {tuple(sorted((n2o[u], n2o[v]))) for u, v in edges}
+    for c in range(g.n):
+        if g.degree(c) == 2 and not g.has_edge(*g.adj[c]):
+            rec = suppress_vertex(g, c)[1]
+            assert [rec.old_to_new[v] for v in sorted(rec.old_to_new)] \
+                == list(range(g.n - 1))

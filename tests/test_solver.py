@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from ipfkit import (Graph, Ipf, IpfError, SolveResult, parse_graph6,
-                    rho_exact, rho_exhaustive, verify_ipf)
+                    rho_exact, rho_exhaustive, verify_ipf, write_graph6)
+from ipfkit.bounds import census
 from ipfkit.solver import (SEEN_CAP, _bfs_order, _greedy_cover,
                            _lower_bound, longest_induced_path_order)
 from ipfkit import _kernel_py, solver
@@ -357,6 +358,25 @@ def kernel(request):
     if request.param == "c":
         return request.getfixturevalue("kernel_c")
     return _kernel_py
+
+
+@pytest.mark.parametrize("limit", [2.5, 3.0, "3", None])
+def test_node_budget_must_be_an_int(kernel, monkeypatch, limit):
+    """A node budget that is not an int is refused before any search, by
+    rho_exact and by census; run on each twin."""
+    calls = []
+
+    def solve_min_ipf(*args):
+        calls.append(args)
+        return kernel.solve_min_ipf(*args)
+    monkeypatch.setattr(solver, "_kernel",
+                        SimpleNamespace(solve_min_ipf=solve_min_ipf))
+    with pytest.raises(ValueError, match="node budget an integer"):
+        rho_exact(petersen(), node_limit=limit)
+    with pytest.raises(ValueError, match="node budget an integer"):
+        census([write_graph6(petersen())], mode="exact_rho", node_limit=limit)
+    assert calls == []
+    assert rho_exact(petersen(), node_limit=3).rho == 3 and calls
 
 
 def twins_agree(kernel_c, g, *args):

@@ -111,16 +111,23 @@ def positive_int(text: str) -> int:
     return value
 
 
+def above_zero(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=positive_int, required=True)
-    ap.add_argument("--seconds", type=float)
+    ap.add_argument("--seconds", type=above_zero)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     sides = {"base": args.base, "change": args.change}
     results: dict[str, list[dict]] = {"base": [], "change": []}
     ok = True

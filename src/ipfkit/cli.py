@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--params", default="",
                    help="comma-separated key=value integers, e.g. n=9 "
-                        "(colon-separated tuples: subdivided=0:2)")
+                        "(colon-separated tuples: subdivided=0:2, or "
+                        "subdivided=0 for one element)")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("census", help="verify a graph6 stream")

@@ -1,14 +1,16 @@
 """Constructive IPF pipeline with explicit path-count guarantees.
 
-Every operation returns a runtime-verified IPF together with the bound it
-promises.  The cubic pipeline (``ipf_cubic``) follows the proof of the
-(n-1)/3 bound.  It splits the host at a bridge, or cuts out a reducible
-K4-minus, repairs the degree-2 vertices either move leaves, recurses on
-the cubic result and lifts the IPF back.  A bridgeless host is covered
-through its hamilton cycle by the greedy construction of ``ipf_ham23``;
-a nonhamiltonian one with no reducible K4-minus goes through a 2-factor
-of long cycles and the block-tree construction for {2,3}-graphs.  Each
-assembly step re-verifies its output, so a faulty reduction fails loudly
+Every operation but ``lift`` returns a runtime-verified IPF together with
+the bound it promises; ``lift`` checks its result's count and ends, and
+the IPF its caller assembles from it verifies the rest.  The cubic
+pipeline (``ipf_cubic``) follows the proof of the (n-1)/3 bound.  It
+splits the host at a bridge, or cuts out a reducible K4-minus, repairs
+the degree-2 vertices either move leaves, recurses on the cubic result
+and lifts the IPF back.  A bridgeless host is covered through its
+hamilton cycle by the greedy construction of ``ipf_ham23``; a
+nonhamiltonian one with no reducible K4-minus goes through a 2-factor of
+long cycles and the block-tree construction for {2,3}-graphs.  Each
+assembly step verifies its output, so a faulty reduction fails loudly
 instead of producing an invalid certificate.
 """
 
@@ -182,7 +184,12 @@ def lift(record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
     paste_k4minus, at most one more for suppress_vertex.  Endpoint
     guarantees: a path ends at the triangle's degree-2 vertex (augment),
     two distinct paths end at the pasted edge's endpoints (paste), a path
-    ends at the suppressed vertex (suppress)."""
+    ends at the suppressed vertex (suppress).
+
+    `ipf_prime` is verified first (a cached read when it already is).  The
+    result is checked for its path count and its ends, and verified when
+    its paths are first read: a caller that puts it into an IPF of a
+    graph it is an induced subgraph of verifies it there."""
     if record.result != ipf_prime.host:
         raise ConstructionError(
             f"surgery record {record.kind}{record.args} does not transform "
@@ -191,29 +198,31 @@ def lift(record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
     # the surgeries relabel in increasing order, so normalised edges stay
     # normalised; the vertices outside n2o are those augment and paste add
     n2o = {i: v for v, i in record.old_to_new.items()}
-    edges = {(n2o[u], n2o[v]) for u, v in standardise(ipf_prime).edges
-             if u in n2o and v in n2o}
+    std = standardise(ipf_prime.verified())
+    edges = {(n2o[u], n2o[v]) for u, v in std.edges if u in n2o and v in n2o}
     if kind in ("augment_triangle", "paste_k4minus"):
         allowed = ipf_prime.path_count
     elif kind == "suppress_vertex":
         c = record.args[0]
         ab = g.adj[c]  # sorted, so already an edge in normal form
         if ab in edges:
-            edges = (edges - {ab}) | {(c, ab[0])}
+            a = ab[0]
+            edges = (edges - {ab}) | {(c, a) if c < a else (a, c)}
         allowed = ipf_prime.path_count + 1
     else:
         raise ConstructionError(f"lift does not support surgery {kind!r}")
-    out = Ipf.from_edges(g, edges)
+    out = Ipf(g, frozenset(edges))
     if out.path_count > allowed:
         raise ConstructionError(
             f"{kind} lift used {out.path_count} paths, allowed {allowed}")
     z = record.args[-1]  # augment's degree-2 apex, or the suppressed vertex
     if kind == "paste_k4minus":
         a, b = record.args
-        if not _ends_apart(out, a, b):
+        if not _ends_apart(out, a, b):  # reads, so verifies, out's paths
             raise ConstructionError(
                 f"paste lift: need distinct paths ending at {a} and {b}")
-    elif z not in out.endpoints():
+    elif sum((min(z, w), max(z, w)) in edges for w in g.adj[z]) > 1:
+        # z ends a path when at most one chosen edge meets it
         raise ConstructionError(f"{kind} lift: no path ends at {z}")
     return out
 
@@ -260,8 +269,10 @@ def ipf_small_ham(c: Graph, x: int) -> Ipf:
     if n in (5, 6):
         # shortest prefix of the cycle whose complement arc is also induced
         # and whose interior vertices all have degree 3
+        orders = (cyc, [cyc[0]] + cyc[:0:-1])
         for length in range(0, n - 1):
-            for order in (cyc, [cyc[0]] + cyc[:0:-1]):
+            # at length 0 both orientations split off x from the same path
+            for order in orders if length else orders[:1]:
                 first = order[:length + 1]
                 second = order[length + 1:]
                 try:
@@ -750,7 +761,7 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
 class Certificate:
     """A verified IPF of a connected cubic graph and its route trace; n,
     graph6 and the promised bound (2 paths for n <= 6, (n-1)/3 beyond) are
-    read from the IPF's host, and ``ipf_cubic`` verifies every IPF."""
+    read from the IPF's host, and ``ipf_cubic`` verifies the IPF."""
     ipf: Ipf
     trace: list[str]
 
@@ -788,7 +799,7 @@ def ipf_cubic(g: Graph) -> Certificate:
     if ipf.path_count > limit:
         raise ConstructionError(
             f"cubic construction used {ipf.path_count} paths, allowed {limit}")
-    return Certificate(ipf, trace)
+    return Certificate(ipf.verified(), trace)
 
 
 def _cubic_recurse(g: Graph, bridges) -> tuple[Ipf, list[str]]:

@@ -16,6 +16,8 @@ graph6 limit, before it builds anything.
 
 from __future__ import annotations
 
+import inspect
+
 from .graph import GRAPH6_MAX_N, Graph, GraphError
 
 
@@ -257,11 +259,16 @@ _FAMILIES = {
 
 def generate(family: str, params: dict) -> Graph:
     """Build the graph of the named family with the given keyword
-    parameters, e.g. generate("triangle_ring", {"n": 9})."""
+    parameters, e.g. generate("triangle_ring", {"n": 9}).  A tuple-valued
+    parameter given one integer reads as a one-element tuple."""
     try:
         fn = _FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown family: {family!r}") from None
+    sig = inspect.signature(fn).parameters  # a tuple default: tuple-valued
+    params = {key: (val,) if isinstance(val, int) and key in sig
+              and isinstance(sig[key].default, tuple) else val
+              for key, val in params.items()}
     try:
         return fn(**params)
     except TypeError as exc:

@@ -67,6 +67,13 @@ class Graph:
     same neighbours in ascending order.  Adjacency, connectivity and graph6
     coding read the masks.
 
+    `Graph(n, edges)` validates outside input once: it refuses a negative
+    order, an edge out of range and a self-loop, and drops repeated edges.
+    The graphs that ``parse_graph6`` decodes from a checked line and that
+    ``induced_subgraph`` and ``surgery.suppress_vertex`` derive from a
+    graph are built by ``_build`` without these checks, which their edges
+    pass by construction.
+
     `_memo` holds what the `per_graph` functions have computed for the
     graph.  Caching is safe because nothing changes a Graph after
     construction; every derived graph is a new object with an empty memo.
@@ -77,31 +84,14 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        masks, pairs = [0] * n, []
-        adj: list[list[int]] = [[] for _ in range(n)]
+        pairs = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            bit = 1 << v
-            if masks[u] & bit:
-                continue  # a repeat of an edge already taken
-            masks[u] |= bit
-            masks[v] |= 1 << u
-            adj[u].append(v)
-            adj[v].append(u)
             pairs.append((u, v) if u < v else (v, u))
-        for row in adj:
-            row.sort()  # in place: sorted(row) would copy every row
-        # tuples of lists, not of generators: tuple(generator) reallocs a
-        # new tuple instead of reusing the interpreter's per-length free
-        # lists, which then grew by one tuple per Graph (up to 2000 per length)
-        self.n = n
-        self.adj_mask = tuple(masks)
-        self.adj = tuple([tuple(row) for row in adj])
-        self.edges = frozenset(pairs)
-        self._memo = {}
+        _build(self, n, list(dict.fromkeys(pairs)))  # drop repeats
 
     # -- basic queries -------------------------------------------------
 
@@ -172,9 +162,36 @@ class Graph:
             bad = vs[0] if vs[0] < 0 else vs[-1]
             raise GraphError(f"vertex {bad} is not in 0..{self.n - 1}")
         old_to_new = {v: i for i, v in enumerate(vs)}
+        # the increasing relabel keeps the edges normalised
         edges = [(old_to_new[u], old_to_new[v]) for u, v in self.edges
                  if u in old_to_new and v in old_to_new]
-        return Graph(len(vs), edges), old_to_new
+        return _build(Graph.__new__(Graph), len(vs), edges), old_to_new
+
+
+def _build(g: Graph, n: int, pairs: list[tuple[int, int]]) -> Graph:
+    """Fill g's slots from `pairs`, which must be normalised (u < v), in
+    0..n-1 and unrepeated, and return g.  ``Graph(n, edges)`` checks that
+    of outside input first; ``parse_graph6``, ``Graph.induced_subgraph``
+    and ``surgery.suppress_vertex`` give such pairs by construction and
+    call this on ``Graph.__new__(Graph)``."""
+    masks = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        row.sort()  # in place: sorted(row) would copy every row
+    # tuples of lists, not of generators: tuple(generator) reallocs a
+    # new tuple instead of reusing the interpreter's per-length free
+    # lists, which then grew by one tuple per Graph (up to 2000 per length)
+    g.n = n
+    g.adj_mask = tuple(masks)
+    g.adj = tuple([tuple(row) for row in adj])
+    g.edges = frozenset(pairs)
+    g._memo = {}
+    return g
 
 
 _MISSING = object()
@@ -254,7 +271,7 @@ def parse_graph6(text: str) -> Graph:
             low = row & -row
             edges.append((low.bit_length() - 1, v))
             row ^= low
-    g = Graph(n, edges)
+    g = _build(Graph.__new__(Graph), n, edges)
     g._memo[_G6_KEY] = line  # validated above, so it is the one encoding of g
     return g
 

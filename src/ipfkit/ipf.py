@@ -7,7 +7,12 @@ n minus the number of chosen edges.
 An ``Ipf`` built by ``from_edges`` or ``from_paths`` is verified once, at
 construction, and keeps the paths ``verify_ipf`` returned; every later
 question about its paths reads them.  The raw constructor ``Ipf(host,
-edges)`` is unchecked: it verifies on the first question about its paths.
+edges)`` is unchecked: it verifies on the first question about its paths,
+which ``verified()`` asks.  ``constructive.lift`` verifies the IPF it is
+given and returns a raw one, checked for its path count and ends, so that
+a bridge side is verified once, inside the IPF of the whole host;
+``ipf_cubic`` verifies the IPF it returns.  ``is_standardised`` reads no
+path on a host with no induced K4-minus.
 """
 
 from __future__ import annotations
@@ -127,9 +132,7 @@ class Ipf:
 
     @staticmethod
     def from_edges(host: Graph, edges: Iterable[tuple[int, int]]) -> "Ipf":
-        ipf = Ipf(host, _norm_edges(edges))
-        ipf._paths  # verify now, once
-        return ipf
+        return Ipf(host, _norm_edges(edges)).verified()
 
     @staticmethod
     def from_paths(host: Graph, paths: Iterable[Sequence[int]]) -> "Ipf":
@@ -142,6 +145,12 @@ class Ipf:
     def _paths(self) -> list[list[int]]:
         # read, never changed: paths() hands out copies
         return verify_ipf(self.host, self.edges)
+
+    def verified(self) -> "Ipf":
+        """This IPF, once its edge set is verified against the host (a
+        cached read after the first time); IpfError if it is no IPF."""
+        self._paths
+        return self
 
     @cached_property
     def path_of(self) -> dict[int, int]:
@@ -209,14 +218,17 @@ def induced_k4minus_subgraphs(g: Graph) -> tuple[tuple[int, int, int, int], ...]
     in the order of cd, then a, then b; computed once per graph."""
     masks = g.adj_mask
     found = []
-    for c, d in g.sorted_edges():
-        common = masks[c] & masks[d]
-        if common & (common - 1):  # a K4- needs two common neighbours
-            ws = _bits(common)
-            for i, a in enumerate(ws):
-                for b in ws[i + 1:]:
-                    if not masks[a] >> b & 1:
-                        found.append((a, b, c, d))
+    for c, row in enumerate(g.adj):  # the edges cd, c < d, in sorted order
+        for d in row:
+            if d < c:
+                continue
+            common = masks[c] & masks[d]
+            if common & (common - 1):  # a K4- needs two common neighbours
+                ws = _bits(common)
+                for i, a in enumerate(ws):
+                    for b in ws[i + 1:]:
+                        if not masks[a] >> b & 1:
+                            found.append((a, b, c, d))
     return tuple(found)
 
 
@@ -229,6 +241,9 @@ def is_standardised(ipf: Ipf) -> list[tuple[int, int, int, int]]:
     g = ipf.host
     if not g.is_subcubic():
         raise ValueError("standardisation is defined for subcubic hosts")
+    found = induced_k4minus_subgraphs(g)
+    if not found:
+        return []  # read no path of the IPF
     ends = ipf.endpoints()
     path_of = ipf.path_of
 
@@ -236,7 +251,7 @@ def is_standardised(ipf: Ipf) -> list[tuple[int, int, int, int]]:
         """A path ends at v with the edge vw."""
         return v in ends and (min(v, w), max(v, w)) in ipf.edges
 
-    return [(a, b, c, d) for a, b, c, d in induced_k4minus_subgraphs(g)
+    return [(a, b, c, d) for a, b, c, d in found
             if path_of[c] == path_of[d]
             or not any(ends_through(c, x) and ends_through(d, y)
                        for x, y in ((a, b), (b, a)))]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 from .graph import Graph
 from .ipf import Ipf
@@ -198,13 +199,17 @@ def _bfs_relabel(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
 
 def check_budget(node_limit, time_limit) -> None:
-    """Raise ValueError unless both budgets are at least 0 and the node
-    budget is an int; NaN is refused."""
-    if not (isinstance(node_limit, int) and node_limit >= 0
-            and time_limit >= 0):
-        raise ValueError(f"budgets must be at least 0 and the node budget an "
-                         f"integer, got node_limit={node_limit}, "
-                         f"time_limit={time_limit}")
+    """Raise ValueError unless the node budget is an int and the time
+    budget a real number, neither a bool, and both are at least 0; NaN is
+    refused."""
+    if (isinstance(node_limit, bool) or isinstance(time_limit, bool)
+            or not isinstance(node_limit, int)
+            or not isinstance(time_limit, Real)
+            or not (node_limit >= 0 and time_limit >= 0)):
+        raise ValueError(f"budgets must be at least 0, the node budget an "
+                         f"integer and the time budget a real number, got "
+                         f"node_limit={node_limit!r}, "
+                         f"time_limit={time_limit!r}")
 
 
 def _lower_bound(g: Graph) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _build
 
 
 class SurgeryError(ValueError):
@@ -56,9 +56,10 @@ def suppress_vertex(g: Graph, c: int) -> tuple[Graph, SurgeryRecord]:
     a, b = g.adj[c]
     _require(not g.has_edge(a, b), f"neighbours {a},{b} of {c} nonadjacent")
     old_to_new = {v: (v if v < c else v - 1) for v in range(g.n) if v != c}
+    # the shift keeps edges normalised, and ab was no edge: no check needed
     edges = [(old_to_new[x], old_to_new[y]) for x, y in g.edges if c not in (x, y)]
     edges.append((old_to_new[a], old_to_new[b]))
-    h = Graph(g.n - 1, edges)
+    h = _build(Graph.__new__(Graph), g.n - 1, edges)
     return h, SurgeryRecord("suppress_vertex", (c,), g, h, old_to_new)
 
 

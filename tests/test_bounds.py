@@ -380,7 +380,10 @@ def test_census_budget_exhaustion_reported():
 @pytest.mark.parametrize("kwargs", [{"mode": "neither"}, {"node_limit": -1},
                                     {"time_limit": -1.0},
                                     {"time_limit": float("nan")},
-                                    {"jobs": 0}, {"jobs": -2}])
+                                    {"jobs": 0}, {"jobs": -2},
+                                    {"time_limit": None},
+                                    {"time_limit": "1"},
+                                    {"time_limit": True}])
 def test_census_bad_arguments_raise_before_reading(kwargs):
     def lines():
         raise AssertionError("input read despite a bad argument")

@@ -19,7 +19,7 @@ from ipfkit.constructive import ConstructionError, ipf_cubic, ipf_ham23
 from ipfkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 )
-from ipfkit.families import petersen, triangle_ring
+from ipfkit.families import bad_graph, petersen, triangle_ring
 
 from conftest import (census_graphs, census_path, chorded_census_lines,
                       cycle_as_one_path, random_connected_cubic, rho_four)
@@ -433,6 +433,13 @@ def test_generate_tuple_params(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["n"] == 6 + 12
+
+
+def test_generate_one_integer_is_a_one_element_tuple(capsys):
+    code, out, _ = run(capsys, ["generate", "--family", "bad_graph",
+                                "--params", "ring_order=9,subdivided=0"])
+    assert code == EXIT_OK
+    assert out.strip() == write_graph6(bad_graph(9, (0,)))
 
 
 @pytest.mark.parametrize("params, message", [

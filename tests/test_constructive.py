@@ -578,24 +578,67 @@ def test_cubic_builds_each_subgraph_once(monkeypatch):
         (18, 14), (12, 5), (12, 7)]
 
 
-def test_cubic_verifies_each_built_ipf_once(monkeypatch):
-    calls = {"verify_ipf": 0, "from_edges": 0}
+def spy_verified(monkeypatch):
+    """Every (host, edge set) that verify_ipf checks, keyed by the host's
+    identity, and the repeats among them; the map keeps each host alive,
+    so no id is reused while it is read."""
+    verified, repeats = {}, []
+    orig = ipf_module.verify_ipf
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-    monkeypatch.setattr(ipf_module, "verify_ipf",
-                        counted("verify_ipf", ipf_module.verify_ipf))
-    monkeypatch.setattr(Ipf, "from_edges",
-                        staticmethod(counted("from_edges", Ipf.from_edges)))
+    def wrapper(g, edges):
+        key = (id(g), frozenset(edges))
+        if key in verified:
+            repeats.append((g, key[1]))
+        verified[key] = g
+        return orig(g, edges)
+    monkeypatch.setattr(ipf_module, "verify_ipf", wrapper)
+    return verified, repeats
+
+
+def test_cubic_verifies_each_built_ipf_once(monkeypatch):
+    """Within one ipf_cubic call no edge set is verified twice on one
+    graph, and the certificate's IPF is one of those verified."""
+    verified, repeats = spy_verified(monkeypatch)
     traces = set()
     for g in [flower_snark(7)] + census_graphs(14):
+        verified.clear()
         cert = ipf_cubic(g)
         traces.update(cert.trace)
+        assert (id(cert.ipf.host), cert.ipf.edges) in verified
     assert {"bridge-split", "k4minus-reduction", "two-factor"} <= traces
-    assert calls["verify_ipf"] == calls["from_edges"] > 0
+    assert not repeats
+
+
+def test_bridge_side_is_verified_inside_its_union(monkeypatch):
+    """A bridge side's lifted IPF is not verified on the side: the bridge
+    split's IPF of the parent, which contains it, is."""
+    verified, _ = spy_verified(monkeypatch)
+    lifted = spy(monkeypatch, "lift")
+    rng = random.Random(11)
+    sides = 0
+    while sides < 20:
+        g = random_bridged_cubic(rng, 40)
+        verified.clear()
+        lifted.clear()
+        cert = ipf_cubic(g)
+        if "k4minus-reduction" in cert.trace:
+            continue  # that route reads the ends of its lifted IPF
+        check_certificate(g, cert)
+        for _, out in lifted:
+            assert (id(out.host), out.edges) not in verified
+            sides += 1
+
+
+def test_small_ham_tries_each_split_once(monkeypatch):
+    # at length 0 both orientations give the same two paths
+    verified, repeats = spy_verified(monkeypatch)
+    for n in (5, 6):
+        for g in hamiltonian_23_graphs(n):
+            for x in range(n):
+                if g.degree(x) == 2:
+                    verified.clear()
+                    ipf_small_ham(g, x)
+                    assert not repeats
 
 
 def test_lift_scans_the_host_k4minus_once(monkeypatch):

@@ -213,6 +213,39 @@ def test_per_graph_caches_share_one_memo():
     assert not touching, f"modules that touch Graph._memo: {touching}"
 
 
+def builder_sites(node: ast.AST, scope: str = "<module>"):
+    """The scope (a function's qualified name, or "<module>") of each
+    place under node that names ``_build``: read as a name or an
+    attribute, or imported."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from builder_sites(child, child.name if scope == "<module>"
+                                     else f"{scope}.{child.name}")
+            continue
+        name = (child.id if isinstance(child, ast.Name)
+                else child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias) else None)
+        if name == "_build":
+            yield scope
+        yield from builder_sites(child, scope)
+
+
+def test_only_derivations_skip_graph_validation():
+    # graph._build fills a Graph without Graph.__init__'s checks; only
+    # __init__, after its checks, and the three derivations from an
+    # already validated graph may call it, so outside input cannot skip them
+    sites = {(path.relative_to(ROOT).as_posix(), site)
+             for root in ("src", "tools", "perfbench", "tests")
+             for path in sorted((ROOT / root).rglob("*.py"))
+             for site in builder_sites(ast.parse(path.read_text(), str(path)))}
+    assert sites == {("src/ipfkit/graph.py", "Graph.__init__"),
+                     ("src/ipfkit/graph.py", "Graph.induced_subgraph"),
+                     ("src/ipfkit/graph.py", "parse_graph6"),
+                     ("src/ipfkit/surgery.py", "<module>"),  # its import
+                     ("src/ipfkit/surgery.py", "suppress_vertex")}
+
+
 def test_kernel_section_map_matches_the_twin_docstring():
     # each quoted name in the map of _kernel_c.c's header comment heads a
     # paragraph of _kernel_py's docstring, and each such heading but the

@@ -1,13 +1,14 @@
 """Property-based checks: subdivision monotonicity, gluing superadditivity,
-solver agreement and witness validity."""
+solver agreement, witness validity, and graphs derived without
+re-validation equal to the validated ones."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from ipfkit import (
-    Graph, glue_at_vertex, rho_exact, rho_exhaustive, subdivide_edge,
-    suppress_vertex, verify_ipf,
+    Graph, glue_at_vertex, parse_graph6, rho_exact, rho_exhaustive,
+    subdivide_edge, suppress_vertex, verify_ipf, write_graph6,
 )
 from ipfkit.constructive import _edges_up, _sub
 
@@ -102,3 +103,34 @@ def test_construct_relabels_are_increasing(seed):
             rec = suppress_vertex(g, c)[1]
             assert [rec.old_to_new[v] for v in sorted(rec.old_to_new)] \
                 == list(range(g.n - 1))
+
+
+def assert_same_graph(h, n, edges):
+    """h equals, on every field that Graph fills, Graph(n, edges)."""
+    g = Graph(n, edges)
+    assert (h.n, h.adj, h.adj_mask, h.edges) \
+        == (g.n, g.adj, g.adj_mask, g.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_derived_graphs_equal_the_validated_ones(seed):
+    """The graphs that parse_graph6, induced_subgraph and suppress_vertex
+    build without Graph's checks equal the validated Graph of the edges
+    each derivation defines, given in an order of their own."""
+    rng = random.Random(seed)
+    g = random_connected_subcubic(rng, rng.randrange(2, 13))
+    edges = [(v, u) for u, v in g.edges]
+    rng.shuffle(edges)
+    assert_same_graph(parse_graph6(write_graph6(g)), g.n, edges)
+    sub, o2n = g.induced_subgraph(
+        v for v in range(g.n) if rng.random() < 0.7)
+    assert_same_graph(sub, len(o2n), [(o2n[u], o2n[v]) for u, v in edges
+                                      if u in o2n and v in o2n])
+    for c in range(g.n):
+        if g.degree(c) == 2 and not g.has_edge(*g.adj[c]):
+            h, rec = suppress_vertex(g, c)
+            o2n = rec.old_to_new
+            a, b = (o2n[w] for w in g.adj[c])
+            assert_same_graph(h, g.n - 1, [(o2n[u], o2n[v]) for u, v in edges
+                                           if c not in (u, v)] + [(b, a)])

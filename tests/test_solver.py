@@ -347,7 +347,10 @@ def test_greedy_cover_is_an_ipf():
 @pytest.mark.parametrize("budget", [{"node_limit": -1},
                                     {"node_limit": float("nan")},
                                     {"time_limit": -1.0},
-                                    {"time_limit": float("nan")}])
+                                    {"time_limit": float("nan")},
+                                    {"time_limit": None},
+                                    {"time_limit": "1"},
+                                    {"time_limit": True}])
 def test_bad_budget_raises(budget):
     with pytest.raises(ValueError, match="must be at least 0"):
         rho_exact(cycle(5), **budget)
@@ -360,7 +363,7 @@ def kernel(request):
     return _kernel_py
 
 
-@pytest.mark.parametrize("limit", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("limit", [2.5, 3.0, "3", None, True])
 def test_node_budget_must_be_an_int(kernel, monkeypatch, limit):
     """A node budget that is not an int is refused before any search, by
     rho_exact and by census; run on each twin."""

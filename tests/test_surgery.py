@@ -5,10 +5,12 @@ import random
 import pytest
 
 from ipfkit import (
-    ConstructionError, Graph, Ipf, SurgeryError, add_edge, augment_triangle,
-    delete_edges, delete_vertices, glue_at_vertex, is_well_behaved, lift,
-    paste_k4minus, rho_exact, subdivide_edge, suppress_vertex, verify_ipf,
+    ConstructionError, Graph, Ipf, IpfError, SurgeryError, add_edge,
+    augment_triangle, delete_edges, delete_vertices, glue_at_vertex,
+    is_well_behaved, lift, paste_k4minus, rho_exact, subdivide_edge,
+    suppress_vertex, verify_ipf,
 )
+from ipfkit import constructive
 from ipfkit.surgery import surgery
 from ipfkit.families import triangle_ring
 
@@ -150,6 +152,28 @@ def test_lift_rejects_an_ipf_of_another_host():
     prime = Ipf.from_paths(path_graph(5), [[0, 1, 2, 3, 4]])
     with pytest.raises(ConstructionError, match="does not transform"):
         lift(rec, prime)
+
+
+def test_lift_verifies_a_raw_ipf_on_a_host_without_k4minus():
+    # C5 has no induced K4-, so standardising reads no path.  Its whole
+    # edge set is a cycle; the lift of it, the path 3-2-1-0-5-4 with the
+    # chord (3, 4), passes lift's count and end checks, so only verifying
+    # the IPF lift is handed finds the fault
+    g = cycle(6)
+    h, rec = suppress_vertex(g, 3)
+    with pytest.raises(IpfError) as err:
+        lift(rec, Ipf(h, h.edges))
+    assert err.value.kind == "cycle"
+
+
+def test_lift_reads_the_apex_end_from_the_edges(monkeypatch):
+    # standardising would reroute the path 8-0-1 through the new vertex
+    # 9; unstandardised, its lift has no path end at the apex 0
+    monkeypatch.setattr(constructive, "standardise", lambda ipf: ipf)
+    g = triangle_ring(9)
+    h, rec = augment_triangle(g, 8, 1, 0)
+    with pytest.raises(ConstructionError, match="no path ends at 0"):
+        lift(rec, Ipf.from_paths(h, [[8, 0, 1]]))
 
 
 def triangles_with_degree_2_apex(g):

@@ -252,12 +252,14 @@ def _census_split(tasks: list, jobs: int) -> list:
 def census(lines, mode: str = "both", jobs: int = 1,
            node_limit: int = DEFAULT_NODE_LIMIT,
            time_limit: float = DEFAULT_TIME_LIMIT) -> CensusReport:
-    """Run the verification pipeline over newline-delimited graph6 input.
+    """Run the verification pipeline over `lines`, an iterable of graph6
+    lines such as an open file or a list of strings.
 
     Graphs that are not connected and cubic are counted as skipped; parse
     errors are reported per line and processing continues.  A bad mode,
-    budget or jobs < 1, or jobs > 1 where os.fork is missing (POSIX has
-    it), raises ValueError before any line is read.
+    budget or jobs < 1, jobs > 1 where os.fork is missing (POSIX has it),
+    or `lines` given as one string, which would be read character by
+    character, raises ValueError before any line is read.
 
     jobs=N runs the census in the calling process and N-1 workers forked
     from it: of the non-blank lines, worker k takes every N-th from the
@@ -275,6 +277,9 @@ def census(lines, mode: str = "both", jobs: int = 1,
     independently of the constructor: a kernel that missed covers would
     report the certificate's count rather than a rho above it.  Mode
     "exact_rho" runs the search unseeded and keeps that check."""
+    if isinstance(lines, str):
+        raise ValueError("census reads an iterable of graph6 lines, not one "
+                         "string; pass text.splitlines()")
     if mode not in ("verify_theorem", "exact_rho", "both"):
         raise ValueError(f"unknown census mode: {mode!r}")
     check_budget(node_limit, time_limit)

@@ -294,7 +294,9 @@ def parse_adjlist(text: str) -> Graph:
     """Text fixture format: header line "n m", then one "u v" line per edge.
 
     A header order above ``GRAPH6_MAX_N`` raises GraphError before any
-    graph is built: the CLI commands that read this format need n <= 62."""
+    graph is built: the CLI commands that read this format need n <= 62.
+    An edge line that repeats an earlier edge, in either direction, raises
+    GraphError too: the graph would have fewer edges than the header's m."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -308,12 +310,17 @@ def parse_adjlist(text: str) -> Graph:
                          f"n <= {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphError(f"header claims {m} edges but {len(lines) - 1} lines follow")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise GraphError(f"repeated edge line {ln!r}: the header claims "
+                             f"{m} distinct edges")
+        edges.add(edge)
     return Graph(n, edges)
 
 

@@ -392,6 +392,14 @@ def test_census_bad_arguments_raise_before_reading(kwargs):
         census(lines(), **kwargs)
 
 
+def test_census_refuses_one_string():
+    # a str iterates by character, so each character would be a line
+    text = census_path(6).read_text()
+    with pytest.raises(ValueError, match="iterable of graph6 lines"):
+        census(text)
+    assert census(text.splitlines()).graphs_processed == 2
+
+
 def test_census_empty_input():
     rep = census([])
     assert rep.graphs_processed == 0 and not rep.errors

@@ -406,6 +406,7 @@ def test_verify_rejects_non_json(capsys, tmp_path):
 @pytest.mark.parametrize("fmt, text, message", [
     ("graph6", "C~x\n", "trailing bytes after bit field"),
     ("adjlist", "4\n0 1\n", "bad adjacency-list header '4'"),
+    ("adjlist", "3 2\n0 1\n1 0\n", "repeated edge line '1 0'"),
 ])
 def test_unparsable_input_graph(capsys, tmp_path, command, fmt, text,
                                 message):

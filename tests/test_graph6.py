@@ -1,12 +1,15 @@
-"""graph6 parsing and writing."""
+"""graph6 and adjacency-list parsing and writing."""
 
 import json
+import random
+import re
 import sys
 
 import pytest
 
 from ipfkit import (
-    Graph, Graph6Error, census, graph, ipf_cubic, parse_graph6, write_graph6,
+    Graph, Graph6Error, GraphError, census, graph, ipf_cubic, parse_adjlist,
+    parse_graph6, write_adjlist, write_graph6,
 )
 from ipfkit import surgery
 from ipfkit.cli import EXIT_OK, main
@@ -208,3 +211,31 @@ def test_census_reports_padding_as_error_line():
     assert rep.graphs_processed == 1
     assert len(rep.errors) == 1
     assert rep.errors[0].startswith("line 2: non-zero padding bits")
+
+
+def test_adjlist_round_trips():
+    rng = random.Random(36)
+    graphs = [Graph(0), Graph(1), Graph(7)]
+    for n in range(2, 20):
+        p = rng.random()
+        graphs.append(Graph(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert parse_adjlist(write_adjlist(g)) == g
+
+
+def test_adjlist_skips_comments_and_blank_lines():
+    text = "# a path\n\n3 2\n  # its edges\n0 1\n\n 2 1 \n"
+    assert parse_adjlist(text) == Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1\n", "header claims 2 edges but 1 lines follow"),
+    ("3 1\n0 1\n1 2\n", "header claims 1 edges but 2 lines follow"),
+    ("3 2\n0 1\n1 2 0\n", "bad edge line '1 2 0'"),
+    ("3 2\n0 1\n1 0\n", "repeated edge line '1 0'"),
+    ("3 3\n0 1\n1 2\n1 2\n", "repeated edge line '1 2'"),
+])
+def test_adjlist_refuses_malformed_text(text, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        parse_adjlist(text)

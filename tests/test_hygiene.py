@@ -6,12 +6,14 @@ is left unread,
 exactly what ``__init__`` imports (and its ``__version__``), every
 per-graph cache goes through ``graph.per_graph``, the compiled kernel's
 section map names exactly the paragraphs of its Python twin's docstring,
-and every option of a CLI subcommand is read by its handler."""
+every option of a CLI subcommand is read by its handler, and the tools
+import nothing but the standard library and ipfkit."""
 
 import argparse
 import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,21 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tools").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_tools_import_only_the_standard_library_and_ipfkit(path):
+    # pyproject.toml declares no dependency, so a tool that imports a
+    # third-party module does not run in an installed checkout
+    tree = ast.parse(path.read_text(), str(path))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0}
+    foreign = {name for name in modules if name.split(".")[0]
+               not in sys.stdlib_module_names | {"ipfkit"}}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
 
 
 def target_names(node: ast.expr):

@@ -19,16 +19,25 @@ subdividing an edge at the degree-2 vertex of an odd side of order m-1
 chains of rungs).  A 2-cut whose edges share an endpoint forces a
 bridge, so those graphs come from the bridge composition instead.
 
+Deduplication is exact and needs only ipfkit.  A vertex's profile is
+the size of each layer of a BFS from it and the number of edges inside
+each layer; candidates are bucketed by their sorted vertex profiles, and
+a candidate is tested against each graph kept in its bucket by
+backtracking over its vertices in BFS order, each mapped to an unused
+vertex with its profile whose adjacency to the vertices already placed
+matches.  Candidates come in a fixed order and the first of each
+isomorphism class is kept with the labels it was built with, so every
+exact dedup keeps the same graphs in the same order, and the files do
+not change when the isomorphism test does.
+
 The script asserts the known counts 1, 2, 5, 19, 85, 509 of connected
-cubic graphs, so any incompleteness fails loudly.
+cubic graphs, so any incompleteness fails loudly.  Run it as
+``python3 tools/gen_cubic_census.py``.
 """
 
 import itertools
 import sys
 from pathlib import Path
-
-import networkx as nx
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ipfkit.graph import Graph, write_graph6  # noqa: E402
@@ -36,30 +45,58 @@ from ipfkit.graph import Graph, write_graph6  # noqa: E402
 EXPECTED = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 
 
-def to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
+def profile(g: Graph, root: int) -> tuple:
+    """The size and the inner edge count of each layer of a BFS from root."""
+    seen = layer = 1 << root
+    out = []
+    while layer:
+        reach = inside = 0
+        for v in range(g.n):
+            if layer >> v & 1:
+                reach |= g.adj_mask[v]
+                inside += (g.adj_mask[v] & layer).bit_count()
+        out.append((layer.bit_count(), inside // 2))
+        layer = reach & ~seen
+        seen |= layer
+    return tuple(out)
 
 
-def invariant(h: nx.Graph):
-    a = nx.to_numpy_array(h)
-    eig = np.sort(np.linalg.eigvalsh(a))
-    return (h.number_of_nodes(), tuple(np.round(eig, 6)))
+def isomorphic(g: Graph, gp: list, h: Graph, hp: list) -> bool:
+    """Whether connected g and h, whose vertices have the profiles gp and
+    hp, are isomorphic, by the search the module docstring describes."""
+    order, image = [0], {}
+    for v in order:  # a BFS: the loop reaches what it appends
+        order += [w for w in g.adj[v] if w not in order]
+
+    def place(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        need = sum(1 << image[u] for u in g.adj[v] if u in image)
+        for w in range(h.n):
+            if not used >> w & 1 and hp[w] == gp[v] \
+                    and h.adj_mask[w] & used == need:
+                image[v] = w
+                if place(i + 1, used | 1 << w):
+                    return True
+                del image[v]
+        return False
+    return place(0, 0)
 
 
 class Dedup:
+    """Keeps the first graph of each isomorphism class it is given."""
+
     def __init__(self):
-        self.buckets = {}
+        self.buckets = {}  # sorted vertex profiles -> [(graph, profiles)]
         self.kept = []
 
     def add(self, g: Graph) -> bool:
-        h = to_nx(g)
-        bucket = self.buckets.setdefault(invariant(h), [])
-        if any(nx.is_isomorphic(h, other) for other in bucket):
+        gp = [profile(g, v) for v in range(g.n)]
+        bucket = self.buckets.setdefault(tuple(sorted(gp)), [])
+        if any(isomorphic(g, gp, h, hp) for h, hp in bucket):
             return False
-        bucket.append(h)
+        bucket.append((g, gp))
         self.kept.append(g)
         return True
 

@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 usage error or stdout closed by its reader,
 
 IPF interchange format: a JSON object with a "graph6" string and an
 "edges" list of [u, v] pairs (a construct certificate works directly,
-since its "ipf" fragment carries the edges).
+since its "ipf" fragment carries the edges, and so does a solve result,
+whose "witness" fragment is read where "ipf" is absent).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _read_graph(args) -> Graph:
         if args.format == "graph6":
             return parse_graph6(text)
         return parse_adjlist(text)
-    except (Graph6Error, GraphError, ValueError) as exc:
+    except GraphError as exc:  # Graph6Error included
         raise CliError(f"cannot parse input graph: {exc}")
 
 
@@ -147,9 +148,11 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"input is not JSON: {exc}")
     try:
-        code, ipf_doc = doc["graph6"], doc.get("ipf", {})
+        code = doc["graph6"]
+        ipf_doc = doc["ipf"] if "ipf" in doc else doc.get("witness", {})
         if not isinstance(code, str) or not isinstance(ipf_doc, dict):
-            raise TypeError('"graph6" must be a string and "ipf" an object')
+            raise TypeError('"graph6" must be a string and "ipf" (or '
+                            '"witness") an object')
         g = parse_graph6(code)
         edges = doc.get("edges")
         if edges is None:

@@ -231,11 +231,6 @@ def lift(record: SurgeryRecord, ipf_prime: Ipf) -> Ipf:
 # Small hamiltonian hosts
 # ---------------------------------------------------------------------------
 
-def _rotate_to(cycle: list[int], x: int) -> list[int]:
-    i = cycle.index(x)
-    return cycle[i:] + cycle[:i]
-
-
 def _small_cubic(g: Graph) -> Ipf:
     """A 2-path IPF of a cubic graph of order 4 or 6, proved by rho_exact."""
     res = rho_exact(g)
@@ -264,7 +259,8 @@ def ipf_small_ham(c: Graph, x: int) -> Ipf:
     cyc = hamilton_cycle(c)
     if cyc is None:
         raise GraphError("host is not hamiltonian")
-    cyc = _rotate_to(cyc, x)
+    i = cyc.index(x)
+    cyc = cyc[i:] + cyc[:i]
 
     if n in (5, 6):
         # shortest prefix of the cycle whose complement arc is also induced
@@ -526,14 +522,19 @@ def _blocktree(g: Graph, cycles) -> Ipf:
 
 
 def _blocktree_inner(g: Graph, cycles) -> Ipf:
+    """Route a block-tree host by its shape, found once: a single block, a
+    free split, a bridge assembly, or else a star.  Each bridge's sides
+    are computed once, and the assembly taken is handed what the router
+    found: the bridge's sides, or every leaf of the star."""
     dec = block_decomposition(g)
     if len(dec.blocks) == 1:
         return _ham23(g, cycles[0])
     # a bridge whose larger side is not bad lets the two sides recurse
     # freely.  _sub relabels in sorted order, so each block of a side is
     # the same graph as from g and keeps the hamilton cycle found for g
+    split = []
     for bridge in sorted(dec.bridges):
-        s0, s1 = _bridge_sides(g, bridge)
+        s0, s1 = sides = _bridge_sides(g, bridge)
         for sa, sb in ((s0, s1), (s1, s0)):
             if len(sa) < 7 or len(sb) < 6 \
                     or recognize_bad(_sub(g, sa)[0]) is not None:
@@ -545,24 +546,30 @@ def _blocktree_inner(g: Graph, cycles) -> Ipf:
                 p = _blocktree(side, own)
                 edges |= _edges_up(p.edges, n2o)
             return Ipf.from_edges(g, edges)
+        split.append((bridge, sides))
     # a bridge whose sides both have order <= 7, or both order >= 6 (each
     # side then has order 6 or is bad): the assembly covers both sides.
     # The first holds for the one bridge of a host of order <= 12, whose
     # two blocks have order >= 5, and else implies the second
-    for bridge in sorted(dec.bridges):
-        small, large = sorted(map(len, _bridge_sides(g, bridge)))
+    for bridge, sides in split:
+        small, large = sorted(map(len, sides))
         if large <= 7 or small >= 6:
-            return _bridge_assembly(g, bridge)
-    return _star_assembly(g)
+            return _bridge_assembly(g, bridge, sides)
+    # every bridge now has a side of order < 6, a single order-5 block as
+    # blocks have order >= 5, and one of order > 7.  So each bridge hangs
+    # a leaf off a vertex x of the one block that is no leaf, the centre
+    return _star_assembly(g, [(b, a, s0) if len(s0) == 5 else (a, b, s1)
+                              for (a, b), (s0, s1) in split])
 
 
-def _bridge_assembly(g: Graph, bridge) -> Ipf:
-    """IPF with the bridge on a path.  A side of order <= 7 gets a small
+def _bridge_assembly(g: Graph, bridge, sides) -> Ipf:
+    """IPF with the bridge on a path; `sides` are the bridge's sides, the
+    side of bridge[0] first.  A side of order <= 7 gets a small
     hamiltonian IPF with a path ending at its bridge endpoint; a larger
     side must be bad with that endpoint in a triangle of its hub, and is
     covered without the endpoint."""
     edges = {bridge}
-    for side, x in zip(_bridge_sides(g, bridge), bridge):
+    for side, x in zip(sides, bridge):
         sub, o2n, n2o = _sub(g, side)
         if len(side) <= 7:
             p = ipf_small_ham(sub, o2n[x])
@@ -579,29 +586,13 @@ def _bridge_assembly(g: Graph, bridge) -> Ipf:
     return Ipf.from_edges(g, edges)
 
 
-def _star_assembly(g: Graph) -> Ipf:
+def _star_assembly(g: Graph, leaves) -> Ipf:
     """Host shaped as a central block C with order-5 leaf blocks attached
-    by bridges (the only shape left once bridge splits are exhausted)."""
+    by bridges (the only shape left once bridge splits are exhausted).
+    `leaves` holds, per bridge in sorted order, the router's (x on C, y
+    on the leaf, leaf vertex set); C is the rest of g, and every test of
+    C reads g's adjacency."""
     n = g.n
-    dec = block_decomposition(g)
-    # every bridge must hang a whole order-5 block off the centre
-    leaves = []  # (x on C, y on leaf, leaf vertex set)
-    for bridge in sorted(dec.bridges):
-        sides = _bridge_sides(g, bridge)  # bridge[i] lies on sides[i]
-        i = 0 if len(sides[0]) == 5 else 1
-        if len(sides[i]) != 5:
-            raise ConstructionError("star assembly expected order-5 leaf sides")
-        leaf = sides[i]
-        if leaf not in dec.blocks:
-            raise ConstructionError("leaf side is not a single block")
-        leaves.append((bridge[1 - i], bridge[i], leaf))
-    leaf_sets = [leaf for _, _, leaf in leaves]
-    centre = [b for b in dec.blocks if b not in leaf_sets]
-    if len(centre) != 1:
-        raise ConstructionError("star assembly expected a single centre block")
-    C = centre[0]
-    csub, c_o2n, c_n2o = _sub(g, C)
-    xs = [x for x, _, _ in leaves]
 
     def leaf_ipf_edges(x, y, leaf):
         sub, o2n, n2o = _sub(g, leaf)
@@ -610,39 +601,32 @@ def _star_assembly(g: Graph) -> Ipf:
 
     # two adjacent attachment vertices: cut both leaves off and paste a
     # K4-minus over the edge between them
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if not g.has_edge(xs[i], xs[j]):
-                continue
-            x1, y1, l1 = leaves[i]
-            x2, y2, l2 = leaves[j]
-            g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1 - l2)
-            g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
-            p0 = lift(rec, ipf_blocktree(g0p))
-            edges = _edges_up(p0.edges, n2o0)
-            edges |= leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
-            return Ipf.from_edges(g, edges)
+    for i, j in itertools.combinations(range(len(leaves)), 2):
+        (x1, y1, l1), (x2, y2, l2) = leaves[i], leaves[j]
+        if not g.has_edge(x1, x2):
+            continue
+        g0, o2n0, n2o0 = _sub(g, frozenset(range(n)) - l1 - l2)
+        g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
+        p0 = lift(rec, ipf_blocktree(g0p))
+        edges = _edges_up(p0.edges, n2o0)
+        edges |= leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
+        return Ipf.from_edges(g, edges)
 
-    if len(C) == 5:
-        # centre C5 with two leaves at cycle distance 2
-        if len(leaves) != 2:
-            raise ConstructionError("order-5 centre must carry two leaves")
-        x1, y1, l1 = leaves[0]
-        x2, y2, l2 = leaves[1]
-        cyc = [c_n2o[v] for v in hamilton_cycle(csub)]
-        cyc = _rotate_to(cyc, x1)
-        if cyc[2] != x2:
-            cyc = [cyc[0]] + cyc[:0:-1]
-        if cyc[2] != x2:
-            raise ConstructionError("centre attachments not at distance 2")
-        u, v, w = cyc[1], cyc[3], cyc[4]
+    if n == 5 * (len(leaves) + 1):
+        # a C5 centre: three leaves would put two on adjacent vertices, and
+        # one leaves n = 10, a bridge assembly.  Its two attachments share
+        # one neighbour u; the other two centre vertices v, w are adjacent
+        (x1, y1, l1), (x2, y2, l2) = leaves
+        (u,) = _bits(g.adj_mask[x1] & g.adj_mask[x2])
+        v, w = frozenset(range(n)) - l1 - l2 - {x1, x2, u}
         edges = leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
         edges |= {(u, x1), (u, x2), (v, w)}
         return Ipf.from_edges(g, edges)
 
-    # an attachment vertex inside a triangle of C: delete it with its leaf
+    # an attachment vertex inside a triangle, which lies in C as x's third
+    # neighbour is on its leaf: delete it with its leaf
     for x, y, leaf in leaves:
-        if _triangle_of(csub, c_o2n[x]) is None:
+        if _triangle_of(g, x) is None:
             continue
         g0, _, n2o0 = _sub(g, frozenset(range(n)) - leaf - {x})
         p0 = ipf_blocktree(g0)
@@ -658,17 +642,16 @@ def _star_assembly(g: Graph) -> Ipf:
         edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
         return Ipf.from_edges(g, edges)
     # suppression produced a bad graph while the host is not bad: the
-    # suppressed vertex subdivided a triangle edge of the bad hub
+    # suppressed vertex subdivided a triangle edge of the bad hub.  g0p
+    # joins x1's neighbours u, v in its place, keeping their degrees and
+    # their other common neighbours, so both tests read g
     u, v = (w for w in g.adj[x1] if w != y1)
-    ulp = rec.old_to_new[o2n0[u]]
-    vlp = rec.old_to_new[o2n0[v]]
-    if not any(g0p.has_edge(ulp, t) and g0p.has_edge(vlp, t)
-               for t in g0p.adj[ulp]):
+    if not g.adj_mask[u] & g.adj_mask[v] & ~(1 << x1):
         raise ConstructionError("suppressed edge not in a hub triangle")
     # the edge lies on the hub's hamilton cycle: one endpoint has degree 2.
     # (Were both of degree 3, the triangle's tip and x1 would both have the
     # neighbourhood {u, v} in C, and C would have no hamilton cycle.)
-    if len(g0p.adj[ulp]) == 2:
+    if g.degree(u) == 2:
         u, v = v, u
     g2, _, n2o2 = _sub(g, frozenset(range(n)) - l1 - {x1, v})
     p2 = ipf_blocktree(g2)

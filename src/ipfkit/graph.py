@@ -290,21 +290,29 @@ def write_graph6(g: Graph) -> str:
                                     for i in range(0, len(stream), 6)])
 
 
+def _int_pair(line: str, message: str) -> tuple[int, int]:
+    """The two integer fields of line; GraphError(message) otherwise."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:  # not two fields, or a field that is no integer
+        raise GraphError(message) from None
+    return a, b
+
+
 def parse_adjlist(text: str) -> Graph:
     """Text fixture format: header line "n m", then one "u v" line per edge.
 
     A header order above ``GRAPH6_MAX_N`` raises GraphError before any
     graph is built: the CLI commands that read this format need n <= 62.
     An edge line that repeats an earlier edge, in either direction, raises
-    GraphError too: the graph would have fewer edges than the header's m."""
+    GraphError too: the graph would have fewer edges than the header's m.
+    So does a header or edge line that is not two integers, naming it."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty adjacency-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"bad adjacency-list header {lines[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], f"bad adjacency-list header {lines[0]!r}, "
+                               "expected 'n m'")
     if n > GRAPH6_MAX_N:
         raise GraphError(f"the header gives n={n}; graph6 needs "
                          f"n <= {GRAPH6_MAX_N}")
@@ -312,10 +320,7 @@ def parse_adjlist(text: str) -> Graph:
         raise GraphError(f"header claims {m} edges but {len(lines) - 1} lines follow")
     edges = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _int_pair(ln, f"bad edge line {ln!r}")
         edge = (min(u, v), max(u, v))
         if edge in edges:
             raise GraphError(f"repeated edge line {ln!r}: the header claims "

@@ -12,7 +12,8 @@ import time
 import pytest
 
 from ipfkit import (
-    Graph, Ipf, rho_tree, verify_ipf, write_adjlist, write_graph6,
+    Graph, Ipf, parse_graph6, rho_tree, verify_ipf, write_adjlist,
+    write_graph6,
 )
 from ipfkit import bounds, cli, constructive, solver
 from ipfkit.constructive import ConstructionError, ipf_cubic, ipf_ham23
@@ -341,6 +342,28 @@ def test_construct_verify_pipe(capsys, petersen_file, tmp_path):
     assert json.loads(out)["valid"]
 
 
+def test_solve_verify_round_trip(capsys, petersen_file, tmp_path):
+    # verify reads a solve result's "witness"; with one edge moved onto a
+    # path's inner vertex, whose third edge it takes, the witness fails
+    result = tmp_path / "solve.json"
+    code, _, _ = run(capsys, ["solve", "--input", petersen_file, "--json",
+                              "--output", str(result)])
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, ["verify", "--input", str(result)])
+    assert (code, out) == (EXIT_OK, "valid IPF with 3 paths\n")
+    doc = json.loads(result.read_text())
+    edges = doc["witness"]["edges"]
+    g = parse_graph6(doc["graph6"])
+    used = {tuple(e) for e in edges}
+    u = next(v for v in range(g.n) if sum(v in e for e in used) == 2)
+    spare = next(e for e in sorted(g.edges) if u in e and e not in used)
+    edges[next(i for i, e in enumerate(edges) if u not in e)] = list(spare)
+    result.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", "--input", str(result)])
+    assert code == EXIT_VIOLATION
+    assert err == f"invalid IPF: vertex {u} has degree 3 in the edge subset\n"
+
+
 def test_verify_table_output(capsys, petersen_file, tmp_path):
     cert = tmp_path / "cert.json"
     run(capsys, ["construct", "--input", petersen_file, "--json",
@@ -407,6 +430,7 @@ def test_verify_rejects_non_json(capsys, tmp_path):
     ("graph6", "C~x\n", "trailing bytes after bit field"),
     ("adjlist", "4\n0 1\n", "bad adjacency-list header '4'"),
     ("adjlist", "3 2\n0 1\n1 0\n", "repeated edge line '1 0'"),
+    ("adjlist", "3 1\n0 x\n", "bad edge line '0 x'"),
 ])
 def test_unparsable_input_graph(capsys, tmp_path, command, fmt, text,
                                 message):

@@ -2,6 +2,7 @@
 hamiltonian {2,3} bound, block-tree assembly, 2-factor assembly, and the
 full cubic pipeline."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -426,10 +427,14 @@ def test_blocktree_c5_centre_with_leaves_at_distance_2(monkeypatch):
     pasted = spy(monkeypatch, "paste_k4minus")
     recursed = spy(monkeypatch, "ipf_blocktree")
     stars = spy(monkeypatch, "_star_assembly")
+    searches = spy(monkeypatch, "hamilton_cycle")
     # the centre's cycle 0-1-2-3-4 reaches 3 at distance 2 only mirrored
     for x2 in (2, 3):
         assert check_blocktree(c5_star(0, x2)).path_count == 4
     assert len(stars) == 2 and pasted == [] and recursed == []
+    # per host the hypotheses search the three blocks and ipf_small_ham
+    # each leaf again; the star reads its centre's paths from adjacency
+    assert len(searches) == 2 * 5
 
 
 def test_blocktree_c5_centre_with_adjacent_leaves(monkeypatch):
@@ -439,15 +444,19 @@ def test_blocktree_c5_centre_with_adjacent_leaves(monkeypatch):
     assert len(stars) == 1 and len(pasted) == 1
 
 
-def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
+def suppression_fallback_host():
     """triangle_ring(6) with its triangle edge (0, 1) subdivided by 6 and
-    its joining edge (4, 5) by 7, each of 6 and 7 bridged to a leaf.
-    Suppressing 6 leaves a bad host, so the star assembly instead drops 6
-    with the triangle tip 0, puts the path 0-6 on the leaf's path, and
-    recurses once, on the order-11 rest."""
+    its joining edge (4, 5) by 7, each of 6 and 7 bridged to a leaf."""
     ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
     hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
-    g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
+    return joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
+
+
+def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
+    """On suppression_fallback_host, suppressing 6 leaves a bad host, so
+    the star assembly instead drops 6 with the triangle tip 0, puts the
+    path 0-6 on the leaf's path, and recurses once, on the order-11 rest."""
+    g = suppression_fallback_host()
     assert g.n == 18 and recognize_bad(g) is None
     suppressed = spy(monkeypatch, "suppress_vertex")
     lifted = spy(monkeypatch, "lift")
@@ -456,6 +465,153 @@ def test_blocktree_star_suppression_leaving_a_bad_host(monkeypatch):
     assert ipf.path_count == 5 and (0, 6) in ipf.edges
     assert len(suppressed) == 1 and lifted == []
     assert [args[0].n for args, _ in recursed] == [11]
+
+
+def ham23_block(rng, m):
+    """A hamiltonian {2,3}-graph of order m: the cycle 0..m-1 plus a random
+    matching of chords, half of them drawn short (length 2) when free."""
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    free = set(range(m))
+    for _ in range(rng.randrange(m // 2 + 1)):
+        a = rng.choice(sorted(free))
+        far = [b for b in free if (b - a) % m not in (0, 1, m - 1)]
+        near = [b for b in ((a + 2) % m, (a - 2) % m) if b in free]
+        pool = (near if rng.random() < 0.5 else far) or far
+        if pool:
+            b = rng.choice(sorted(pool))
+            edges.append((a, b))
+            free -= {a, b}
+    return Graph(m, edges)
+
+
+def degree_2(g):
+    return [v for v in range(g.n) if g.degree(v) == 2]
+
+
+def relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def star_host(rng):
+    """A centre block of order 5..22 with order-5 leaf blocks bridged to
+    some of its degree-2 vertices, n in 13..62, randomly relabelled: past
+    every free split and bridge assembly, the block tree's star."""
+    while True:
+        m = rng.randint(5, 22)
+        centre = ham23_block(rng, m)
+        spots = degree_2(centre)
+        fewest, most = max(1, -(-(13 - m) // 5)), min(len(spots), (62 - m) // 5)
+        if fewest <= most:
+            break
+    edges, n = list(centre.edges), m
+    for x in rng.sample(spots, rng.randint(fewest, most)):
+        leaf = ham23_block(rng, 5)
+        y = rng.choice(degree_2(leaf))
+        edges += [(u + n, v + n) for u, v in leaf.edges] + [(x, y + n)]
+        n += 5
+    return relabelled(rng, n, edges)
+
+
+def chain_host(rng):
+    """A chain of blocks of order 5..14, each bridged from a degree-2
+    vertex to a degree-2 vertex of the next, n in 7..62, randomly
+    relabelled."""
+    while True:
+        edges, n, prev = [], 0, None
+        while True:
+            m = rng.randint(5, 14)
+            if n + m > 62:
+                break
+            spots = degree_2(block := ham23_block(rng, m))
+            if len(spots) < (1 if prev is None else 2):
+                continue
+            y = rng.choice(spots)
+            edges += [(u + n, v + n) for u, v in block.edges]
+            if prev is not None:
+                edges.append((prev, y + n))
+            ends = [s for s in spots if s != y] if prev is not None else spots
+            if not ends or rng.random() < 0.3:
+                n += m
+                break
+            prev = rng.choice(ends) + n
+            n += m
+        if n >= 7 and edges:
+            return relabelled(rng, n, edges)
+
+
+# SHA-256 over the sorted edge sets of ipf_23_with_2factor on the first 300
+# seeded hosts of each panel, taken before the star assembly read its
+# leaves from the router
+PANEL_DIGESTS = {
+    "star": (star_host, "55531959f273628805777a75d26743ecfcf71a9b07f7197ae9b8b1a4892961f9"),
+    "chain": (chain_host, "dd14ea44a93cf0bc44e46702339972e892f08aaf161d6d9bed236b5df7afd07d"),
+}
+
+
+@pytest.mark.parametrize("panel", sorted(PANEL_DIGESTS))
+def test_blocktree_edge_sets_are_pinned(panel):
+    make, pinned = PANEL_DIGESTS[panel]
+    hosts = [make(random.Random(s)) for s in range(300)]
+    assert all(_blocktree_hypotheses(g) is not None for g in hosts)
+    doc = [sorted(map(list, ipf_23_with_2factor(g).edges)) for g in hosts]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == pinned
+
+
+def test_blocktree_fills_each_bridge_once(monkeypatch):
+    """The router computes each bridge's sides once, and the bridge and
+    star assemblies read them from it."""
+    filled = spy(monkeypatch, "_bridge_sides")
+    for s in range(100):
+        for make in (star_host, chain_host):
+            ipf_23_with_2factor(make(random.Random(s)))
+    assert filled  # the spy keeps each graph alive, so no id is reused
+    keys = [(id(args[0]), args[1]) for args, _ in filled]
+    assert len(set(keys)) == len(keys)
+
+
+def star_branch(g):
+    """The branch _star_assembly(g) takes, read from g's shape: the
+    centre is the largest block, and of two order-5 blocks the one meeting
+    more bridges; each bridge hangs a leaf from an attachment x on it."""
+    dec = graph.block_decomposition(g)
+    centre = max(dec.blocks, key=lambda b: (len(b), sum(
+        u in b or v in b for u, v in dec.bridges)))
+    leaves = [(a, b) if a in centre else (b, a) for a, b in sorted(dec.bridges)]
+    xs = [x for x, _ in leaves]
+    if any(g.has_edge(x, z) for x in xs for z in xs):
+        return "paste"
+    if len(centre) == 5:
+        return "c5"
+    if any(constructive._triangle_of(g, x) is not None for x in xs):
+        return "triangle"
+    x1, y1 = leaves[0]
+    (leaf,) = (b for b in dec.blocks if y1 in b)
+    rest, o2n = g.induced_subgraph(set(range(g.n)) - leaf)
+    suppressed, _ = suppress_vertex(rest, o2n[x1])
+    if recognize_bad(suppressed) is None or recognize_bad(g) is not None:
+        return "suppression"
+    return "fallback"
+
+
+def test_star_assembly_runs_every_branch(monkeypatch):
+    """Every branch of the star assembly runs on the star panel and the
+    suppression fallback's host; the surgeries it makes agree with the
+    branch read from each host's shape."""
+    stars = spy(monkeypatch, "_star_assembly")
+    pasted = spy(monkeypatch, "paste_k4minus")
+    suppressed = spy(monkeypatch, "suppress_vertex")
+    lifted = spy(monkeypatch, "lift")
+    hosts = [star_host(random.Random(s)) for s in range(300)]
+    for g in hosts + [suppression_fallback_host()]:
+        ipf_23_with_2factor(g)
+    monkeypatch.undo()
+    taken = collections.Counter(star_branch(args[0]) for args, _ in stars)
+    assert set(taken) == {"paste", "c5", "triangle", "suppression", "fallback"}
+    assert len(pasted) == taken["paste"]
+    assert len(suppressed) == taken["suppression"] + taken["fallback"]
+    assert len(lifted) == taken["paste"] + taken["suppression"]
 
 
 def badness_tested(monkeypatch, g):
@@ -482,13 +638,11 @@ def test_blocktree_tests_each_graph_for_badness_once(monkeypatch):
     tested = badness_tested(monkeypatch, g)
     assert sorted(h.n for h in tested) == [11, 11, 12, 12, 24]
     assert any(h is g for h in tested)
-    # the star host of test_blocktree_star_suppression_leaving_a_bad_host:
-    # the suppressed rest, the host and the order-11 rest
-    ring = triangle_ring(6).without_edges([(0, 1), (4, 5)])
-    hub = Graph(8, ring.edges | {(0, 6), (1, 6), (4, 7), (5, 7)})
-    g = joined(joined(hub, LEAF, 6, 3), LEAF, 7, 3)
+    # suppression_fallback_host: the suppressed rest, the host and the
+    # order-11 rest
     monkeypatch.undo()
-    assert [h.n for h in badness_tested(monkeypatch, g)] == [12, 18, 11]
+    tested = badness_tested(monkeypatch, suppression_fallback_host())
+    assert [h.n for h in tested] == [12, 18, 11]
 
 
 def test_2factor_reduction_swaps_out_a_bad_reduction(monkeypatch):

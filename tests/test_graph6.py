@@ -235,6 +235,8 @@ def test_adjlist_skips_comments_and_blank_lines():
     ("3 2\n0 1\n1 2 0\n", "bad edge line '1 2 0'"),
     ("3 2\n0 1\n1 0\n", "repeated edge line '1 0'"),
     ("3 3\n0 1\n1 2\n1 2\n", "repeated edge line '1 2'"),
+    ("3 1\n0 x\n", "bad edge line '0 x'"),
+    ("x 0\n", "bad adjacency-list header 'x 0', expected 'n m'"),
 ])
 def test_adjlist_refuses_malformed_text(text, message):
     with pytest.raises(GraphError, match=re.escape(message)):

@@ -161,9 +161,11 @@ def _census_one(args):
 
 def check_jobs(jobs) -> None:
     """Raise ValueError unless census can run with `jobs` processes here:
-    at least 1, and above 1 only where os.fork exists."""
-    if not jobs >= 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    an int, not a bool, at least 1, and above 1 only where os.fork
+    exists."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer of at least 1, "
+                         f"got {jobs!r}")
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValueError(f"jobs={jobs} needs os.fork, which this platform "
                          f"lacks; use jobs=1")
@@ -257,7 +259,8 @@ def census(lines, mode: str = "both", jobs: int = 1,
 
     Graphs that are not connected and cubic are counted as skipped; parse
     errors are reported per line and processing continues.  A bad mode,
-    budget or jobs < 1, jobs > 1 where os.fork is missing (POSIX has it),
+    budget, jobs that is not an int of at least 1 (a float or a bool is
+    refused), jobs > 1 where os.fork is missing (POSIX has it),
     or `lines` given as one string, which would be read character by
     character, raises ValueError before any line is read.
 

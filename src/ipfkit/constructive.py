@@ -43,15 +43,6 @@ class ConstructionError(RuntimeError):
 # Triangle rings and bad graphs
 # ---------------------------------------------------------------------------
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in g.edges:
-        for w in g.adj[u]:
-            if w > v and g.has_edge(v, w):
-                out.append((u, v, w))
-    return out
-
-
 def _triangle_of(g: Graph, v: int) -> tuple[int, int] | None:
     """The other two vertices of a triangle containing v, or None."""
     masks = g.adj_mask
@@ -64,17 +55,22 @@ def _triangle_of(g: Graph, v: int) -> tuple[int, int] | None:
 
 def is_triangle_ring(g: Graph) -> bool:
     """A cycle of t = n/3 triangles joined into a ring by t single edges
-    (two parallel joining edges when t = 2)."""
+    (two parallel joining edges when t = 2).  Recognised from the first
+    triangle of each vertex, which on a ring is its only one."""
     n = g.n
     if n < 6 or n % 3 or not g.is_23_graph() or not g.is_connected():
         return False
     if len(g.edges) != n + n // 3:
         return False
-    # n/3 triangles covering V are disjoint; two degree-3 vertices on each
-    # join it to two others, which in a connected g closes one ring
-    tris = _triangles(g)
+    # each vertex's first triangle: n/3 of them cover V, so they are
+    # disjoint, and then no other triangle exists (one would give a vertex
+    # a fourth neighbour).  Two degree-3 vertices on each join it to two
+    # others, which in a connected g closes one ring
+    firsts = [_triangle_of(g, v) for v in range(n)]
+    if None in firsts:
+        return False
+    tris = {frozenset((v, *t)) for v, t in enumerate(firsts)}
     return (len(tris) == n // 3
-            and len({v for t in tris for v in t}) == n
             and all(sum(g.degree(v) == 3 for v in t) == 2 for t in tris))
 
 
@@ -457,6 +453,13 @@ def _edges_up(edges, n2o):
     return {(n2o[u], n2o[v]) for u, v in edges}
 
 
+def _small_side(g: Graph, side: frozenset[int], x: int):
+    """Edges, in g's labels, of ``ipf_small_ham`` on g's side of order 5..7
+    of a bridge: a path ends at the bridge endpoint x."""
+    sub, o2n, n2o = _sub(g, side)
+    return _edges_up(ipf_small_ham(sub, o2n[x]).edges, n2o)
+
+
 def _blocktree_hypotheses(g: Graph):
     """Blocks of order >= 5, hamiltonian, vertex sets partitioning V; the
     one hamiltonicity test of the block-tree routes.  Returns None or a
@@ -570,19 +573,18 @@ def _bridge_assembly(g: Graph, bridge, sides) -> Ipf:
     covered without the endpoint."""
     edges = {bridge}
     for side, x in zip(sides, bridge):
-        sub, o2n, n2o = _sub(g, side)
         if len(side) <= 7:
-            p = ipf_small_ham(sub, o2n[x])
-        else:
-            hub = recognize_bad(sub)
-            if hub is None or o2n[x] not in hub \
-                    or _triangle_of(sub, o2n[x]) is None:
-                raise ConstructionError(
-                    "bridge endpoint of a large side is not in a triangle "
-                    "of a bad hub")
-            sub, _, n2o = _sub(g, side - {x})
-            p = ipf_blocktree(sub)
-        edges |= _edges_up(p.edges, n2o)
+            edges |= _small_side(g, side, x)
+            continue
+        sub, o2n, _ = _sub(g, side)
+        hub = recognize_bad(sub)
+        if hub is None or o2n[x] not in hub \
+                or _triangle_of(sub, o2n[x]) is None:
+            raise ConstructionError(
+                "bridge endpoint of a large side is not in a triangle "
+                "of a bad hub")
+        sub, _, n2o = _sub(g, side - {x})
+        edges |= _edges_up(ipf_blocktree(sub).edges, n2o)
     return Ipf.from_edges(g, edges)
 
 
@@ -591,14 +593,9 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
     by bridges (the only shape left once bridge splits are exhausted).
     `leaves` holds, per bridge in sorted order, the router's (x on C, y
     on the leaf, leaf vertex set); C is the rest of g, and every test of
-    C reads g's adjacency."""
+    C reads g's adjacency.  Each leaf is covered by ``_small_side``, with
+    a path ending at y that the bridge (x, y) extends."""
     n = g.n
-
-    def leaf_ipf_edges(x, y, leaf):
-        sub, o2n, n2o = _sub(g, leaf)
-        p = ipf_small_ham(sub, o2n[y])
-        return _edges_up(p.edges, n2o) | {(x, y)}
-
     # two adjacent attachment vertices: cut both leaves off and paste a
     # K4-minus over the edge between them
     for i, j in itertools.combinations(range(len(leaves)), 2):
@@ -609,8 +606,8 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
         g0p, rec = paste_k4minus(g0, o2n0[x1], o2n0[x2])
         p0 = lift(rec, ipf_blocktree(g0p))
         edges = _edges_up(p0.edges, n2o0)
-        edges |= leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
-        return Ipf.from_edges(g, edges)
+        edges |= _small_side(g, l1, y1) | _small_side(g, l2, y2)
+        return Ipf.from_edges(g, edges | {(x1, y1), (x2, y2)})
 
     if n == 5 * (len(leaves) + 1):
         # a C5 centre: three leaves would put two on adjacent vertices, and
@@ -619,8 +616,8 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
         (x1, y1, l1), (x2, y2, l2) = leaves
         (u,) = _bits(g.adj_mask[x1] & g.adj_mask[x2])
         v, w = frozenset(range(n)) - l1 - l2 - {x1, x2, u}
-        edges = leaf_ipf_edges(x1, y1, l1) | leaf_ipf_edges(x2, y2, l2)
-        edges |= {(u, x1), (u, x2), (v, w)}
+        edges = _small_side(g, l1, y1) | _small_side(g, l2, y2)
+        edges |= {(x1, y1), (x2, y2), (u, x1), (u, x2), (v, w)}
         return Ipf.from_edges(g, edges)
 
     # an attachment vertex inside a triangle, which lies in C as x's third
@@ -630,8 +627,8 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
             continue
         g0, _, n2o0 = _sub(g, frozenset(range(n)) - leaf - {x})
         p0 = ipf_blocktree(g0)
-        edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x, y, leaf)
-        return Ipf.from_edges(g, edges)
+        edges = _edges_up(p0.edges, n2o0) | _small_side(g, leaf, y)
+        return Ipf.from_edges(g, edges | {(x, y)})
 
     # no attachment vertex in a triangle: suppress the first one
     x1, y1, l1 = leaves[0]
@@ -639,8 +636,8 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
     g0p, rec = suppress_vertex(g0, o2n0[x1])
     if recognize_bad(g0p) is None or recognize_bad(g) is not None:
         p0 = lift(rec, ipf_blocktree(g0p))
-        edges = _edges_up(p0.edges, n2o0) | leaf_ipf_edges(x1, y1, l1)
-        return Ipf.from_edges(g, edges)
+        edges = _edges_up(p0.edges, n2o0) | _small_side(g, l1, y1)
+        return Ipf.from_edges(g, edges | {(x1, y1)})
     # suppression produced a bad graph while the host is not bad: the
     # suppressed vertex subdivided a triangle edge of the bad hub.  g0p
     # joins x1's neighbours u, v in its place, keeping their degrees and
@@ -655,8 +652,8 @@ def _star_assembly(g: Graph, leaves) -> Ipf:
         u, v = v, u
     g2, _, n2o2 = _sub(g, frozenset(range(n)) - l1 - {x1, v})
     p2 = ipf_blocktree(g2)
-    edges = _edges_up(p2.edges, n2o2) | leaf_ipf_edges(x1, y1, l1)
-    edges |= {(v, x1)}
+    edges = _edges_up(p2.edges, n2o2) | _small_side(g, l1, y1)
+    edges |= {(x1, y1), (v, x1)}
     return Ipf.from_edges(g, edges)
 
 
@@ -689,7 +686,14 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
     """IPF of a host that fails the block-tree hypotheses, from the cycle
     lists of a 2-factor whose cycles all have length >= 5 and are as few
     as possible; the final verification on the host catches any violation
-    of the induced property that a non-minimal factor could cause."""
+    of the induced property that a non-minimal factor could cause.
+
+    S', the inter-cycle edges removed greedily while g stays connected, is
+    never empty: were every inter-cycle edge a bridge, each factor cycle
+    would span a hamiltonian block of order >= 5, and those blocks would
+    partition V and meet the hypotheses.  When the reduced graph is bad,
+    the first edge of S' goes back and the one bridge of its endpoint's
+    order-5 block goes instead."""
     cycle_of = {}
     for i, cyc in enumerate(cycles):
         for v in cyc:
@@ -699,8 +703,6 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
     for e in S:
         if g.without_edges(S_prime + [e]).is_connected():
             S_prime.append(e)
-    if not S_prime:
-        raise ConstructionError("no removable inter-cycle edges found")
     reduced = g.without_edges(S_prime)
     removed = set(S_prime)
     hub = recognize_bad(reduced)
@@ -708,19 +710,15 @@ def _two_factor_reduction(g: Graph, cycles: list[list[int]]) -> Ipf:
         # swap: re-add one removed inter-cycle edge and cut the bridge that
         # ties its order-5 block to the hub, leaving a degree-2 hub vertex
         # outside any triangle.  A removed edge may end at a triangle's
-        # degree-2 tip in the hub, so take the endpoint in an order-5 block
-        u, v = S_prime[0]
+        # degree-2 tip in the hub, so take the endpoint in an order-5 block.
+        # A hub means the blocks partition V, and each leaf hangs from the
+        # hub by one bridge
         dec = block_decomposition(reduced)
-        blk_u = next((b for b in dec.blocks if u in b), None)
-        if blk_u is None or len(blk_u) != 5:
-            u, v = v, u
-            blk_u = next((b for b in dec.blocks if u in b), None)
-        if blk_u is None or len(blk_u) != 5:
+        blk = next((b for w in S_prime[0] for b in dec.blocks
+                    if w in b and len(b) == 5), None)
+        if blk is None:
             raise ConstructionError("swap edge has no order-5 endpoint block")
-        wx = next(br for br in sorted(dec.bridges)
-                  if (br[0] in hub) != (br[0] in blk_u)
-                  and (br[0] in blk_u or br[1] in blk_u)
-                  and (br[0] in hub or br[1] in hub))
+        (wx,) = (br for br in dec.bridges if br[0] in blk or br[1] in blk)
         removed = (removed | {wx}) - {S_prime[0]}
         reduced = g.without_edges(removed)
         if not reduced.is_connected():
@@ -846,28 +844,23 @@ def _cubic_bridge_split(g: Graph, bridges) -> tuple[Ipf, list[str]]:
     """Split at the lowest of g's bridges; each side has exactly one
     degree-2 vertex (the bridge endpoint) and contributes an IPF with a
     path ending there.  A cycle never crosses a bridge, so the bridges of
-    a side are g's bridges inside it."""
+    a side are g's bridges inside it.  A side of order 5 or 7 gets 2
+    paths from ``ipf_small_ham``, whose one 3-path host has three
+    degree-2 vertices."""
     bridge = min(bridges)
     edges = {bridge}
     trace = ["bridge-split"]
     for side, x in zip(_bridge_sides(g, bridge), bridge):
+        if len(side) in (5, 7):
+            edges |= _small_side(g, side, x)
+            continue
         sub, o2n, n2o = _sub(g, side)
-        xl = o2n[x]
-        ni = len(side)
-        if ni in (5, 7):
-            # a cubic bridge side has exactly one degree-2 vertex, so the
-            # order-7 host with three of them cannot occur here
-            p = ipf_small_ham(sub, xl)
-            if p.path_count != 2:
-                raise ConstructionError(
-                    "small bridge side did not yield a 2-path IPF")
-        else:
-            inside = frozenset((o2n[u], o2n[v]) for u, v in bridges
-                               if u in side and v in side)
-            p, tr = _repair_and_lift(sub, [xl], inside)
-            trace += tr
-            if 3 * p.path_count > ni + 1:
-                raise ConstructionError("bridge side exceeded (n+1)/3 paths")
+        inside = frozenset((o2n[u], o2n[v]) for u, v in bridges
+                           if u in side and v in side)
+        p, tr = _repair_and_lift(sub, [o2n[x]], inside)
+        trace += tr
+        if 3 * p.path_count > len(side) + 1:
+            raise ConstructionError("bridge side exceeded (n+1)/3 paths")
         edges |= _edges_up(p.edges, n2o)
     return Ipf.from_edges(g, edges), trace
 

@@ -16,8 +16,6 @@ graph6 limit, before it builds anything.
 
 from __future__ import annotations
 
-import inspect
-
 from .graph import GRAPH6_MAX_N, Graph, GraphError
 
 
@@ -62,19 +60,21 @@ def _order5_host(chords: int) -> list[tuple[int, int]]:
     raise GraphError("order-5 host takes 1 or 2 chords")
 
 
-def bad_graph(ring_order: int, subdivided: tuple[int, ...] = (0,),
+def bad_graph(ring_order: int, subdivided: int | tuple[int, ...] = (0,),
               h5_chords: int = 1) -> Graph:
     """Triangle ring with the chosen non-triangle edges subdivided, each
     subdivision vertex bridged to a hamiltonian {2,3}-graph of order 5.
 
     subdivided lists indices (0-based, cycle order) of non-triangle edges
-    of triangle_ring(ring_order); h5_chords picks the attached order-5 host
+    of triangle_ring(ring_order), one int reading as a one-element tuple;
+    h5_chords picks the attached order-5 host
     (C5 plus one chord, or plus a 2-chord matching).  Vertices: the ring
     first, then per subdivided edge the subdivision vertex x_e followed by
     the 5 host vertices.  The bridge meets the host at a degree-2 vertex."""
     ring = triangle_ring(ring_order)  # checks ring_order first
     joins = _joining_edges(ring_order)
-    idxs = sorted(set(subdivided))
+    idxs = sorted({subdivided} if isinstance(subdivided, int)
+                  else set(subdivided))
     if not all(0 <= i < len(joins) for i in idxs):
         raise GraphError("subdivided edge index out of range")
     _check_order(ring_order + 6 * len(idxs))
@@ -259,16 +259,13 @@ _FAMILIES = {
 
 def generate(family: str, params: dict) -> Graph:
     """Build the graph of the named family with the given keyword
-    parameters, e.g. generate("triangle_ring", {"n": 9}).  A tuple-valued
-    parameter given one integer reads as a one-element tuple."""
+    parameters, e.g. generate("triangle_ring", {"n": 9}).  The one
+    tuple-valued parameter, bad_graph's subdivided, also takes one
+    integer."""
     try:
         fn = _FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown family: {family!r}") from None
-    sig = inspect.signature(fn).parameters  # a tuple default: tuple-valued
-    params = {key: (val,) if isinstance(val, int) and key in sig
-              and isinstance(sig[key].default, tuple) else val
-              for key, val in params.items()}
     try:
         return fn(**params)
     except TypeError as exc:

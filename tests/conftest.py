@@ -1,7 +1,8 @@
-"""Shared fixtures: census file loading, random graph generators, the
-enumeration of hamiltonian {2,3}-graphs used by several suites, the
-compiled search kernel, stand-ins for the exact solver and the greedy
-construction, and the derandomized hypothesis profile."""
+"""Shared fixtures: census file loading, the cycle and path graphs,
+random graph generators, the enumeration of hamiltonian {2,3}-graphs
+used by several suites, the compiled search kernel, stand-ins for the
+exact solver and the greedy construction, and the derandomized
+hypothesis profile."""
 
 import importlib.util
 import random
@@ -22,7 +23,17 @@ DATA = Path(__file__).parent / "data"
 KERNEL_C_SOURCE = Path(__file__).parents[1] / "src" / "ipfkit" / "_kernel_c.c"
 
 # connected cubic graph counts by order, used to guard the fixtures
-CENSUS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
+CENSUS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
+
+
+def cycle(n: int) -> Graph:
+    """The cycle 0-1-...-(n-1)-0."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n: int) -> Graph:
+    """The path 0-1-...-(n-1)."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def census_path(n: int) -> Path:

@@ -192,6 +192,17 @@ def test_census_petersen_clean():
     assert doc["violations"] == []
 
 
+def test_census_n16():
+    """Mode both over the 4,060 connected cubic graphs of order 16: every
+    bound holds, M_16 = 5 = (16 - 1) // 3, met by one graph, and the rho
+    histogram is the one the exact search proves."""
+    rep = census(census_path(16).read_text().splitlines(), mode="both")
+    assert rep.graphs_processed == 4060 and not rep.skipped
+    assert not rep.errors and not rep.violations and not rep.budget_exhausted
+    assert rep.n_to_max_rho == {16: 5}
+    assert rep.rho_histogram == {2: 3379, 3: 638, 4: 42, 5: 1}
+
+
 def test_census_skips_and_errors():
     # "?" is the null graph: vacuously 3-regular, but no cubic graph
     lines = [write_graph6(petersen()), "not graph6 %%%",
@@ -381,6 +392,8 @@ def test_census_budget_exhaustion_reported():
                                     {"time_limit": -1.0},
                                     {"time_limit": float("nan")},
                                     {"jobs": 0}, {"jobs": -2},
+                                    {"jobs": 1.5}, {"jobs": 2.0},
+                                    {"jobs": True},
                                     {"time_limit": None},
                                     {"time_limit": "1"},
                                     {"time_limit": True}])
@@ -417,7 +430,7 @@ def test_census_seeding_changes_no_report(mode, monkeypatch):
     """Mode both seeds the exact search with the certificate; the reports
     on the n=4..14 census stay those of the unseeded search, serial and
     split over 2 and 3 processes."""
-    lines = [line for n in CENSUS_COUNTS
+    lines = [line for n in CENSUS_COUNTS if n <= 14
              for line in census_path(n).read_text().splitlines()]
     seeded = [census(lines, mode=mode, jobs=jobs).to_json()
               for jobs in (1, 2, 3)]

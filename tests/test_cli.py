@@ -23,7 +23,8 @@ from ipfkit.cli import (
 from ipfkit.families import bad_graph, petersen, triangle_ring
 
 from conftest import (census_graphs, census_path, chorded_census_lines,
-                      cycle_as_one_path, random_connected_cubic, rho_four)
+                      cycle, cycle_as_one_path, random_connected_cubic,
+                      rho_four)
 
 
 @pytest.fixture
@@ -31,10 +32,6 @@ def petersen_file(tmp_path):
     p = tmp_path / "petersen.g6"
     p.write_text(write_graph6(petersen()) + "\n")
     return str(p)
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def run(capsys, argv):

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -26,13 +27,9 @@ from ipfkit.families import (
 )
 
 from conftest import (
-    DATA, assert_two_factor, census_graphs, hamiltonian_23_graphs,
+    DATA, assert_two_factor, census_graphs, cycle, hamiltonian_23_graphs,
     random_bridged_cubic, random_connected_cubic,
 )
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +105,39 @@ def test_triangle_ring_recognition():
         assert is_triangle_ring(triangle_ring(n))
     assert not is_triangle_ring(cycle(9))
     assert not is_triangle_ring(petersen())
+
+
+def ring_by_all_triangles(g):
+    """is_triangle_ring by its first definition: the triangles of g, all
+    of them, number n/3, cover V, and each has two degree-3 vertices."""
+    n = g.n
+    if n < 6 or n % 3 or not g.is_23_graph() or not g.is_connected() \
+            or len(g.edges) != n + n // 3:
+        return False
+    tris = [(u, v, w) for u, v in g.edges for w in g.adj[u]
+            if w > v and g.has_edge(v, w)]
+    return (len(tris) == n // 3
+            and len({v for t in tris for v in t}) == n
+            and all(sum(g.degree(v) == 3 for v in t) == 2 for t in tris))
+
+
+def test_triangle_ring_agrees_with_all_triangles():
+    """Reading each vertex's first triangle decides rings as the set of
+    all triangles does, on every hamiltonian {2,3}-graph of order 6 and 9
+    and on each ring with one edge removed, added, or moved."""
+    hosts = hamiltonian_23_graphs(6) + hamiltonian_23_graphs(9)
+    for n in (6, 9, 12):
+        ring = triangle_ring(n)
+        edges = sorted(ring.edges)
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if not ring.has_edge(u, v)]
+        hosts += [ring.without_edges([e]) for e in edges]
+        hosts += [ring.with_edges([f]) for f in absent]
+        hosts += [ring.without_edges([e]).with_edges([f])
+                  for e in edges for f in absent]
+    verdicts = [is_triangle_ring(g) for g in hosts]
+    assert verdicts == [ring_by_all_triangles(g) for g in hosts]
+    assert 0 < sum(verdicts) < len(hosts)
 
 
 def test_triangle_ring_is_extremal():
@@ -391,6 +421,29 @@ def check_blocktree(g):
     assert ipf.path_count <= _allowed_bound(g)
     assert is_well_behaved(ipf) == []
     return ipf
+
+
+def test_small_bridge_sides_have_one_cover(monkeypatch):
+    """The bridge assembly, the star assembly and the cubic bridge split
+    all cover a bridge side of order 5 or 7 through _small_side, and it
+    is what calls ipf_small_ham."""
+    callers = collections.Counter()
+    small_side = constructive._small_side
+
+    def wrapper(g, side, x):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return small_side(g, side, x)
+    monkeypatch.setattr(constructive, "_small_side", wrapper)
+    small = spy(monkeypatch, "ipf_small_ham")
+    check_blocktree(joined(cycle(5), LEAF, 0, 3))
+    check_blocktree(c5_star(0, 2))
+    # two order-7 sides, each C7 with the chords 1-4, 2-5, 3-6
+    side = Graph(7, list(cycle(7).edges) + [(1, 4), (2, 5), (3, 6)])
+    cert = ipf_cubic(joined(side, side, 0, 0))
+    assert cert.trace == ["bridge-split"]
+    assert callers == {"_bridge_assembly": 2, "_star_assembly": 2,
+                       "_cubic_bridge_split": 2}
+    assert len(small) == 6
 
 
 def test_blocktree_bad_bridge_assembly(monkeypatch):

@@ -37,6 +37,11 @@ def test_bad_graph_shape():
         bad_graph(6, (5,), 1)
 
 
+def test_bad_graph_reads_one_index_as_a_one_element_tuple():
+    assert bad_graph(9, 0) == bad_graph(9, (0,))
+    assert bad_graph(9, 2, 2) == bad_graph(9, (2,), 2)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: bad_graph(6, (0,), 3), "order-5 host takes 1 or 2 chords"),
     (lambda: subdivided_complete(2), "subdivided complete graph needs m >= 3"),

@@ -13,13 +13,9 @@ from ipfkit.graph import (
 from ipfkit.families import petersen, tietze, triangle_ring
 
 from conftest import (
-    assert_two_factor, census_graphs, random_connected_regular,
+    assert_two_factor, census_graphs, cycle, random_connected_regular,
     random_connected_subcubic,
 )
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_graph_invariants():

@@ -13,13 +13,7 @@ from ipfkit import (
 )
 from ipfkit.families import bad_graph
 
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from conftest import cycle, path
 
 
 def two_c5():

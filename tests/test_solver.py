@@ -21,17 +21,9 @@ from ipfkit.constructive import ipf_cubic
 from ipfkit.families import (bad_graph, c4_binary_tree, fig1_subcubic,
                              perfect_tree, petersen, triangle_ring)
 
-from conftest import (DATA, census_graphs, random_connected_bounded,
-                      random_connected_cubic, random_connected_regular,
-                      random_connected_subcubic)
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from conftest import (DATA, census_graphs, cycle, path,
+                      random_connected_bounded, random_connected_cubic,
+                      random_connected_regular, random_connected_subcubic)
 
 
 CLAW = Graph(4, [(0, 1), (0, 2), (0, 3)])

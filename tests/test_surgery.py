@@ -14,11 +14,7 @@ from ipfkit import constructive
 from ipfkit.surgery import surgery
 from ipfkit.families import triangle_ring
 
-from conftest import random_connected_subcubic
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from conftest import cycle, random_connected_subcubic
 
 
 def test_subdivide_edge():

@@ -1,7 +1,7 @@
 """Generate tests/data/cubic_nNN.g6: every connected cubic graph for
-n = 4..14, deduplicated up to isomorphism.
+n = 4..16, deduplicated up to isomorphism.
 
-Generation, level by level (n = 4, 6, ..., 14):
+Generation, level by level (n = 4, 6, ..., 16):
 
 * expansion: subdivide two distinct edges of a level n-2 graph and join
   the two new vertices (complete for the 3-connected graphs);
@@ -30,8 +30,9 @@ isomorphism class is kept with the labels it was built with, so every
 exact dedup keeps the same graphs in the same order, and the files do
 not change when the isomorphism test does.
 
-The script asserts the known counts 1, 2, 5, 19, 85, 509 of connected
-cubic graphs, so any incompleteness fails loudly.  Run it as
+The script asserts the known counts 1, 2, 5, 19, 85, 509, 4060 of
+connected cubic graphs (OEIS A002851), so any incompleteness fails
+loudly.  Run it as
 ``python3 tools/gen_cubic_census.py``.
 """
 
@@ -42,7 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ipfkit.graph import Graph, write_graph6  # noqa: E402
 
-EXPECTED = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
+EXPECTED = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
 def profile(g: Graph, root: int) -> tuple:
@@ -162,7 +163,7 @@ def main():
     odd = {}   # m -> odd sides of order m (needs census[m+1])
     even = {}
 
-    for n in range(6, 15, 2):
+    for n in range(6, max(EXPECTED) + 1, 2):
         dd = Dedup()
         for parent in census[n - 2]:
             for cand in expansions(parent):
